@@ -1,0 +1,133 @@
+"""Golden trajectory hashes: every method x model x partition, 5 rounds.
+
+Each case hashes (sha256) the final global parameters, the final value of
+every server-state vector the method keeps, and the per-round
+``grad_evals`` and ``sampled_clients``. Any change to a trajectory, to a
+server update or to the cost accounting changes a hash. The fixture also
+records the NumPy and BLAS it was written with, so a mismatch on another
+machine can be told apart from a change to the code.
+
+Regenerate (only for an intended behaviour change) with:
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+import hashlib
+import json
+import os
+import sys
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, os.path.dirname(__file__))
+
+from conftest import MLP_SPEC, small_task  # noqa: E402
+from flsim.engine import RunConfig, run_training  # noqa: E402
+from flsim.models import ModelSpec  # noqa: E402
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden.json")
+
+HPARAMS = {
+    "fedavg": {},
+    "fedprox": {"lambda": 0.1},
+    "feddyn": {"beta": 0.1},
+    "fedcm": {"mu": 0.5},
+    "fedsam": {"rho": 0.05},
+    "fedgamma": {"rho": 0.05},
+    "fedspeed": {"rho": 0.05, "gamma": 0.1},
+    "fedsmoo": {"rho": 0.05, "beta": 0.1},
+}
+MODELS = {
+    "linear": ModelSpec("linear", input_dim=8, num_classes=5),
+    "mlp": MLP_SPEC,
+}
+PARTITIONS = {"iid": ("iid", 0.0), "dirichlet:0": ("dirichlet", 0.0)}
+SERVER_FIELDS = ("momentum", "global_control", "global_perturb")
+
+CASES = [
+    f"{method}/{model}/{part}"
+    for method in HPARAMS
+    for model in MODELS
+    for part in PARTITIONS
+]
+
+
+def environment() -> dict:
+    blas = "unknown"
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{info.get('name')} {info.get('version')}"
+    except Exception:  # older NumPy has no mode="dicts"
+        pass
+    return {"numpy": np.__version__, "blas": blas}
+
+
+def case_hash(case: str) -> str:
+    method, model, part = case.split("/")
+    partition, alpha = PARTITIONS[part]
+    cfg = RunConfig(
+        method=method,
+        model=MODELS[model],
+        n_clients=10,
+        sample_size=4,
+        rounds=5,
+        local_epochs=2,
+        batch_size=8,
+        client_lr=0.05,
+        client_hparams=dict(HPARAMS[method]),
+        partition=partition,
+        alpha=alpha,
+        seed=11,
+        eval_every=5,
+    )
+    train, test = small_task(seed=11)
+    final = {}
+
+    def keep(server, states, metrics):
+        final["server"] = server
+
+    records = run_training(cfg, train, test, on_round=keep)
+    server = final["server"]
+    h = hashlib.sha256()
+    h.update(server.global_params.values.astype("<f8").tobytes())
+    for name in SERVER_FIELDS:
+        vec = getattr(server, name)
+        if vec is not None:
+            h.update(name.encode())
+            h.update(vec.values.astype("<f8").tobytes())
+    per_round = [[m.grad_evals, list(m.sampled_clients)] for m in records]
+    h.update(json.dumps(per_round).encode())
+    return h.hexdigest()
+
+
+def load_fixture() -> dict:
+    with open(FIXTURE) as fh:
+        return json.load(fh)
+
+
+def test_fixture_covers_every_case():
+    assert sorted(load_fixture()["hashes"]) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden_hash(case):
+    golden = load_fixture()
+    got = case_hash(case)
+    assert got == golden["hashes"][case], (
+        f"{case}: trajectory hash changed. Fixture written with "
+        f"{golden['environment']}, running on {environment()}."
+    )
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    out = {
+        "comment": "sha256 per case over final global params, final server-state "
+        "vectors, and per-round grad_evals/sampled_clients; see tests/test_golden.py.",
+        "environment": environment(),
+        "hashes": {case: case_hash(case) for case in CASES},
+    }
+    with open(FIXTURE, "w") as fh:
+        json.dump(out, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(CASES)} hashes to {FIXTURE}")
