@@ -45,7 +45,7 @@ def cmd_run(args) -> int:
     exp = _load(args.config)
     if not isinstance(exp, ExperimentConfig):
         raise ConfigError("config describes a sweep; use the 'sweep' command")
-    _, row = run_experiment(exp, args.out, workers=args.workers)
+    _, row = run_experiment(exp, args.out)
     print(RUNS_HEADER)
     print(_row_csv(row, with_seed=True))
     return EXIT_OK if row.status == "completed" else EXIT_DIVERGED
@@ -55,7 +55,7 @@ def cmd_sweep(args) -> int:
     spec = _load(args.config)
     if not isinstance(spec, SweepSpec):
         raise ConfigError("config describes a single run; use the 'run' command")
-    run_sweep(spec, args.out, workers=args.workers)
+    run_sweep(spec, args.out)
     print(f"wrote {os.path.join(args.out, 'sweep.csv')}")
     return EXIT_OK
 
@@ -85,13 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute one experiment from a config file")
     p.add_argument("config")
     p.add_argument("--out", default="out/run")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("sweep", help="execute a hyperparameter sweep")
     p.add_argument("config")
     p.add_argument("--out", default="out/sweep")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("summarize", help="best accuracy per metrics file")

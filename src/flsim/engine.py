@@ -1,14 +1,13 @@
 """Round engine: broadcast, client sampling, local updates, aggregation.
 
 Client updates within a round are pure functions of the broadcast model,
-the client's own state, and a stream keyed by (seed, round, client), so
-they may run on any number of workers; aggregation is a deterministic
-fold in ascending client id and results are identical at any worker count.
+the client's own state, and a stream keyed by (seed, round, client), and
+aggregation is a deterministic fold in ascending client id, so a run is a
+pure function of its config.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -56,7 +55,6 @@ class RunConfig:
     batch_size: int = 32
     client_lr: float = 0.05
     client_hparams: dict = field(default_factory=dict)
-    server_hparams: dict = field(default_factory=dict)
     partition: str = IID  # "iid" or "dirichlet"
     alpha: float = 0.0  # dirichlet concentration (used when partition=dirichlet)
     seed: int = 0
@@ -65,9 +63,7 @@ class RunConfig:
     local_epochs_overrides: dict = field(default_factory=dict)  # client id -> epochs
 
     def hyperparams(self) -> _m.HyperParams:
-        merged = dict(self.client_hparams)
-        merged.update(self.server_hparams)
-        return _m.HyperParams.for_method(self.method, merged)
+        return _m.HyperParams.for_method(self.method, self.client_hparams)
 
     def validate(self):
         if self.method not in _m.METHOD_NAMES:
@@ -92,14 +88,15 @@ class RunConfig:
 class ServerState:
     round: int
     global_params: ParamVector
-    momentum: ParamVector | None = None  # fedcm
-    global_control: ParamVector | None = None  # fedgamma
-    global_perturb: ParamVector | None = None  # fedsmoo
+    # the vectors a method may name as its server_field
+    momentum: ParamVector | None = None
+    global_control: ParamVector | None = None
+    global_perturb: ParamVector | None = None
 
 
 def init_server_state(cfg: RunConfig, theta0: ParamVector) -> ServerState:
     state = ServerState(round=0, global_params=theta0)
-    field_name = _m.SERVER_STATE_FIELD.get(cfg.method)
+    field_name = _m.METHODS[cfg.method].server_field
     if field_name is not None:
         state = replace(state, **{field_name: theta0.zeros_like()})
     return state
@@ -143,7 +140,6 @@ def run_round(
     plan: PartitionPlan,
     train: LabeledDataset,
     cfg: RunConfig,
-    workers: int = 1,
 ):
     """One communication round; returns (server', states', RoundMetrics)."""
     t0 = time.perf_counter()
@@ -151,31 +147,22 @@ def run_round(
     rng = derive_stream(cfg.seed, server.round, SERVER_CHANNEL)
     sampled = sample_clients(cfg.n_clients, cfg.sample_size, rng)
 
-    def one_client(cid: int):
+    results = []
+    new_states = list(states)
+    for cid in sampled:  # ascending id
         shard_idx = plan.assignments[cid]
         if len(shard_idx) == 0:
             raise ConfigError(f"client {cid} has an empty shard")
         shard = train.subset(shard_idx)
         crng = derive_stream(cfg.seed, server.round, cid)
         epochs = cfg.local_epochs_overrides.get(cid, cfg.local_epochs)
-        return _m.client_opt(
-            cfg.method, server.global_params, server, shard, states[cid], hp, cfg, crng, epochs
-        )
-
-    try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(one_client, sampled))
-        else:
-            outcomes = [one_client(cid) for cid in sampled]
-    except NumericalOverflowError as exc:
-        raise DivergenceError(cfg.method, server.round) from exc
-
-    outcomes.sort(key=lambda pair: pair[0].client_id)
-    results = [r for r, _ in outcomes]
-    new_states = list(states)
-    for _, st in outcomes:
-        new_states[st.client_id] = st
+        try:
+            result, new_states[cid] = _m.client_opt(
+                cfg.method, server.global_params, server, shard, states[cid], hp, cfg, crng, epochs
+            )
+        except NumericalOverflowError as exc:
+            raise DivergenceError(cfg.method, server.round) from exc
+        results.append(result)
 
     new_server = _m.server_opt(cfg.method, server, results, hp, cfg)
     if not np.isfinite(new_server.global_params.values).all():
@@ -198,7 +185,6 @@ def run_training(
     cfg: RunConfig,
     train: LabeledDataset,
     test: LabeledDataset,
-    workers: int = 1,
     on_round=None,
 ) -> list:
     """Full training loop; returns the list of RoundMetrics.
@@ -217,7 +203,7 @@ def run_training(
     records = []
     for r in range(cfg.rounds):
         try:
-            server, states, metrics = run_round(server, states, plan, train, cfg, workers)
+            server, states, metrics = run_round(server, states, plan, train, cfg)
         except DivergenceError as exc:
             exc.metrics = records
             raise

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,7 +24,7 @@ from .engine import (
     run_training,
 )
 from .errors import ConfigError, DivergenceError, ParseError
-from .methods import ALLOWED_HPARAMS, METHOD_NAMES
+from .methods import METHOD_NAMES, METHODS
 from .models import ModelSpec
 
 METRICS_FIELDS = ("round", "sampled", "loss", "top1", "dt", "grad_evals", "upd_norm")
@@ -54,22 +53,11 @@ _INT_KEYS = {
     "model.hidden_dim",
     "data.per_class",
 }
-_FLOAT_KEYS = {
-    "client_lr",
-    "alpha",
-    "data.spread",
-    "data.test_fraction",
-    "lambda",
-    "beta",
-    "mu",
-    "rho",
-    "gamma",
-    "xi",
-}
+_HPARAM_KEYS = frozenset().union(*(m.hparams for m in METHODS.values()))
+_FLOAT_KEYS = {"client_lr", "alpha", "data.spread", "data.test_fraction"} | _HPARAM_KEYS
 _STR_KEYS = {"method", "partition", "model.kind", "model.activation"}
 _BOOL_KEYS = {"weighted_avg"}
 _SWEEP_KEYS = {"methods", "partitions", "seeds"}
-_HPARAM_KEYS = {"lambda", "beta", "mu", "rho", "gamma", "xi"}
 
 
 @dataclass
@@ -127,12 +115,32 @@ def _split_pairs(text: str):
     return pairs, lines
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _no_repeats(labels, key: str, lineno: int):
+    """Reject a sweep list that names one value twice.
+
+    Labels are compared as they appear in run directory names and hparams
+    labels, so two values that print alike would also collide there.
+    """
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise ParseError(f"duplicate value '{label}'", key=key, line=lineno)
+        seen.add(label)
+
+
 def _coerce(key: str, val: str, lineno: int):
     try:
         if key in _INT_KEYS:
             return int(val)
         if key in _FLOAT_KEYS:
-            return float(val)
+            return _finite(val)
         if key in _BOOL_KEYS:
             if val.lower() in ("true", "1", "yes"):
                 return True
@@ -151,7 +159,7 @@ def _parse_partition_token(token: str, key: str, lineno: int):
         alpha = 0.0
         if ":" in token:
             try:
-                alpha = float(token.split(":", 1)[1])
+                alpha = _finite(token.split(":", 1)[1])
             except ValueError:
                 raise ParseError(f"bad alpha in '{token}'", key=key, line=lineno) from None
         return ("dirichlet", alpha)
@@ -214,7 +222,7 @@ def parse_config(text: str):
             if not is_sweep:
                 raise ParseError("sweep key in run config", key=key, line=lines[key])
             pairs[key] = val
-        elif key in known or key in _HPARAM_KEYS:
+        elif key in known:
             pairs[key] = _coerce(key, val, lines[key])
         else:
             raise ParseError("unknown key", key=key, line=lines[key])
@@ -226,15 +234,22 @@ def parse_config(text: str):
     for m in methods:
         if m not in METHOD_NAMES:
             raise ParseError(f"unknown method '{m}'", key="methods", line=lines["methods"])
+    _no_repeats(methods, "methods", lines["methods"])
     try:
         seeds = [int(s) for s in pairs["seeds"].split(",") if s.strip()]
     except ValueError:
         raise ParseError("bad seed list", key="seeds", line=lines["seeds"]) from None
+    _no_repeats(seeds, "seeds", lines["seeds"])
     partitions = [
         _parse_partition_token(t.strip(), "partitions", lines.get("partitions"))
         for t in pairs.get("partitions", "iid").split(",")
         if t.strip()
     ]
+    _no_repeats(
+        (IID if p == IID else f"dirichlet:{a:g}" for p, a in partitions),
+        "partitions",
+        lines.get("partitions"),
+    )
     grid = {}
     for key, val in pairs.items():
         if not key.startswith("grid."):
@@ -245,12 +260,14 @@ def parse_config(text: str):
         _, gm, gk = parts
         if gm not in methods:
             raise ParseError(f"grid method '{gm}' not in methods", key=key, line=lines[key])
-        if gk not in ALLOWED_HPARAMS[gm]:
+        if gk not in METHODS[gm].hparams:
             raise ParseError(f"hyperparameter '{gk}' illegal for {gm}", key=key, line=lines[key])
         try:
-            grid.setdefault(gm, {})[gk] = [float(v) for v in val.split(",") if v.strip()]
+            values = [_finite(v) for v in val.split(",") if v.strip()]
         except ValueError:
             raise ParseError("bad grid values", key=key, line=lines[key]) from None
+        _no_repeats((f"{v:g}" for v in values), key, lines[key])
+        grid.setdefault(gm, {})[gk] = values
 
     base_pairs = dict(pairs)
     for k in list(base_pairs):
@@ -263,11 +280,10 @@ def parse_config(text: str):
 
 
 def _hparams_label(cfg: RunConfig) -> str:
-    merged = dict(cfg.client_hparams)
-    merged.update(cfg.server_hparams)
-    if not merged:
+    hp = cfg.client_hparams
+    if not hp:
         return "-"
-    return ";".join(f"{k}={merged[k]:g}" for k in sorted(merged))
+    return ";".join(f"{k}={hp[k]:g}" for k in sorted(hp))
 
 
 def _partition_label(cfg: RunConfig) -> str:
@@ -291,19 +307,17 @@ def make_dataset(exp: ExperimentConfig):
     )
 
 
-def _metrics_line(m) -> str:
-    return json.dumps(
-        {
-            "round": m.round,
-            "sampled": m.sampled_clients,
-            "loss": m.mean_train_loss,
-            "top1": m.test_top1,
-            "dt": m.wall_time_seconds,
-            "grad_evals": m.grad_evals,
-            "upd_norm": m.update_norm,
-        },
-        separators=(",", ":"),
-    )
+def _metrics_record(m) -> dict:
+    """One RoundMetrics as a metrics.jsonl record."""
+    return {
+        "round": m.round,
+        "sampled": m.sampled_clients,
+        "loss": m.mean_train_loss,
+        "top1": m.test_top1,
+        "dt": m.wall_time_seconds,
+        "grad_evals": m.grad_evals,
+        "upd_norm": m.update_norm,
+    }
 
 
 def serialize_config(exp: ExperimentConfig) -> str:
@@ -330,15 +344,13 @@ def serialize_config(exp: ExperimentConfig) -> str:
         "data.spread": exp.data.spread,
         "data.test_fraction": exp.data.test_fraction,
     }
-    merged = dict(cfg.client_hparams)
-    merged.update(cfg.server_hparams)
-    out.update(merged)
+    out.update(cfg.client_hparams)
     return "".join(f"{k} = {v}\n" for k, v in sorted(out.items()))
 
 
 def _best_of(records):
     """(best_top1, first round attaining it) over evaluated rounds."""
-    evaluated = [(m.round, m.test_top1) for m in records if m.test_top1 is not None]
+    evaluated = [(r["round"], r["top1"]) for r in records if r["top1"] is not None]
     if not evaluated:
         raise ConfigError("metrics contain no evaluated rounds")
     best = max(t for _, t in evaluated)
@@ -346,53 +358,60 @@ def _best_of(records):
     return best, best_round
 
 
-def run_experiment(exp: ExperimentConfig, out_dir, workers: int = 1):
+def _mean(records, key) -> float:
+    return float(np.mean([r[key] for r in records])) if records else math.nan
+
+
+def _summary_row(cfg: RunConfig | None, records, status: str) -> SummaryRow:
+    """One runs.csv row from metrics.jsonl records; ``cfg`` is None if unknown.
+
+    A diverged run reports the best accuracy of its completed prefix (nan if
+    none was evaluated) and, as its round, the round that failed.
+    """
+    try:
+        best, best_round = _best_of(records)
+    except ConfigError:
+        if status != "diverged":
+            raise
+        best = math.nan
+    if status == "diverged":
+        best_round = len(records)  # metrics stop just before the failed round
+    return SummaryRow(
+        method=cfg.method if cfg else "unknown",
+        hparams=_hparams_label(cfg) if cfg else "-",
+        partition=_partition_label(cfg) if cfg else "-",
+        best_top1=best,
+        best_round=best_round,
+        mean_time_per_round=_mean(records, "dt"),
+        mean_grad_evals_per_round=_mean(records, "grad_evals"),
+        status=status,
+        seed=cfg.seed if cfg else None,
+    )
+
+
+def run_experiment(exp: ExperimentConfig, out_dir):
     """Run one experiment; write metrics.jsonl, config.txt, summary.csv.
 
     Divergence is recorded in the summary row, not raised.
     """
     os.makedirs(out_dir, exist_ok=True)
     train, test = make_dataset(exp)
-    cfg = exp.run
     status = "completed"
-    fail_round = None
     try:
-        records = run_training(cfg, train, test, workers=workers)
+        rounds = run_training(exp.run, train, test)
     except DivergenceError as exc:
-        records = exc.metrics
+        rounds = exc.metrics
         status = "diverged"
-        fail_round = exc.round_idx
+    records = [_metrics_record(m) for m in rounds]
 
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     with open(metrics_path, "w") as fh:
-        for m in records:
-            fh.write(_metrics_line(m) + "\n")
+        for rec in records:
+            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
     with open(os.path.join(out_dir, "config.txt"), "w") as fh:
         fh.write(serialize_config(exp))
 
-    if status == "completed":
-        best, best_round = _best_of(records)
-    else:
-        try:
-            best, _ = _best_of(records)
-        except ConfigError:
-            best = math.nan
-        best_round = fail_round
-    row = SummaryRow(
-        method=cfg.method,
-        hparams=_hparams_label(cfg),
-        partition=_partition_label(cfg),
-        best_top1=best,
-        best_round=best_round,
-        mean_time_per_round=float(np.mean([m.wall_time_seconds for m in records]))
-        if records
-        else math.nan,
-        mean_grad_evals_per_round=float(np.mean([m.grad_evals for m in records]))
-        if records
-        else math.nan,
-        status=status,
-        seed=cfg.seed,
-    )
+    row = _summary_row(exp.run, records, status)
     with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
         fh.write(RUNS_HEADER + "\n")
         fh.write(_row_csv(row, with_seed=True) + "\n")
@@ -445,8 +464,7 @@ def _cell_cfg(spec: SweepSpec, method, combo, part, alpha, seed) -> ExperimentCo
     cfg = replace(
         spec.base.run,
         method=method,
-        client_hparams={k: v for k, v in combo.items()},
-        server_hparams={},
+        client_hparams=dict(combo),
         partition=part,
         alpha=alpha,
         seed=seed,
@@ -464,26 +482,19 @@ def _cell_sort_key(cell):
     return (_METHOD_ORDER[method], values, 0 if part == IID else 1, alpha)
 
 
-def run_sweep(spec: SweepSpec, out_dir, workers: int = 1):
+def run_sweep(spec: SweepSpec, out_dir):
     """Execute the full cross product and write runs.csv + sweep.csv."""
     os.makedirs(out_dir, exist_ok=True)
     cells = sorted(expand_cells(spec), key=_cell_sort_key)
-    jobs = [(cell, seed) for cell in cells for seed in spec.seeds]
-    print(f"sweep: {len(cells)} cells x {len(spec.seeds)} seeds = {len(jobs)} runs")
+    runs = len(cells) * len(spec.seeds)
+    print(f"sweep: {len(cells)} cells x {len(spec.seeds)} seeds = {runs} runs")
 
-    def one(job):
-        (method, combo, part, alpha), seed = job
-        tag = _cell_dir(method, combo, part, alpha, seed)
-        exp = _cell_cfg(spec, method, combo, part, alpha, seed)
-        _, row = run_experiment(exp, os.path.join(out_dir, "runs", tag))
-        return tag, row
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, jobs))
-    else:
-        outcomes = [one(j) for j in jobs]
-    by_tag = dict(outcomes)
+    by_tag = {}
+    for method, combo, part, alpha in cells:
+        for seed in spec.seeds:
+            tag = _cell_dir(method, combo, part, alpha, seed)
+            exp = _cell_cfg(spec, method, combo, part, alpha, seed)
+            _, by_tag[tag] = run_experiment(exp, os.path.join(out_dir, "runs", tag))
 
     def cell_rows(cell):
         method, combo, part, alpha = cell
@@ -553,34 +564,25 @@ def read_metrics(path):
 def summarize(metrics_files, errors: list | None = None):
     """Best accuracy and first round attaining it, per metrics file.
 
-    Malformed files are skipped; their errors are appended to ``errors``.
+    The status comes from the run directory: with a ``config.txt`` sidecar a
+    run is diverged when its metrics hold fewer records than ``rounds``
+    (metrics are written only after training ends); without one it is
+    ``unknown``. Malformed files are skipped; their errors are appended to
+    ``errors``.
     """
     rows = []
     for path in metrics_files:
         try:
             records = read_metrics(path)
-            evaluated = [(r["round"], r["top1"]) for r in records if r["top1"] is not None]
-            if not evaluated:
-                raise ConfigError(f"{path}: no evaluated rounds")
-            best = max(t for _, t in evaluated)
-            best_round = min(r for r, t in evaluated if t == best)
             exp = _read_sidecar(path)
             cfg = exp.run if exp is not None else None
-            rows.append(
-                SummaryRow(
-                    method=cfg.method if cfg else "unknown",
-                    hparams=_hparams_label(cfg) if cfg else "-",
-                    partition=_partition_label(cfg) if cfg else "-",
-                    best_top1=best,
-                    best_round=best_round,
-                    mean_time_per_round=float(np.mean([r["dt"] for r in records])),
-                    mean_grad_evals_per_round=float(
-                        np.mean([r["grad_evals"] for r in records])
-                    ),
-                    status="completed",
-                    seed=cfg.seed if cfg else None,
-                )
-            )
+            if cfg is None:
+                status = "unknown"
+            elif len(records) < cfg.rounds:
+                status = "diverged"
+            else:
+                status = "completed"
+            rows.append(_summary_row(cfg, records, status))
         except (ConfigError, OSError) as exc:
             if errors is None:
                 raise

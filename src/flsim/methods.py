@@ -1,59 +1,21 @@
 """The eight client/server optimization methods.
 
 Every client optimizer runs L epochs of shuffled minibatch steps
-theta <- theta - lr * d, differing only in the per-step direction d and
-in what per-client state it carries across rounds. Server optimizers
-fold results in ascending client id; three of them (fedcm, fedgamma,
-fedsmoo) also update a server-side state vector.
+theta <- theta - lr * d, and every server optimizer folds client results
+in ascending client id. A method is one ``Method`` record in ``METHODS``:
+the hyperparameters it accepts, the per-client state it carries across
+rounds, the one server-state field it may update, its per-step direction
+d, and its end-of-round client and server updates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
 from .models import Batch, ParamVector, loss_and_grad
-
-METHOD_NAMES = (
-    "fedavg",
-    "fedprox",
-    "feddyn",
-    "fedcm",
-    "fedsam",
-    "fedgamma",
-    "fedspeed",
-    "fedsmoo",
-)
-
-# which hyperparameter keys each method accepts (config key names)
-ALLOWED_HPARAMS = {
-    "fedavg": frozenset(),
-    "fedprox": frozenset({"lambda"}),
-    "feddyn": frozenset({"beta"}),
-    "fedcm": frozenset({"mu"}),
-    "fedsam": frozenset({"rho", "xi"}),
-    "fedgamma": frozenset({"rho", "xi"}),
-    "fedspeed": frozenset({"rho", "gamma", "xi"}),
-    "fedsmoo": frozenset({"rho", "beta", "xi"}),
-}
-
-SAM_FAMILY = frozenset({"fedsam", "fedgamma", "fedspeed", "fedsmoo"})
-
-# per-client state vector names, by method
-CLIENT_STATE_KEYS = {
-    "feddyn": ("h",),
-    "fedgamma": ("c_m",),
-    "fedspeed": ("g_hat",),
-    "fedsmoo": ("h", "u"),
-}
-
-# the single server state field a method may mutate (ServerState attribute)
-SERVER_STATE_FIELD = {
-    "fedcm": "momentum",
-    "fedgamma": "global_control",
-    "fedsmoo": "global_perturb",
-}
 
 
 @dataclass(frozen=True)
@@ -75,9 +37,9 @@ class HyperParams:
 
     @classmethod
     def for_method(cls, method: str, values: dict) -> "HyperParams":
-        if method not in METHOD_NAMES:
+        if method not in METHODS:
             raise ConfigError(f"unknown method '{method}'")
-        allowed = ALLOWED_HPARAMS[method]
+        allowed = METHODS[method].hparams
         for key in values:
             if key not in allowed:
                 raise ConfigError(f"hyperparameter '{key}' is illegal for {method}")
@@ -93,11 +55,6 @@ class ClientState:
     payload: dict = field(default_factory=dict)  # name -> ParamVector
 
 
-def init_client_state(method: str, client_id: int, template: ParamVector) -> ClientState:
-    keys = CLIENT_STATE_KEYS.get(method, ())
-    return ClientState(client_id, {k: template.zeros_like() for k in keys})
-
-
 @dataclass
 class ClientResult:
     client_id: int
@@ -107,6 +64,133 @@ class ClientResult:
     grad_evals: int
     num_samples: int
     aux: ParamVector | None = None
+
+
+@dataclass
+class ClientRound:
+    """What a method's functions see of one client's local round."""
+
+    cfg: object  # RunConfig
+    hp: HyperParams
+    server: object  # the broadcast ServerState
+    theta_r: np.ndarray  # broadcast parameters
+    state: dict  # client state at round start, name -> ndarray
+    eps: np.ndarray | None = None  # the last step's SAM perturbation
+
+
+@dataclass(frozen=True)
+class Method:
+    """One method: everything that sets it apart from plain FedAvg.
+
+    ``direction(c, g, tv)`` is the step direction at parameters ``tv`` given
+    the step's gradient ``g`` (for SAM methods, taken at the perturbed point).
+    ``client_finish(c, theta_f, steps)`` returns the client's new state (every
+    key of ``client_state``) and the ``aux`` vector it sends to the server, or
+    None. ``server_finish(server, results, theta_new, hp, cfg)`` returns the new
+    value of ``server_field``; ``results`` are in ascending client id.
+    """
+
+    hparams: frozenset = frozenset()  # config keys the method accepts
+    client_state: tuple = ()  # per-client vector names
+    server_field: str | None = None  # the ServerState vector it updates
+    direction: Callable = lambda c, g, tv: g
+    sam: bool = False  # two gradient evaluations per step, see _sam_grad
+    perturb_shift: Callable | None = None  # c -> vector added to the SAM raw gradient
+    client_finish: Callable = lambda c, theta_f, steps: ({}, None)
+    server_finish: Callable | None = None
+
+
+def _fedcm_momentum(server, results, theta_new, hp, cfg):
+    denom = cfg.client_lr * float(np.mean([r.steps_taken for r in results]))
+    if denom > 0:
+        return (server.global_params.values - theta_new) / denom
+    return np.zeros_like(theta_new)
+
+
+def _fedgamma_client(c, theta_f, steps):
+    denom = c.cfg.client_lr * steps
+    # lr=0 leaves theta unmoved; define the 0/0 displacement rate as 0
+    rate = (c.theta_r - theta_f) / denom if denom > 0 else 0.0
+    c_m_new = c.state["c_m"] - c.server.global_control.values + rate
+    return {"c_m": c_m_new}, c_m_new - c.state["c_m"]
+
+
+def _fedsmoo_client(c, theta_f, steps):
+    h = c.state["h"] - c.hp.beta * (theta_f - c.theta_r)
+    u = c.state["u"] + (c.eps - c.server.global_perturb.values)
+    return {"h": h, "u": u}, c.eps
+
+
+def _fedsmoo_perturb(server, results, theta_new, hp, cfg):
+    m_bar = np.mean([r.aux.values for r in results], axis=0)
+    return hp.rho * m_bar / (np.linalg.norm(m_bar) + hp.xi)
+
+
+_SAM_HPARAMS = frozenset({"rho", "xi"})
+
+METHODS = {
+    "fedavg": Method(),
+    "fedprox": Method(
+        hparams=frozenset({"lambda"}),
+        direction=lambda c, g, tv: g + c.hp.lam * (tv - c.theta_r),
+    ),
+    "feddyn": Method(
+        hparams=frozenset({"beta"}),
+        client_state=("h",),
+        direction=lambda c, g, tv: g - c.state["h"] + c.hp.beta * (tv - c.theta_r),
+        client_finish=lambda c, theta_f, steps: (
+            {"h": c.state["h"] - c.hp.beta * (theta_f - c.theta_r)},
+            None,
+        ),
+    ),
+    "fedcm": Method(
+        hparams=frozenset({"mu"}),
+        server_field="momentum",
+        direction=lambda c, g, tv: c.hp.mu * g + (1.0 - c.hp.mu) * c.server.momentum.values,
+        server_finish=_fedcm_momentum,
+    ),
+    "fedsam": Method(hparams=_SAM_HPARAMS, sam=True),
+    "fedgamma": Method(
+        hparams=_SAM_HPARAMS,
+        client_state=("c_m",),
+        server_field="global_control",
+        sam=True,
+        direction=lambda c, g, tv: g - c.state["c_m"] + c.server.global_control.values,
+        client_finish=_fedgamma_client,
+        server_finish=lambda server, results, theta_new, hp, cfg: (
+            server.global_control.values
+            + np.sum([r.aux.values for r in results], axis=0) / cfg.n_clients
+        ),
+    ),
+    "fedspeed": Method(
+        hparams=_SAM_HPARAMS | {"gamma"},
+        client_state=("g_hat",),
+        sam=True,
+        direction=lambda c, g, tv: g - c.state["g_hat"] + c.hp.gamma * (tv - c.theta_r),
+        client_finish=lambda c, theta_f, steps: (
+            {"g_hat": c.state["g_hat"] - c.hp.gamma * (theta_f - c.theta_r)},
+            None,
+        ),
+    ),
+    "fedsmoo": Method(
+        hparams=_SAM_HPARAMS | {"beta"},
+        client_state=("h", "u"),
+        server_field="global_perturb",
+        sam=True,
+        perturb_shift=lambda c: c.server.global_perturb.values - c.state["u"],
+        direction=lambda c, g, tv: g - c.state["h"] + c.hp.beta * (tv - c.theta_r),
+        client_finish=_fedsmoo_client,
+        server_finish=_fedsmoo_perturb,
+    ),
+}
+
+METHOD_NAMES = tuple(METHODS)
+SAM_FAMILY = frozenset(name for name, m in METHODS.items() if m.sam)
+
+
+def init_client_state(method: str, client_id: int, template: ParamVector) -> ClientState:
+    keys = METHODS[method].client_state
+    return ClientState(client_id, {k: template.zeros_like() for k in keys})
 
 
 def _local_loop(theta_r: ParamVector, shard, cfg, rng, local_epochs: int, step_fn):
@@ -149,93 +233,25 @@ def _sam_grad(cfg, theta_values, layout, batch, hp: HyperParams, shift=None):
     return g2, loss, eps
 
 
-def _run_client(method, theta_r, server, shard, state, hp, cfg, rng, local_epochs):
-    """Dispatch per-method step function and end-of-round state update."""
+def client_opt(method, theta_r, server, shard, state, hp, cfg, rng, local_epochs):
+    """One client's local round; returns (ClientResult, new ClientState)."""
+    m = METHODS[method]
     layout = theta_r.layout
-    last_eps = [None]
+    start = {k: v.values for k, v in state.payload.items()}
+    c = ClientRound(cfg, hp, server, theta_r.values, start)
+    shift = m.perturb_shift(c) if m.perturb_shift is not None else None
 
-    if method == "fedavg":
-
-        def step(tv, batch):
+    def step(tv, batch):
+        if not m.sam:
             g, loss = _grad(cfg, tv, layout, batch)
-            return g, loss, 1
-
-    elif method == "fedprox":
-
-        def step(tv, batch):
-            g, loss = _grad(cfg, tv, layout, batch)
-            return g + hp.lam * (tv - theta_r.values), loss, 1
-
-    elif method == "feddyn":
-        h = state.payload["h"].values
-
-        def step(tv, batch):
-            g, loss = _grad(cfg, tv, layout, batch)
-            return g - h + hp.beta * (tv - theta_r.values), loss, 1
-
-    elif method == "fedcm":
-        delta = server.momentum.values
-
-        def step(tv, batch):
-            g, loss = _grad(cfg, tv, layout, batch)
-            return hp.mu * g + (1.0 - hp.mu) * delta, loss, 1
-
-    elif method == "fedsam":
-
-        def step(tv, batch):
-            g2, loss, _ = _sam_grad(cfg, tv, layout, batch, hp)
-            return g2, loss, 2
-
-    elif method == "fedgamma":
-        c_m = state.payload["c_m"].values
-        c = server.global_control.values
-
-        def step(tv, batch):
-            g2, loss, _ = _sam_grad(cfg, tv, layout, batch, hp)
-            return g2 - c_m + c, loss, 2
-
-    elif method == "fedspeed":
-        g_hat = state.payload["g_hat"].values
-
-        def step(tv, batch):
-            g2, loss, _ = _sam_grad(cfg, tv, layout, batch, hp)
-            return g2 - g_hat + hp.gamma * (tv - theta_r.values), loss, 2
-
-    elif method == "fedsmoo":
-        h = state.payload["h"].values
-        u = state.payload["u"].values
-        s = server.global_perturb.values
-
-        def step(tv, batch):
-            g2, loss, eps = _sam_grad(cfg, tv, layout, batch, hp, shift=s - u)
-            last_eps[0] = eps
-            return g2 - h + hp.beta * (tv - theta_r.values), loss, 2
-
-    else:
-        raise ConfigError(f"unknown method '{method}'")
+            return m.direction(c, g, tv), loss, 1
+        g, loss, c.eps = _sam_grad(cfg, tv, layout, batch, hp, shift)
+        return m.direction(c, g, tv), loss, 2
 
     theta_f, mean_loss, steps, evals = _local_loop(
         theta_r, shard, cfg, rng, local_epochs, step
     )
-
-    new_state = ClientState(state.client_id, {k: v.copy() for k, v in state.payload.items()})
-    aux = None
-    if method == "feddyn":
-        new_state.payload["h"].values -= hp.beta * (theta_f.values - theta_r.values)
-    elif method == "fedgamma":
-        denom = cfg.client_lr * steps
-        # lr=0 leaves theta unmoved; define the 0/0 displacement rate as 0
-        rate = (theta_r.values - theta_f.values) / denom if denom > 0 else 0.0
-        c_m_new = state.payload["c_m"].values - server.global_control.values + rate
-        aux = ParamVector(c_m_new - state.payload["c_m"].values, layout)
-        new_state.payload["c_m"] = ParamVector(c_m_new, layout)
-    elif method == "fedspeed":
-        new_state.payload["g_hat"].values -= hp.gamma * (theta_f.values - theta_r.values)
-    elif method == "fedsmoo":
-        new_state.payload["h"].values -= hp.beta * (theta_f.values - theta_r.values)
-        new_state.payload["u"].values += last_eps[0] - server.global_perturb.values
-        aux = ParamVector(last_eps[0].copy(), layout)
-
+    new_state, aux = m.client_finish(c, theta_f.values, steps)
     result = ClientResult(
         client_id=state.client_id,
         final_params=theta_f,
@@ -243,14 +259,10 @@ def _run_client(method, theta_r, server, shard, state, hp, cfg, rng, local_epoch
         mean_loss=mean_loss,
         grad_evals=evals,
         num_samples=len(shard),
-        aux=aux,
+        aux=None if aux is None else ParamVector(aux, layout),
     )
-    return result, new_state
-
-
-def client_opt(method, theta_r, server, shard, state, hp, cfg, rng, local_epochs):
-    """Public entry used by the round engine."""
-    return _run_client(method, theta_r, server, shard, state, hp, cfg, rng, local_epochs)
+    payload = {k: ParamVector(v, layout) for k, v in new_state.items()}
+    return result, ClientState(state.client_id, payload)
 
 
 def mean_params(results, weighted: bool = False) -> ParamVector:
@@ -274,21 +286,8 @@ def server_opt(method, server, results, hp, cfg):
     ordered = sorted(results, key=lambda r: r.client_id)
     theta_new = mean_params(ordered, weighted=cfg.weighted_avg)
     new = replace(server, round=server.round + 1, global_params=theta_new)
-
-    if method == "fedcm":
-        tau_bar = float(np.mean([r.steps_taken for r in ordered]))
-        denom = cfg.client_lr * tau_bar
-        if denom > 0:
-            delta = (server.global_params.values - theta_new.values) / denom
-        else:
-            delta = np.zeros_like(theta_new.values)
-        new = replace(new, momentum=ParamVector(delta, theta_new.layout))
-    elif method == "fedgamma":
-        aux_sum = np.sum([r.aux.values for r in ordered], axis=0)
-        c_new = server.global_control.values + aux_sum / cfg.n_clients
-        new = replace(new, global_control=ParamVector(c_new, theta_new.layout))
-    elif method == "fedsmoo":
-        m_bar = np.mean([r.aux.values for r in ordered], axis=0)
-        s_new = hp.rho * m_bar / (np.linalg.norm(m_bar) + hp.xi)
-        new = replace(new, global_perturb=ParamVector(s_new, theta_new.layout))
-    return new
+    m = METHODS[method]
+    if m.server_field is None:
+        return new
+    value = m.server_finish(server, ordered, theta_new.values, hp, cfg)
+    return replace(new, **{m.server_field: ParamVector(value, theta_new.layout)})

@@ -57,14 +57,6 @@ class ParamVector:
                 return self.values[b.offset : b.offset + b.size].reshape(b.shape)
         raise KeyError(name)
 
-    def same_layout(self, other: "ParamVector") -> bool:
-        return self.layout == other.layout
-
-
-def check_same_layout(a: ParamVector, b: ParamVector):
-    if not a.same_layout(b):
-        raise ConfigError("ParamVectors have different layouts and cannot be combined")
-
 
 @dataclass(frozen=True)
 class ModelSpec:

@@ -166,7 +166,7 @@ def test_criterion_4_partition_properties():
     report(4, "partition properties")
 
 
-# --- criterion 5: determinism across workers ---------------------------------
+# --- criterion 5: determinism ---------------------------------------------
 
 def canonical_metrics(path):
     out = []
@@ -179,22 +179,28 @@ def canonical_metrics(path):
 
 
 def test_criterion_5_determinism(tmp_path):
-    text = (
-        "method = fedgamma\nrho = 0.01\nrounds = 6\nseed = 9\n"
-        "n_clients = 20\nsample_size = 8\ndata.per_class = 60\neval_every = 2\n"
-        "model.kind = mlp\n"
+    common = (
+        "rounds = 6\nn_clients = 20\nsample_size = 8\ndata.per_class = 60\n"
+        "eval_every = 2\nmodel.kind = mlp\n"
     )
-    exp = parse_config(text)
-    paths = []
-    for workers in (1, 4, 1, 4):
-        out = tmp_path / f"w{workers}_{len(paths)}"
-        p, _ = run_experiment(exp, out, workers=workers)
-        paths.append(p)
+    exp = parse_config("method = fedgamma\nrho = 0.01\nseed = 9\n" + common)
+    paths = [run_experiment(exp, tmp_path / f"run{i}")[0] for i in range(2)]
     ref = canonical_metrics(paths[0])
     assert ref  # non-empty
-    for p in paths[1:]:
-        assert canonical_metrics(p) == ref
-    report(5, "determinism at worker counts 1 and 4")
+    assert canonical_metrics(paths[1]) == ref
+
+    # the same config (default partition dirichlet:0) as a sweep's one cell
+    sweep = parse_config(
+        "methods = fedgamma\ngrid.fedgamma.rho = 0.01\npartitions = dirichlet:0\n"
+        "seeds = 9\n" + common
+    )
+    run_sweep(sweep, tmp_path / "sweep")
+    cells = list((tmp_path / "sweep" / "runs").glob("*/metrics.jsonl"))
+    assert len(cells) == 1
+    assert canonical_metrics(cells[0]) == ref
+    config = (cells[0].parent / "config.txt").read_text()
+    assert config == (tmp_path / "run0" / "config.txt").read_text()
+    report(5, "determinism across reruns and between a sweep cell and its run")
 
 
 # --- criterion 6: Table-1 style server-state audit ---------------------------
@@ -265,7 +271,7 @@ data.test_fraction = 0.16666666666666666
 def bench(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench")
     t0 = time.perf_counter()
-    sweep_rows, run_rows = run_sweep(parse_config(BENCH_SWEEP), out, workers=4)
+    sweep_rows, run_rows = run_sweep(parse_config(BENCH_SWEEP), out)
     elapsed = time.perf_counter() - t0
     return sweep_rows, run_rows, elapsed
 

@@ -169,15 +169,6 @@ class TestRunTraining:
             assert ra.update_norm == rb.update_norm
             assert ra.test_top1 == rb.test_top1
 
-    def test_worker_count_invariance(self):
-        train, test = small_task()
-        cfg = mlp_config("fedsam", client_hparams={"rho": 0.05}, rounds=6)
-        a = run_training(cfg, train, test, workers=1)
-        b = run_training(cfg, train, test, workers=4)
-        for ra, rb in zip(a, b):
-            assert ra.mean_train_loss == rb.mean_train_loss
-            assert ra.update_norm == rb.update_norm
-
     def test_eval_schedule(self):
         train, test = small_task()
         cfg = mlp_config("fedavg", rounds=7, eval_every=3)

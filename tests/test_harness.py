@@ -3,10 +3,13 @@ import os
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flsim.cli import main as cli_main
 from flsim.errors import ConfigError, ParseError
 from flsim.harness import (
+    _FLOAT_KEYS,
     ExperimentConfig,
     SweepSpec,
     expand_cells,
@@ -16,6 +19,7 @@ from flsim.harness import (
     run_sweep,
     summarize,
 )
+from flsim.methods import METHODS
 
 RUN_TEXT = """
 method = fedprox
@@ -43,6 +47,15 @@ eval_every = 2
 
 
 DIVERGE_EXTRA = "client_lr = 1e160\nmodel.kind = mlp\nmodel.hidden_dim = 8\n"
+# with eval_every = 1: diverges in round 2, after rounds 0 and 1 were evaluated
+LATE_DIVERGE_EXTRA = "client_lr = 1e45\nmodel.kind = mlp\nmodel.hidden_dim = 8\n"
+
+# spellings of nan and +-inf that float() accepts, and literals that overflow to inf
+NON_FINITE = st.one_of(
+    st.sampled_from(["nan", "NaN", "-nan", "inf", "+inf", "-inf", "Infinity", "-INFINITY"]),
+    st.integers(309, 100000).map(lambda e: f"1e{e}"),
+    st.integers(309, 100000).map(lambda e: f"-2.5e{e}"),
+)
 
 
 def strip_dt(path):
@@ -108,6 +121,37 @@ class TestParse:
         with pytest.raises(ParseError, match="duplicate"):
             parse_config("method = fedavg\nmethod = fedprox\nrounds = 1\nseed = 0\n")
 
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.sampled_from(sorted(_FLOAT_KEYS)), text=NON_FINITE)
+    def test_non_finite_float_rejected(self, key, text):
+        method = next((m for m in METHODS if key in METHODS[m].hparams), "fedavg")
+        doc = f"method = {method}\nrounds = 1\nseed = 0\n"
+        parse_config(doc + f"{key} = 0.5\n")  # the key itself is legal here
+        with pytest.raises(ParseError, match="bad value"):
+            parse_config(doc + f"{key} = {text}\n")
+
+    @settings(max_examples=30, deadline=None)
+    @given(text=NON_FINITE)
+    def test_non_finite_sweep_values_rejected(self, text):
+        with pytest.raises(ParseError, match="bad grid values"):
+            parse_config(SWEEP_TEXT.replace("lambda = 0.1,0.001", f"lambda = 0.1,{text}"))
+        with pytest.raises(ParseError, match="bad alpha"):
+            parse_config(SWEEP_TEXT.replace("dirichlet:0", f"dirichlet:{text}"))
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("seeds = 1,2", "seeds = 1,2,1"),
+            ("methods = fedavg,fedprox", "methods = fedavg,fedprox,fedavg"),
+            ("partitions = iid,dirichlet:0", "partitions = dirichlet,iid,dirichlet:0"),
+            ("lambda = 0.1,0.001", "lambda = 0.1,0.001,0.10"),
+        ],
+    )
+    def test_duplicate_sweep_value(self, old, new):
+        assert old in SWEEP_TEXT
+        with pytest.raises(ParseError, match="duplicate value"):
+            parse_config(SWEEP_TEXT.replace(old, new))
+
 
 class TestRunExperiment:
     def test_single_round_single_record(self, tmp_path):
@@ -149,7 +193,7 @@ class TestSweep:
         assert rows[0].hparams == "-"
 
     def test_completeness_and_sorting(self, tmp_path):
-        rows, run_rows = run_sweep(parse_config(SWEEP_TEXT), tmp_path / "s", workers=2)
+        rows, run_rows = run_sweep(parse_config(SWEEP_TEXT), tmp_path / "s")
         assert len(rows) == 6
         assert len(run_rows) == 12
         prox = [r for r in rows if r.method == "fedprox"]
@@ -164,14 +208,6 @@ class TestSweep:
         first = strip_time_cols(tmp_path / "s" / "sweep.csv")
         run_sweep(spec, tmp_path / "s")
         assert strip_time_cols(tmp_path / "s" / "sweep.csv") == first
-
-    def test_worker_count_invariance(self, tmp_path):
-        spec = parse_config(SWEEP_TEXT)
-        run_sweep(spec, tmp_path / "w1", workers=1)
-        run_sweep(spec, tmp_path / "w4", workers=4)
-        assert strip_time_cols(tmp_path / "w1" / "sweep.csv") == strip_time_cols(
-            tmp_path / "w4" / "sweep.csv"
-        )
 
     def test_diverged_cell_marked_not_omitted(self, tmp_path):
         text = SWEEP_TEXT + DIVERGE_EXTRA
@@ -218,6 +254,25 @@ class TestSummarize:
         rows = summarize([str(bad), str(good)], errors=errors)
         assert len(rows) == 1 and len(errors) == 1
 
+    def test_status_from_run_directory(self, tmp_path):
+        text = RUN_TEXT.replace("eval_every = 2", "eval_every = 1")
+        exp = parse_config(text + LATE_DIVERGE_EXTRA)
+        path, row = run_experiment(exp, tmp_path / "late")
+        assert row.status == "diverged"
+        records = [json.loads(l) for l in open(path)]
+        assert 0 < len(records) < exp.run.rounds
+        assert records[0]["top1"] is not None
+        (summed,) = summarize([str(path)])
+        assert summed.status == "diverged"
+        assert (summed.best_top1, summed.best_round) == (row.best_top1, row.best_round)
+
+        ok, ok_row = run_experiment(parse_config(RUN_TEXT), tmp_path / "ok")
+        assert summarize([str(ok)])[0].status == ok_row.status == "completed"
+
+        bare = tmp_path / "bare.jsonl"
+        bare.write_text(open(path).read())
+        assert summarize([str(bare)])[0].status == "unknown"
+
     def test_best_matches_independent_rescan(self, tmp_path):
         exp = parse_config(RUN_TEXT.replace("eval_every = 2", "eval_every = 1"))
         path, row = run_experiment(exp, tmp_path / "r")
@@ -259,6 +314,11 @@ class TestCLI:
         cfg.write_text("method = fedavg\nrho = 1\nrounds = 1\nseed = 0\n")
         assert cli_main(["run", str(cfg)]) == 2
 
+    def test_non_finite_config_exit_2(self, tmp_path):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(RUN_TEXT + "alpha = nan\n")
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
     def test_divergence_exit_3(self, tmp_path):
         cfg = tmp_path / "div.cfg"
         cfg.write_text(RUN_TEXT + DIVERGE_EXTRA)
@@ -268,7 +328,7 @@ class TestCLI:
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_TEXT)
         out = tmp_path / "sw"
-        assert cli_main(["sweep", str(cfg), "--out", str(out), "--workers", "2"]) == 0
+        assert cli_main(["sweep", str(cfg), "--out", str(out)]) == 0
         assert cli_main(["summarize", str(out)]) == 0
         assert cli_main(["export", str(out), "--out", str(tmp_path / "c.csv")]) == 0
         assert (tmp_path / "c.csv").exists()

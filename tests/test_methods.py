@@ -5,7 +5,7 @@ from conftest import probe_config, probe_shard
 from flsim.engine import derive_stream, init_server_state
 from flsim.errors import ConfigError
 from flsim.methods import (
-    ALLOWED_HPARAMS,
+    METHODS,
     SAM_FAMILY,
     ClientResult,
     HyperParams,
@@ -51,9 +51,9 @@ class TestHyperParams:
         hp = HyperParams.for_method("fedspeed", {"rho": 0.01})
         assert hp.gamma == 0.1 and hp.xi == 1e-12
 
-    @pytest.mark.parametrize("method", sorted(ALLOWED_HPARAMS))
+    @pytest.mark.parametrize("method", sorted(METHODS))
     def test_grid_values_accepted(self, method):
-        for key in ALLOWED_HPARAMS[method] - {"xi"}:
+        for key in METHODS[method].hparams - {"xi"}:
             for v in (0.1, 0.01, 0.001):
                 HyperParams.for_method(method, {key: v})
 
