@@ -60,7 +60,6 @@ class RunConfig:
     seed: int = 0
     eval_every: int = 10
     weighted_avg: bool = False
-    local_epochs_overrides: dict = field(default_factory=dict)  # client id -> epochs
 
     def hyperparams(self) -> _m.HyperParams:
         return _m.HyperParams.for_method(self.method, self.client_hparams)
@@ -155,26 +154,28 @@ def run_round(
             raise ConfigError(f"client {cid} has an empty shard")
         shard = train.subset(shard_idx)
         crng = derive_stream(cfg.seed, server.round, cid)
-        epochs = cfg.local_epochs_overrides.get(cid, cfg.local_epochs)
         try:
             result, new_states[cid] = _m.client_opt(
-                cfg.method, server.global_params, server, shard, states[cid], hp, cfg, crng, epochs
+                cfg.method, server.global_params, server, shard, states[cid], hp, cfg, crng
             )
         except NumericalOverflowError as exc:
             raise DivergenceError(cfg.method, server.round) from exc
         results.append(result)
 
     new_server = _m.server_opt(cfg.method, server, results, hp, cfg)
-    if not np.isfinite(new_server.global_params.values).all():
+    # non-finite parameters, and finite ones too far apart, give a non-finite norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        update_norm = float(
+            np.linalg.norm(new_server.global_params.values - server.global_params.values)
+        )
+    if not np.isfinite(update_norm):
         raise DivergenceError(cfg.method, server.round)
 
     metrics = RoundMetrics(
         round=server.round,
         sampled_clients=sampled,
         mean_train_loss=float(np.mean([r.mean_loss for r in results])),
-        update_norm=float(
-            np.linalg.norm(new_server.global_params.values - server.global_params.values)
-        ),
+        update_norm=update_norm,
         grad_evals=int(sum(r.grad_evals for r in results)),
         wall_time_seconds=time.perf_counter() - t0,
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,64 +24,86 @@ from .engine import (
     run_training,
 )
 from .errors import ConfigError, DivergenceError, ParseError
-from .methods import METHOD_NAMES, METHODS
+from .methods import METHOD_NAMES, METHODS, HyperParams
 from .models import ModelSpec
 
-METRICS_FIELDS = ("round", "sampled", "loss", "top1", "dt", "grad_evals", "upd_norm")
+# metrics.jsonl key -> RoundMetrics attribute, in file order
+METRICS_FIELDS = {
+    "round": "round",
+    "sampled": "sampled_clients",
+    "loss": "mean_train_loss",
+    "top1": "test_top1",
+    "dt": "wall_time_seconds",
+    "grad_evals": "grad_evals",
+    "upd_norm": "update_norm",
+}
 RUNS_HEADER = (
     "method,hparams,partition,seed,best_top1,best_round,"
     "time_per_round,grad_evals_per_round,status"
 )
-SWEEP_HEADER = (
-    "method,hparams,partition,best_top1,best_round,"
-    "time_per_round,grad_evals_per_round,status"
-)
+SWEEP_HEADER = RUNS_HEADER.replace("seed,", "")  # per-cell means over the seeds
 
-REQUIRED_RUN_KEYS = ("method", "rounds", "seed")
 REQUIRED_SWEEP_KEYS = ("methods", "rounds", "seeds")
 
-_INT_KEYS = {
-    "n_clients",
-    "sample_size",
-    "rounds",
-    "local_epochs",
-    "batch_size",
-    "seed",
-    "eval_every",
-    "model.input_dim",
-    "model.num_classes",
-    "model.hidden_dim",
-    "data.per_class",
+# Config key -> (type, value when absent; None if a run requires it).
+# "model.*" keys fill ModelSpec, "data.*" keys fill DataParams and bare keys
+# fill RunConfig. These defaults are the config file's; the RunConfig and
+# ModelSpec API defaults differ.
+_KEYS = {
+    "method": (str, None),
+    "n_clients": (int, 100),
+    "sample_size": (int, 10),
+    "rounds": (int, None),
+    "local_epochs": (int, 2),
+    "batch_size": (int, 32),
+    "client_lr": (float, 0.05),
+    "partition": (str, "dirichlet"),
+    "alpha": (float, 0.0),
+    "seed": (int, None),
+    "eval_every": (int, 10),
+    "weighted_avg": (bool, False),
+    "model.kind": (str, "linear"),
+    "model.input_dim": (int, 32),
+    "model.num_classes": (int, 10),
+    "model.hidden_dim": (int, 16),
+    "model.activation": (str, "relu"),
+    "data.per_class": (int, 240),
+    "data.spread": (float, 0.6),
+    "data.test_fraction": (float, 1.0 / 6.0),
 }
+REQUIRED_RUN_KEYS = tuple(k for k, (_, default) in _KEYS.items() if default is None)
+# method hyperparameters: floats; absent ones take their HyperParams default
 _HPARAM_KEYS = frozenset().union(*(m.hparams for m in METHODS.values()))
-_FLOAT_KEYS = {"client_lr", "alpha", "data.spread", "data.test_fraction"} | _HPARAM_KEYS
-_STR_KEYS = {"method", "partition", "model.kind", "model.activation"}
-_BOOL_KEYS = {"weighted_avg"}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 _SWEEP_KEYS = {"methods", "partitions", "seeds"}
+_METHOD_ORDER = {m: i for i, m in enumerate(METHOD_NAMES)}
 
 
 @dataclass
 class DataParams:
     """Synthetic blob generation knobs; class count and dim follow the model."""
 
-    per_class: int = 240
-    spread: float = 0.6
-    test_fraction: float = 1.0 / 6.0
+    per_class: int
+    spread: float
+    test_fraction: float
 
 
 @dataclass
 class ExperimentConfig:
     run: RunConfig
-    data: DataParams = field(default_factory=DataParams)
+    data: DataParams
 
 
 @dataclass
 class SweepSpec:
-    base: ExperimentConfig
-    methods: list
-    grid: dict  # method -> {hparam key -> [values]}
-    partitions: list  # list of (partition, alpha)
-    seeds: list
+    """A sweep's validated runs: per cell, in table order, one config per seed."""
+
+    cells: list  # list of [ExperimentConfig for each seed]
+
+    @property
+    def base(self) -> ExperimentConfig:
+        """The first run: the first cell under the first listed seed."""
+        return self.cells[0][0]
 
 
 @dataclass
@@ -122,6 +144,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _sweep_list(text: str, key: str, lineno: int) -> list:
+    """The items of a comma-separated sweep list; an empty item is an error."""
+    items = [t.strip() for t in text.split(",")]
+    if not all(items):
+        raise ParseError("empty list or list item", key=key, line=lineno)
+    return items
+
+
 def _no_repeats(labels, key: str, lineno: int):
     """Reject a sweep list that names one value twice.
 
@@ -136,76 +166,65 @@ def _no_repeats(labels, key: str, lineno: int):
 
 
 def _coerce(key: str, val: str, lineno: int):
+    kind = _KEYS[key][0] if key in _KEYS else float
     try:
-        if key in _INT_KEYS:
-            return int(val)
-        if key in _FLOAT_KEYS:
-            return _finite(val)
-        if key in _BOOL_KEYS:
-            if val.lower() in ("true", "1", "yes"):
-                return True
-            if val.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(val)
-        return val
-    except ValueError:
+        if kind is bool:
+            return _BOOLS[val.lower()]
+        return _finite(val) if kind is float else kind(val)
+    except (KeyError, ValueError):
         raise ParseError(f"bad value '{val}'", key=key, line=lineno) from None
 
 
 def _parse_partition_token(token: str, key: str, lineno: int):
-    if token == IID:
-        return (IID, 0.0)
-    if token.startswith("dirichlet"):
-        alpha = 0.0
-        if ":" in token:
-            try:
-                alpha = _finite(token.split(":", 1)[1])
-            except ValueError:
-                raise ParseError(f"bad alpha in '{token}'", key=key, line=lineno) from None
-        return ("dirichlet", alpha)
-    raise ParseError(f"unknown partition '{token}'", key=key, line=lineno)
+    if token in (IID, "dirichlet"):
+        return (token, 0.0)
+    name, _, alpha = token.partition(":")
+    if name != "dirichlet":
+        raise ParseError(
+            f"unknown partition '{token}'; use iid, dirichlet or dirichlet:<alpha>",
+            key=key,
+            line=lineno,
+        )
+    try:
+        return (name, _finite(alpha))
+    except ValueError:
+        raise ParseError(f"bad alpha in '{token}'", key=key, line=lineno) from None
 
 
-def _build_run(pairs, lines, method_key="method"):
-    method = pairs.get(method_key)
-    model = ModelSpec(
-        kind=pairs.get("model.kind", "linear"),
-        input_dim=pairs.get("model.input_dim", 32),
-        num_classes=pairs.get("model.num_classes", 10),
-        hidden_dim=pairs.get("model.hidden_dim", 16),
-        activation=pairs.get("model.activation", "relu"),
-    )
-    hparams = {k: pairs[k] for k in _HPARAM_KEYS if k in pairs}
+def _build_run(pairs, lines, blame="method"):
+    """One validated run from coerced pairs; absent keys take their defaults.
+
+    A config the run rejects is a ParseError at the ``blame`` key's line.
+    """
+    fields = {"": {}, "model": {}, "data": {}}
+    for key, (_, default) in _KEYS.items():
+        section, _, name = key.rpartition(".")
+        fields[section][name] = pairs.get(key, default)
     cfg = RunConfig(
-        method=method,
-        model=model,
-        n_clients=pairs.get("n_clients", 100),
-        sample_size=pairs.get("sample_size", 10),
-        rounds=pairs.get("rounds", 100),
-        local_epochs=pairs.get("local_epochs", 2),
-        batch_size=pairs.get("batch_size", 32),
-        client_lr=pairs.get("client_lr", 0.05),
-        client_hparams=hparams,
-        partition=pairs.get("partition", "dirichlet"),
-        alpha=pairs.get("alpha", 0.0),
-        seed=pairs.get("seed", 0),
-        eval_every=pairs.get("eval_every", 10),
-        weighted_avg=pairs.get("weighted_avg", False),
-    )
-    data = DataParams(
-        per_class=pairs.get("data.per_class", 240),
-        spread=pairs.get("data.spread", 0.6),
-        test_fraction=pairs.get("data.test_fraction", 1.0 / 6.0),
+        model=ModelSpec(**fields["model"]),
+        client_hparams={k: pairs[k] for k in _HPARAM_KEYS if k in pairs},
+        **fields[""],
     )
     try:
         cfg.validate()
     except ConfigError as exc:
-        raise ParseError(str(exc), key=method_key, line=lines.get(method_key)) from exc
-    return ExperimentConfig(cfg, data)
+        raise ParseError(str(exc), key=blame, line=lines.get(blame)) from exc
+    return ExperimentConfig(cfg, DataParams(**fields["data"]))
+
+
+def _cell_order(cell):
+    """Method table order, hparam values descending (Table-2 style), iid first."""
+    cfg = cell[0].run
+    hp = cfg.client_hparams
+    values = tuple(-hp[k] for k in sorted(hp))
+    return (_METHOD_ORDER[cfg.method], values, cfg.partition != IID, cfg.alpha)
 
 
 def parse_config(text: str):
-    """Parse a run or sweep document; unknown keys are rejected."""
+    """Parse a run or sweep document; unknown keys are rejected.
+
+    A sweep is returned as the validated config of every run it names.
+    """
     raw_pairs, lines = _split_pairs(text)
     is_sweep = any(
         k in _SWEEP_KEYS or k.startswith("grid.") for k in raw_pairs
@@ -215,14 +234,18 @@ def parse_config(text: str):
     if missing:
         raise ParseError(f"missing required keys: {', '.join(missing)}")
 
-    known = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS
     pairs = {}
     for key, val in raw_pairs.items():
         if key in _SWEEP_KEYS or key.startswith("grid."):
             if not is_sweep:
                 raise ParseError("sweep key in run config", key=key, line=lines[key])
-            pairs[key] = val
-        elif key in known:
+        elif is_sweep and key in _HPARAM_KEYS:
+            raise ParseError(
+                f"method hyperparameter in a sweep; use grid.<method>.{key}",
+                key=key,
+                line=lines[key],
+            )
+        elif key in _KEYS or key in _HPARAM_KEYS:
             pairs[key] = _coerce(key, val, lines[key])
         else:
             raise ParseError("unknown key", key=key, line=lines[key])
@@ -230,28 +253,28 @@ def parse_config(text: str):
     if not is_sweep:
         return _build_run(pairs, lines)
 
-    methods = [m.strip() for m in pairs["methods"].split(",") if m.strip()]
+    methods = _sweep_list(raw_pairs["methods"], "methods", lines["methods"])
     for m in methods:
         if m not in METHOD_NAMES:
             raise ParseError(f"unknown method '{m}'", key="methods", line=lines["methods"])
     _no_repeats(methods, "methods", lines["methods"])
     try:
-        seeds = [int(s) for s in pairs["seeds"].split(",") if s.strip()]
+        seeds = [int(s) for s in _sweep_list(raw_pairs["seeds"], "seeds", lines["seeds"])]
     except ValueError:
         raise ParseError("bad seed list", key="seeds", line=lines["seeds"]) from None
     _no_repeats(seeds, "seeds", lines["seeds"])
+    part_line = lines.get("partitions")
     partitions = [
-        _parse_partition_token(t.strip(), "partitions", lines.get("partitions"))
-        for t in pairs.get("partitions", "iid").split(",")
-        if t.strip()
+        _parse_partition_token(t, "partitions", part_line)
+        for t in _sweep_list(raw_pairs.get("partitions", IID), "partitions", part_line)
     ]
     _no_repeats(
         (IID if p == IID else f"dirichlet:{a:g}" for p, a in partitions),
         "partitions",
-        lines.get("partitions"),
+        part_line,
     )
-    grid = {}
-    for key, val in pairs.items():
+    combos = {m: [{}] for m in methods}  # method -> grid points, one dict each
+    for key, val in raw_pairs.items():
         if not key.startswith("grid."):
             continue
         parts = key.split(".")
@@ -262,21 +285,25 @@ def parse_config(text: str):
             raise ParseError(f"grid method '{gm}' not in methods", key=key, line=lines[key])
         if gk not in METHODS[gm].hparams:
             raise ParseError(f"hyperparameter '{gk}' illegal for {gm}", key=key, line=lines[key])
+        items = _sweep_list(val, key, lines[key])
         try:
-            values = [_finite(v) for v in val.split(",") if v.strip()]
+            values = [_finite(v) for v in items]
+            for v in values:
+                HyperParams.for_method(gm, {gk: v})
         except ValueError:
             raise ParseError("bad grid values", key=key, line=lines[key]) from None
+        except ConfigError as exc:
+            raise ParseError(str(exc), key=key, line=lines[key]) from exc
         _no_repeats((f"{v:g}" for v in values), key, lines[key])
-        grid.setdefault(gm, {})[gk] = values
+        combos[gm] = [dict(c, **{gk: v}) for c in combos[gm] for v in values]
 
-    base_pairs = dict(pairs)
-    for k in list(base_pairs):
-        if k in _SWEEP_KEYS or k.startswith("grid."):
-            del base_pairs[k]
-    base_pairs.setdefault("method", methods[0])
-    base_pairs.setdefault("seed", seeds[0])
-    base = _build_run(base_pairs, lines)
-    return SweepSpec(base=base, methods=methods, grid=grid, partitions=partitions, seeds=seeds)
+    cells = []
+    for method in methods:
+        for combo in combos[method]:
+            for part, alpha in partitions:
+                cell = dict(pairs, **combo, method=method, partition=part, alpha=alpha)
+                cells.append([_build_run(dict(cell, seed=s), lines, "methods") for s in seeds])
+    return SweepSpec(sorted(cells, key=_cell_order))
 
 
 def _hparams_label(cfg: RunConfig) -> str:
@@ -307,44 +334,13 @@ def make_dataset(exp: ExperimentConfig):
     )
 
 
-def _metrics_record(m) -> dict:
-    """One RoundMetrics as a metrics.jsonl record."""
-    return {
-        "round": m.round,
-        "sampled": m.sampled_clients,
-        "loss": m.mean_train_loss,
-        "top1": m.test_top1,
-        "dt": m.wall_time_seconds,
-        "grad_evals": m.grad_evals,
-        "upd_norm": m.update_norm,
-    }
-
-
 def serialize_config(exp: ExperimentConfig) -> str:
-    cfg = exp.run
-    out = {
-        "method": cfg.method,
-        "n_clients": cfg.n_clients,
-        "sample_size": cfg.sample_size,
-        "rounds": cfg.rounds,
-        "local_epochs": cfg.local_epochs,
-        "batch_size": cfg.batch_size,
-        "client_lr": cfg.client_lr,
-        "partition": cfg.partition,
-        "alpha": cfg.alpha,
-        "seed": cfg.seed,
-        "eval_every": cfg.eval_every,
-        "weighted_avg": cfg.weighted_avg,
-        "model.kind": cfg.model.kind,
-        "model.input_dim": cfg.model.input_dim,
-        "model.num_classes": cfg.model.num_classes,
-        "model.hidden_dim": cfg.model.hidden_dim,
-        "model.activation": cfg.model.activation,
-        "data.per_class": exp.data.per_class,
-        "data.spread": exp.data.spread,
-        "data.test_fraction": exp.data.test_fraction,
-    }
-    out.update(cfg.client_hparams)
+    """Every config key with its value, one ``key = value`` line each, sorted."""
+    sections = {"": exp.run, "model": exp.run.model, "data": exp.data}
+    out = dict(exp.run.client_hparams)
+    for key in _KEYS:
+        section, _, name = key.rpartition(".")
+        out[key] = getattr(sections[section], name)
     return "".join(f"{k} = {v}\n" for k, v in sorted(out.items()))
 
 
@@ -402,7 +398,7 @@ def run_experiment(exp: ExperimentConfig, out_dir):
     except DivergenceError as exc:
         rounds = exc.metrics
         status = "diverged"
-    records = [_metrics_record(m) for m in rounds]
+    records = [{key: getattr(m, attr) for key, attr in METRICS_FIELDS.items()} for m in rounds]
 
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     with open(metrics_path, "w") as fh:
@@ -412,9 +408,7 @@ def run_experiment(exp: ExperimentConfig, out_dir):
         fh.write(serialize_config(exp))
 
     row = _summary_row(exp.run, records, status)
-    with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-        fh.write(RUNS_HEADER + "\n")
-        fh.write(_row_csv(row, with_seed=True) + "\n")
+    _write_rows(os.path.join(out_dir, "summary.csv"), RUNS_HEADER, [row], with_seed=True)
     return metrics_path, row
 
 
@@ -438,100 +432,50 @@ def _row_csv(row: SummaryRow, with_seed: bool) -> str:
     return ",".join(fields)
 
 
-def expand_cells(spec: SweepSpec):
-    """Cross product of methods x grid values x partitions."""
-    cells = []
-    for method in spec.methods:
-        grid = spec.grid.get(method, {})
-        combos = [{}]
-        for key in sorted(grid):
-            combos = [dict(c, **{key: v}) for c in combos for v in grid[key]]
-        for combo in combos:
-            for part, alpha in spec.partitions:
-                cells.append((method, combo, part, alpha))
-    return cells
+def _run_dir(cfg: RunConfig) -> str:
+    hp = cfg.client_hparams
+    tag = cfg.method + "".join(f"_{k}{hp[k]:g}" for k in sorted(hp))
+    tag += f"_{cfg.partition}" + (f"{cfg.alpha:g}" if cfg.partition != IID else "")
+    return f"{tag}_s{cfg.seed}"
 
 
-def _cell_dir(method, combo, part, alpha, seed) -> str:
-    tag = method
-    for k in sorted(combo):
-        tag += f"_{k}{combo[k]:g}"
-    tag += f"_{part}" + (f"{alpha:g}" if part != IID else "")
-    return f"{tag}_s{seed}"
-
-
-def _cell_cfg(spec: SweepSpec, method, combo, part, alpha, seed) -> ExperimentConfig:
-    cfg = replace(
-        spec.base.run,
-        method=method,
-        client_hparams=dict(combo),
-        partition=part,
-        alpha=alpha,
-        seed=seed,
+def _cell_row(rows) -> SummaryRow:
+    """A sweep.csv row: the means over one cell's seeds."""
+    completed = [r for r in rows if r.status == "completed"]
+    return SummaryRow(
+        method=rows[0].method,
+        hparams=rows[0].hparams,
+        partition=rows[0].partition,
+        best_top1=float(np.mean([r.best_top1 for r in completed])) if completed else math.nan,
+        best_round=int(round(np.mean([r.best_round for r in completed])))
+        if completed
+        else -1,
+        mean_time_per_round=float(np.mean([r.mean_time_per_round for r in rows])),
+        mean_grad_evals_per_round=float(np.mean([r.mean_grad_evals_per_round for r in rows])),
+        status="completed" if len(completed) == len(rows) else "diverged",
     )
-    cfg.validate()
-    return ExperimentConfig(cfg, spec.base.data)
 
 
-_METHOD_ORDER = {m: i for i, m in enumerate(METHOD_NAMES)}
-
-
-def _cell_sort_key(cell):
-    method, combo, part, alpha = cell
-    values = tuple(-combo[k] for k in sorted(combo))  # descending, Table-2 style
-    return (_METHOD_ORDER[method], values, 0 if part == IID else 1, alpha)
+def _write_rows(path, header, rows, with_seed):
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(_row_csv(row, with_seed) + "\n")
 
 
 def run_sweep(spec: SweepSpec, out_dir):
-    """Execute the full cross product and write runs.csv + sweep.csv."""
+    """Run every (cell, seed) of the sweep and write runs.csv + sweep.csv."""
     os.makedirs(out_dir, exist_ok=True)
-    cells = sorted(expand_cells(spec), key=_cell_sort_key)
-    runs = len(cells) * len(spec.seeds)
-    print(f"sweep: {len(cells)} cells x {len(spec.seeds)} seeds = {runs} runs")
-
-    by_tag = {}
-    for method, combo, part, alpha in cells:
-        for seed in spec.seeds:
-            tag = _cell_dir(method, combo, part, alpha, seed)
-            exp = _cell_cfg(spec, method, combo, part, alpha, seed)
-            _, by_tag[tag] = run_experiment(exp, os.path.join(out_dir, "runs", tag))
-
-    def cell_rows(cell):
-        method, combo, part, alpha = cell
-        return [by_tag[_cell_dir(method, combo, part, alpha, s)] for s in spec.seeds]
-
-    run_rows = [row for cell in cells for row in cell_rows(cell)]
-    with open(os.path.join(out_dir, "runs.csv"), "w") as fh:
-        fh.write(RUNS_HEADER + "\n")
-        for row in run_rows:
-            fh.write(_row_csv(row, with_seed=True) + "\n")
-
-    sweep_rows = []
-    for cell in cells:
-        rows = cell_rows(cell)
-        completed = [r for r in rows if r.status == "completed"]
-        status = "completed" if len(completed) == len(rows) else "diverged"
-        agg = SummaryRow(
-            method=rows[0].method,
-            hparams=rows[0].hparams,
-            partition=rows[0].partition,
-            best_top1=float(np.mean([r.best_top1 for r in completed]))
-            if completed
-            else math.nan,
-            best_round=int(round(np.mean([r.best_round for r in completed])))
-            if completed
-            else -1,
-            mean_time_per_round=float(np.mean([r.mean_time_per_round for r in rows])),
-            mean_grad_evals_per_round=float(
-                np.mean([r.mean_grad_evals_per_round for r in rows])
-            ),
-            status=status,
-        )
-        sweep_rows.append(agg)
-    with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for row in sweep_rows:
-            fh.write(_row_csv(row, with_seed=False) + "\n")
+    seeds = len(spec.cells[0])
+    print(f"sweep: {len(spec.cells)} cells x {seeds} seeds = {len(spec.cells) * seeds} runs")
+    cell_rows = [
+        [run_experiment(exp, os.path.join(out_dir, "runs", _run_dir(exp.run)))[1] for exp in cell]
+        for cell in spec.cells
+    ]
+    run_rows = [row for rows in cell_rows for row in rows]
+    sweep_rows = [_cell_row(rows) for rows in cell_rows]
+    _write_rows(os.path.join(out_dir, "runs.csv"), RUNS_HEADER, run_rows, with_seed=True)
+    _write_rows(os.path.join(out_dir, "sweep.csv"), SWEEP_HEADER, sweep_rows, with_seed=False)
     return sweep_rows, run_rows
 
 

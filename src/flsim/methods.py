@@ -193,8 +193,8 @@ def init_client_state(method: str, client_id: int, template: ParamVector) -> Cli
     return ClientState(client_id, {k: template.zeros_like() for k in keys})
 
 
-def _local_loop(theta_r: ParamVector, shard, cfg, rng, local_epochs: int, step_fn):
-    """Run L epochs of shuffled minibatch SGD; step_fn gives the direction.
+def _local_loop(theta_r: ParamVector, shard, cfg, rng, step_fn):
+    """Run cfg.local_epochs epochs of shuffled minibatch SGD; step_fn gives the direction.
 
     step_fn(theta_values, batch) -> (direction, loss, n_grad_evals).
     Returns (final ParamVector, mean step loss, steps, grad evals).
@@ -203,7 +203,7 @@ def _local_loop(theta_r: ParamVector, shard, cfg, rng, local_epochs: int, step_f
     n = len(shard)
     losses = []
     evals = 0
-    for _ in range(local_epochs):
+    for _ in range(cfg.local_epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
@@ -233,7 +233,7 @@ def _sam_grad(cfg, theta_values, layout, batch, hp: HyperParams, shift=None):
     return g2, loss, eps
 
 
-def client_opt(method, theta_r, server, shard, state, hp, cfg, rng, local_epochs):
+def client_opt(method, theta_r, server, shard, state, hp, cfg, rng):
     """One client's local round; returns (ClientResult, new ClientState)."""
     m = METHODS[method]
     layout = theta_r.layout
@@ -248,9 +248,7 @@ def client_opt(method, theta_r, server, shard, state, hp, cfg, rng, local_epochs
         g, loss, c.eps = _sam_grad(cfg, tv, layout, batch, hp, shift)
         return m.direction(c, g, tv), loss, 2
 
-    theta_f, mean_loss, steps, evals = _local_loop(
-        theta_r, shard, cfg, rng, local_epochs, step
-    )
+    theta_f, mean_loss, steps, evals = _local_loop(theta_r, shard, cfg, rng, step)
     new_state, aux = m.client_finish(c, theta_f.values, steps)
     result = ClientResult(
         client_id=state.client_id,

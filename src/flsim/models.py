@@ -264,7 +264,8 @@ def top1_accuracy(spec: ModelSpec, params: ParamVector, data: Batch) -> float:
     if spec.kind == "quadratic_probe":
         raise UnsupportedOperationError("top1_accuracy undefined for quadratic_probe")
     _check_spec_batch(spec, data)
-    logits, _ = _forward_logits(spec, params, data.features)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge model still gets a score
+        logits, _ = _forward_logits(spec, params, data.features)
     return float(np.mean(np.argmax(logits, axis=1) == data.labels))
 
 

@@ -199,18 +199,6 @@ class TestRunTraining:
                     theta = theta - cfg.client_lr * g.values
             assert np.array_equal(traj[r], theta)
 
-    def test_local_epochs_override(self):
-        train, test = small_task()
-        cfg = mlp_config(
-            "fedavg", n_clients=2, sample_size=2, rounds=1,
-            local_epochs=1, local_epochs_overrides={0: 3},
-        )
-        server, states, plan = setup_run(cfg, train)
-        _, _, metrics = run_round(server, states, plan, train, cfg)
-        per_epoch = -(-len(plan.assignments[0]) // cfg.batch_size)
-        per_epoch_1 = -(-len(plan.assignments[1]) // cfg.batch_size)
-        assert metrics.grad_evals == 3 * per_epoch + 1 * per_epoch_1
-
     def test_pilot_floor(self):
         # desk-scale fedavg benchmark must reach its recorded accuracy floor
         with open(os.path.join(FIXTURES, "pilot.json")) as fh:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -9,17 +10,18 @@ from hypothesis import strategies as st
 from flsim.cli import main as cli_main
 from flsim.errors import ConfigError, ParseError
 from flsim.harness import (
-    _FLOAT_KEYS,
+    _HPARAM_KEYS,
+    _KEYS,
     ExperimentConfig,
     SweepSpec,
-    expand_cells,
     export_curves,
     parse_config,
     run_experiment,
     run_sweep,
+    serialize_config,
     summarize,
 )
-from flsim.methods import METHODS
+from flsim.methods import METHOD_NAMES, METHODS
 
 RUN_TEXT = """
 method = fedprox
@@ -47,7 +49,8 @@ eval_every = 2
 
 
 DIVERGE_EXTRA = "client_lr = 1e160\nmodel.kind = mlp\nmodel.hidden_dim = 8\n"
-# with eval_every = 1: diverges in round 2, after rounds 0 and 1 were evaluated
+# with eval_every = 1: diverges in round 1 (its update norm overflows), after
+# round 0 was evaluated
 LATE_DIVERGE_EXTRA = "client_lr = 1e45\nmodel.kind = mlp\nmodel.hidden_dim = 8\n"
 
 # spellings of nan and +-inf that float() accepts, and literals that overflow to inf
@@ -56,6 +59,28 @@ NON_FINITE = st.one_of(
     st.integers(309, 100000).map(lambda e: f"1e{e}"),
     st.integers(309, 100000).map(lambda e: f"-2.5e{e}"),
 )
+
+
+FLOAT_KEYS = sorted({k for k, (kind, _) in _KEYS.items() if kind is float} | _HPARAM_KEYS)
+
+
+# (text to replace in SWEEP_TEXT, replacement, expected error); each must fail
+# at parse time, before any run directory exists
+BAD_SWEEPS = [
+    ("methods = fedavg,fedprox", "methods =", "empty list"),
+    ("seeds = 1,2", "seeds = ,", "empty list"),
+    ("partitions = iid,dirichlet:0", "partitions = ,", "empty list"),
+    ("seeds = 1,2", "seeds = 1,,2", "empty list"),
+    ("partitions = iid,dirichlet:0", "partitions = dirichlet0.3", "unknown partition"),
+    ("partitions = iid,dirichlet:0", "partitions = dirichletX", "unknown partition"),
+    ("partitions = iid,dirichlet:0", "partitions = iid:0.5", "unknown partition"),
+    ("methods = fedavg,fedprox", "methods = fedavg,fedprox,fedcm\ngrid.fedcm.mu = 0.1,2", "mu"),
+    ("seed = 1", "seed = 1\nlambda = 0.5", r"grid\.<method>\.lambda"),
+]
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 def strip_dt(path):
@@ -106,12 +131,20 @@ class TestParse:
     def test_sweep_config(self):
         spec = parse_config(SWEEP_TEXT)
         assert isinstance(spec, SweepSpec)
-        assert spec.methods == ["fedavg", "fedprox"]
-        assert spec.grid == {"fedprox": {"lambda": [0.1, 0.001]}}
-        assert spec.partitions == [("iid", 0.0), ("dirichlet", 0.0)]
-        assert spec.seeds == [1, 2]
-        # fedavg (1) + fedprox (2 values), times 2 partitions
-        assert len(expand_cells(spec)) == 6
+        runs = [
+            [(e.run.method, e.run.client_hparams, e.run.partition, e.run.alpha, e.run.seed)
+             for e in cell]
+            for cell in spec.cells
+        ]
+        # fedavg (1) + fedprox (2 values, descending), times 2 partitions, iid first
+        cells = [
+            ("fedavg", {}, "iid"), ("fedavg", {}, "dirichlet"),
+            ("fedprox", {"lambda": 0.1}, "iid"), ("fedprox", {"lambda": 0.1}, "dirichlet"),
+            ("fedprox", {"lambda": 0.001}, "iid"), ("fedprox", {"lambda": 0.001}, "dirichlet"),
+        ]
+        assert runs == [[(m, hp, p, 0.0, s) for s in (1, 2)] for m, hp, p in cells]
+        assert spec.base is spec.cells[0][0]
+        assert all(e.run.rounds == 3 and e.data.per_class == 30 for c in spec.cells for e in c)
 
     def test_grid_key_must_match_method(self):
         with pytest.raises(ParseError, match="illegal"):
@@ -122,7 +155,7 @@ class TestParse:
             parse_config("method = fedavg\nmethod = fedprox\nrounds = 1\nseed = 0\n")
 
     @settings(max_examples=60, deadline=None)
-    @given(key=st.sampled_from(sorted(_FLOAT_KEYS)), text=NON_FINITE)
+    @given(key=st.sampled_from(FLOAT_KEYS), text=NON_FINITE)
     def test_non_finite_float_rejected(self, key, text):
         method = next((m for m in METHODS if key in METHODS[m].hparams), "fedavg")
         doc = f"method = {method}\nrounds = 1\nseed = 0\n"
@@ -137,6 +170,71 @@ class TestParse:
             parse_config(SWEEP_TEXT.replace("lambda = 0.1,0.001", f"lambda = 0.1,{text}"))
         with pytest.raises(ParseError, match="bad alpha"):
             parse_config(SWEEP_TEXT.replace("dirichlet:0", f"dirichlet:{text}"))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), method=st.sampled_from(METHOD_NAMES))
+    def test_serialize_parse_roundtrip(self, data, method):
+        choices = {
+            "partition": ["iid", "dirichlet"],
+            "model.kind": ["linear", "mlp"],
+            "model.activation": ["relu", "tanh"],
+        }
+        numbers = {int: st.integers(1, 10**6), float: st.floats(0, 1e6), bool: st.booleans()}
+        pairs = {"method": method}
+        for key, (kind, _) in _KEYS.items():
+            if key != "method":
+                strategy = st.sampled_from(choices[key]) if kind is str else numbers[kind]
+                pairs[key] = data.draw(strategy)
+        pairs["model.num_classes"] = data.draw(st.integers(2, 100))
+        # sample_size <= n_clients, whichever of the two takes its default (10 and 100)
+        pairs["sample_size"] = data.draw(st.integers(1, 100))
+        pairs["n_clients"] = data.draw(st.integers(max(pairs["sample_size"], 10), 10**6))
+        for key in sorted(METHODS[method].hparams):
+            upper = 1.0 if key == "mu" else 1e6
+            lower = 1e-300 if key == "xi" else 0.0
+            pairs[key] = data.draw(st.floats(lower, upper))
+        # any subset of the optional keys; the rest take their defaults
+        present = {"method", "rounds", "seed"} | data.draw(st.sets(st.sampled_from(sorted(pairs))))
+        exp = parse_config("".join(f"{k} = {pairs[k]}\n" for k in present))
+        assert parse_config(serialize_config(exp)) == exp
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_sweep_lists(self, data):
+        def items(good, bad):
+            """Mostly well-formed lists; sometimes any mix, empty or repeated."""
+            return data.draw(
+                st.one_of(
+                    st.lists(st.sampled_from(good), min_size=1, max_size=3, unique=True),
+                    st.lists(st.sampled_from(good + bad), max_size=3),
+                )
+            )
+
+        methods = items(list(METHOD_NAMES), ["", " ", "bogus"])
+        seeds = items(["0", "1", "7", "-3"], ["", "x", "1.5"])
+        partitions = items(
+            ["iid", "dirichlet", "dirichlet:0.3", "dirichlet:2"],
+            ["dirichlet:0", "dirichlet:-1", "dirichlet0.3", "dirichletX", "dirichlet:", "iid:1"]
+            + [""],
+        )
+        gm = methods[0] if methods else "fedavg"
+        keys = sorted(METHODS[gm].hparams) if gm in METHODS else []
+        grid = data.draw(st.sets(st.sampled_from(keys + ["bogus", "lambda"])))
+        text = f"methods = {','.join(methods)}\nseeds = {','.join(seeds)}\nrounds = 2\n"
+        if partitions:
+            text += f"partitions = {','.join(partitions)}\n"
+        for key in sorted(grid):
+            values = items(["0.5", "1", "0.01"], ["0", "2", "-1", "0.50", "", "nan"])
+            text += f"grid.{gm}.{key} = {','.join(values)}\n"
+        text += data.draw(st.sampled_from(["", "", "lambda = 0.1\n", "seed = 4\n"]))
+        try:
+            spec = parse_config(text)
+        except ParseError:
+            return
+        assert spec.cells and all(len(cell) == len(seeds) for cell in spec.cells)
+        for cell in spec.cells:
+            for exp in cell:
+                exp.run.validate()
 
     @pytest.mark.parametrize(
         "old,new",
@@ -180,6 +278,18 @@ class TestRunExperiment:
         _, row = run_experiment(exp, tmp_path / "x")
         assert row.status == "diverged"
         assert row.best_round == 0  # failure round
+
+
+    @pytest.mark.parametrize("lr", ["1e29", "1e45", "1e81"])
+    def test_overflowing_update_is_divergence(self, tmp_path, lr):
+        text = RUN_TEXT.replace("eval_every = 2", "eval_every = 1")
+        exp = parse_config(text + LATE_DIVERGE_EXTRA.replace("1e45", lr))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            path, row = run_experiment(exp, tmp_path / "r")
+        assert row.status == "diverged"
+        for line in open(path):
+            json.loads(line, parse_constant=reject_constant)
 
 
 class TestSweep:
@@ -323,6 +433,17 @@ class TestCLI:
         cfg = tmp_path / "div.cfg"
         cfg.write_text(RUN_TEXT + DIVERGE_EXTRA)
         assert cli_main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("old,new,match", BAD_SWEEPS)
+    def test_bad_sweep_exit_2_nothing_written(self, tmp_path, old, new, match):
+        assert old in SWEEP_TEXT
+        text = SWEEP_TEXT.replace(old, new)
+        with pytest.raises(ParseError, match=match):
+            parse_config(text)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(text)
+        assert cli_main(["sweep", str(cfg), "--out", str(tmp_path / "sw")]) == 2
+        assert not (tmp_path / "sw").exists()
 
     def test_sweep_summarize_export(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

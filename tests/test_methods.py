@@ -19,16 +19,14 @@ from flsim.models import ParamVector, layout_for
 
 def run_probe(method, hparams, steps=1, theta0=1.0, lr=0.1, target=(0.0,)):
     """One local round on the quadratic probe, starting from theta0."""
-    cfg = probe_config(method, target=target, client_lr=lr)
+    cfg = probe_config(method, target=target, client_lr=lr, local_epochs=steps)
     layout = layout_for(cfg.model)
     theta_r = ParamVector(np.array([float(theta0)]), layout)
     server = init_server_state(cfg, theta_r)
     state = init_client_state(method, 0, theta_r)
     hp = HyperParams.for_method(method, hparams)
     rng = derive_stream(cfg.seed, 0, 0)
-    result, new_state = client_opt(
-        method, theta_r, server, probe_shard(1), state, hp, cfg, rng, steps
-    )
+    result, new_state = client_opt(method, theta_r, server, probe_shard(1), state, hp, cfg, rng)
     return result, new_state, server, cfg, hp
 
 

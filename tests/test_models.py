@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,15 @@ def test_accuracy_single_sample():
     logits = x @ pv.block("W") + pv.block("b")
     batch = Batch(x, [int(np.argmax(logits))])
     assert top1_accuracy(LINEAR, pv, batch) == 1.0
+
+
+def test_accuracy_huge_model_no_warning():
+    # finite parameters whose logits overflow still get a score, silently
+    pv = ParamVector(np.full(param_count(MLP), 1e200), layout_for(MLP))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        acc = top1_accuracy(MLP, pv, random_batch(MLP, 8, 0))
+    assert 0.0 <= acc <= 1.0
 
 
 def test_accuracy_probe_unsupported():
