@@ -4,10 +4,8 @@ from .data import (
     LabeledDataset,
     PartitionPlan,
     gen_blobs,
-    load_dataset,
     partition_dirichlet,
     partition_iid,
-    save_dataset,
     split_train_test,
 )
 from .engine import (
@@ -44,7 +42,6 @@ from .methods import (
     METHOD_NAMES,
     SAM_FAMILY,
     ClientResult,
-    ClientState,
     HyperParams,
 )
 from .models import (

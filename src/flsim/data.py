@@ -15,8 +15,6 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    # shards may legitimately miss classes; full datasets may not
-    require_all_classes: bool = True
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -28,7 +26,7 @@ class LabeledDataset:
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ConfigError("label out of range")
         present = np.bincount(self.labels, minlength=self.num_classes)
-        if self.require_all_classes and (present == 0).any():
+        if (present == 0).any():
             missing = int(np.flatnonzero(present == 0)[0])
             raise ConfigError(f"class {missing} has no samples")
 
@@ -37,16 +35,12 @@ class LabeledDataset:
 
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return LabeledDataset(
-            self.features[idx], self.labels[idx], self.num_classes,
-            require_all_classes=False,
-        )
+        return LabeledDataset(self.features[idx], self.labels[idx], self.num_classes)
 
 
 @dataclass
 class PartitionPlan:
     assignments: list  # client id -> np.ndarray of sample indices
-    alpha_used: object  # float alpha or the string "iid"
 
     def validate(self, total: int):
         seen = np.concatenate([np.asarray(a) for a in self.assignments])
@@ -114,7 +108,7 @@ def partition_iid(data: LabeledDataset, n_clients: int, rng: np.random.Generator
         size = base + (1 if cid < rem else 0)
         assignments.append(perm[pos : pos + size].copy())
         pos += size
-    plan = PartitionPlan(assignments, IID)
+    plan = PartitionPlan(assignments)
     plan.validate(total)
     return plan
 
@@ -169,31 +163,7 @@ def partition_dirichlet(
                 assignments[-1] = np.concatenate([assignments[-1], idx[prev:]])
 
     _repair_empty_clients(assignments)
-    plan = PartitionPlan(assignments, 0.0 + alpha)
+    plan = PartitionPlan(assignments)
     plan.validate(total)
     return plan
 
-
-def save_dataset(data: LabeledDataset, path):
-    """Text dump: header 'dim,num_classes,count', then one sample per line, label last."""
-    with open(path, "w") as fh:
-        fh.write(f"{data.features.shape[1]},{data.num_classes},{len(data)}\n")
-        for row, lab in zip(data.features, data.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
-
-
-def load_dataset(path) -> LabeledDataset:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 3:
-            raise ConfigError(f"bad dataset header in {path}")
-        dim, num_classes, count = (int(v) for v in header)
-        feats = np.empty((count, dim))
-        labels = np.empty(count, dtype=np.int64)
-        for i in range(count):
-            parts = fh.readline().strip().split(",")
-            if len(parts) != dim + 1:
-                raise ConfigError(f"bad sample line {i + 2} in {path}")
-            feats[i] = [float(v) for v in parts[:dim]]
-            labels[i] = int(parts[dim])
-    return LabeledDataset(feats, labels, num_classes)

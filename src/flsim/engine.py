@@ -102,9 +102,9 @@ def init_server_state(cfg: RunConfig, theta0: ParamVector) -> ServerState:
 
 
 def init_client_states(cfg: RunConfig, theta0: ParamVector) -> list:
-    return [
-        _m.init_client_state(cfg.method, cid, theta0) for cid in range(cfg.n_clients)
-    ]
+    """Per client id, its method's client-state vectors by name, all zero."""
+    keys = _m.METHODS[cfg.method].client_state
+    return [{k: np.zeros_like(theta0.values) for k in keys} for _ in range(cfg.n_clients)]
 
 
 @dataclass
@@ -149,20 +149,19 @@ def run_round(
     results = []
     new_states = list(states)
     for cid in sampled:  # ascending id
-        shard_idx = plan.assignments[cid]
-        if len(shard_idx) == 0:
+        shard = plan.assignments[cid]
+        if len(shard) == 0:
             raise ConfigError(f"client {cid} has an empty shard")
-        shard = train.subset(shard_idx)
         crng = derive_stream(cfg.seed, server.round, cid)
         try:
             result, new_states[cid] = _m.client_opt(
-                cfg.method, server.global_params, server, shard, states[cid], hp, cfg, crng
+                cid, server, train, shard, states[cid], hp, cfg, crng
             )
         except NumericalOverflowError as exc:
             raise DivergenceError(cfg.method, server.round) from exc
         results.append(result)
 
-    new_server = _m.server_opt(cfg.method, server, results, hp, cfg)
+    new_server = _m.server_opt(server, results, hp, cfg)
     # non-finite parameters, and finite ones too far apart, give a non-finite norm
     with np.errstate(over="ignore", invalid="ignore"):
         update_norm = float(

@@ -76,6 +76,13 @@ REQUIRED_RUN_KEYS = tuple(k for k, (_, default) in _KEYS.items() if default is N
 _HPARAM_KEYS = frozenset().union(*(m.hparams for m in METHODS.values()))
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 _SWEEP_KEYS = {"methods", "partitions", "seeds"}
+# run keys a sweep sets per run -> the sweep key that sets them
+_PER_RUN_KEYS = {
+    "method": "methods",
+    "seed": "seeds",
+    "partition": "partitions",
+    "alpha": "partitions = dirichlet:<alpha>",
+}
 _METHOD_ORDER = {m: i for i, m in enumerate(METHOD_NAMES)}
 
 
@@ -239,12 +246,9 @@ def parse_config(text: str):
         if key in _SWEEP_KEYS or key.startswith("grid."):
             if not is_sweep:
                 raise ParseError("sweep key in run config", key=key, line=lines[key])
-        elif is_sweep and key in _HPARAM_KEYS:
-            raise ParseError(
-                f"method hyperparameter in a sweep; use grid.<method>.{key}",
-                key=key,
-                line=lines[key],
-            )
+        elif is_sweep and (key in _PER_RUN_KEYS or key in _HPARAM_KEYS):
+            use = _PER_RUN_KEYS.get(key, f"grid.<method>.{key}")
+            raise ParseError(f"set per run in a sweep; use {use}", key=key, line=lines[key])
         elif key in _KEYS or key in _HPARAM_KEYS:
             pairs[key] = _coerce(key, val, lines[key])
         else:
@@ -421,7 +425,7 @@ def _fmt(x) -> str:
 def _row_csv(row: SummaryRow, with_seed: bool) -> str:
     fields = [row.method, row.hparams, row.partition]
     if with_seed:
-        fields.append(str(row.seed))
+        fields.append("-" if row.seed is None else str(row.seed))
     fields += [
         _fmt(row.best_top1),
         str(row.best_round),

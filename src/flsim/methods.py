@@ -1,15 +1,17 @@
 """The eight client/server optimization methods.
 
-Every client optimizer runs L epochs of shuffled minibatch steps
-theta <- theta - lr * d, and every server optimizer folds client results
-in ascending client id. A method is one ``Method`` record in ``METHODS``:
-the hyperparameters it accepts, the per-client state it carries across
-rounds, the one server-state field it may update, its per-step direction
-d, and its end-of-round client and server updates.
+``client_opt`` runs one client's local round on plain arrays: L epochs of
+shuffled minibatch steps theta <- theta - lr * d over the client's rows of
+the training set. ``server_opt`` folds the client results in ascending
+client id into the next ``ServerState``. A client's state is a dict from
+name to vector. A method is one ``Method`` record in ``METHODS``: the
+hyperparameters it accepts, the names of the client state it carries
+across rounds, the one server-state field it may update, its per-step
+direction d, and its end-of-round client and server updates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -47,12 +49,6 @@ class HyperParams:
         hp = cls(**kwargs)
         hp.validate()
         return hp
-
-
-@dataclass
-class ClientState:
-    client_id: int
-    payload: dict = field(default_factory=dict)  # name -> ParamVector
 
 
 @dataclass
@@ -94,7 +90,7 @@ class Method:
     client_state: tuple = ()  # per-client vector names
     server_field: str | None = None  # the ServerState vector it updates
     direction: Callable = lambda c, g, tv: g
-    sam: bool = False  # two gradient evaluations per step, see _sam_grad
+    sam: bool = False  # two gradient evaluations per step, see client_opt
     perturb_shift: Callable | None = None  # c -> vector added to the SAM raw gradient
     client_finish: Callable = lambda c, theta_f, steps: ({}, None)
     server_finish: Callable | None = None
@@ -188,79 +184,46 @@ METHOD_NAMES = tuple(METHODS)
 SAM_FAMILY = frozenset(name for name, m in METHODS.items() if m.sam)
 
 
-def init_client_state(method: str, client_id: int, template: ParamVector) -> ClientState:
-    keys = METHODS[method].client_state
-    return ClientState(client_id, {k: template.zeros_like() for k in keys})
+def client_opt(cid, server, data, shard, state, hp, cfg, rng):
+    """Client ``cid``'s local round from the broadcast ``server.global_params``.
 
-
-def _local_loop(theta_r: ParamVector, shard, cfg, rng, step_fn):
-    """Run cfg.local_epochs epochs of shuffled minibatch SGD; step_fn gives the direction.
-
-    step_fn(theta_values, batch) -> (direction, loss, n_grad_evals).
-    Returns (final ParamVector, mean step loss, steps, grad evals).
+    ``shard`` holds the client's row indices into ``data`` and ``state`` maps
+    the method's client-state names to vectors. Runs ``cfg.local_epochs``
+    epochs of shuffled minibatch steps; returns (ClientResult, new state).
     """
-    theta = theta_r.copy()
-    n = len(shard)
-    losses = []
-    evals = 0
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            batch = Batch(shard.features[idx], shard.labels[idx])
-            d, loss, ne = step_fn(theta.values, batch)
-            theta.values = theta.values - cfg.client_lr * d
-            losses.append(loss)
-            evals += ne
-    return theta, float(np.mean(losses)), len(losses), evals
-
-
-def _grad(cfg, theta_values, layout, batch):
-    loss, g = loss_and_grad(cfg.model, ParamVector(theta_values, layout), batch)
-    return g.values, loss
-
-
-def _sam_grad(cfg, theta_values, layout, batch, hp: HyperParams, shift=None):
-    """Gradient at the perturbed point theta + rho * raw/||raw||.
-
-    raw is the plain gradient unless ``shift`` adds correction vectors
-    (fedsmoo). Always two gradient evaluations, even at rho=0.
-    """
-    g1, loss = _grad(cfg, theta_values, layout, batch)
-    raw = g1 if shift is None else g1 + shift
-    eps = hp.rho * raw / (np.linalg.norm(raw) + hp.xi)
-    g2, _ = _grad(cfg, theta_values + eps, layout, batch)
-    return g2, loss, eps
-
-
-def client_opt(method, theta_r, server, shard, state, hp, cfg, rng):
-    """One client's local round; returns (ClientResult, new ClientState)."""
-    m = METHODS[method]
+    m = METHODS[cfg.method]
+    theta_r = server.global_params
     layout = theta_r.layout
-    start = {k: v.values for k, v in state.payload.items()}
-    c = ClientRound(cfg, hp, server, theta_r.values, start)
+    c = ClientRound(cfg, hp, server, theta_r.values, state)
     shift = m.perturb_shift(c) if m.perturb_shift is not None else None
-
-    def step(tv, batch):
-        if not m.sam:
-            g, loss = _grad(cfg, tv, layout, batch)
-            return m.direction(c, g, tv), loss, 1
-        g, loss, c.eps = _sam_grad(cfg, tv, layout, batch, hp, shift)
-        return m.direction(c, g, tv), loss, 2
-
-    theta_f, mean_loss, steps, evals = _local_loop(theta_r, shard, cfg, rng, step)
-    new_state, aux = m.client_finish(c, theta_f.values, steps)
+    theta = theta_r.values
+    losses = []
+    for _ in range(cfg.local_epochs):
+        order = rng.permutation(len(shard))
+        for start in range(0, len(shard), cfg.batch_size):
+            rows = shard[order[start : start + cfg.batch_size]]
+            batch = Batch(data.features[rows], data.labels[rows])
+            loss, g = loss_and_grad(cfg.model, ParamVector(theta, layout), batch)
+            g = g.values
+            if m.sam:
+                # the gradient at theta + rho * raw/||raw||, raw the plain
+                # gradient plus any shift; two evaluations even at rho=0
+                raw = g if shift is None else g + shift
+                c.eps = hp.rho * raw / (np.linalg.norm(raw) + hp.xi)
+                g = loss_and_grad(cfg.model, ParamVector(theta + c.eps, layout), batch)[1].values
+            theta = theta - cfg.client_lr * m.direction(c, g, theta)
+            losses.append(loss)
+    new_state, aux = m.client_finish(c, theta, len(losses))
     result = ClientResult(
-        client_id=state.client_id,
-        final_params=theta_f,
-        steps_taken=steps,
-        mean_loss=mean_loss,
-        grad_evals=evals,
+        client_id=cid,
+        final_params=ParamVector(theta, layout),
+        steps_taken=len(losses),
+        mean_loss=float(np.mean(losses)),
+        grad_evals=len(losses) * (2 if m.sam else 1),
         num_samples=len(shard),
         aux=None if aux is None else ParamVector(aux, layout),
     )
-    payload = {k: ParamVector(v, layout) for k, v in new_state.items()}
-    return result, ClientState(state.client_id, payload)
+    return result, new_state
 
 
 def mean_params(results, weighted: bool = False) -> ParamVector:
@@ -275,7 +238,7 @@ def mean_params(results, weighted: bool = False) -> ParamVector:
     return ParamVector(vals, ordered[0].final_params.layout)
 
 
-def server_opt(method, server, results, hp, cfg):
+def server_opt(server, results, hp, cfg):
     """Aggregate client results into the next server state.
 
     Returns a new ServerState with round incremented; only the method's
@@ -284,7 +247,7 @@ def server_opt(method, server, results, hp, cfg):
     ordered = sorted(results, key=lambda r: r.client_id)
     theta_new = mean_params(ordered, weighted=cfg.weighted_avg)
     new = replace(server, round=server.round + 1, global_params=theta_new)
-    m = METHODS[method]
+    m = METHODS[cfg.method]
     if m.server_field is None:
         return new
     value = m.server_finish(server, ordered, theta_new.values, hp, cfg)

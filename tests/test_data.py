@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flsim.data import (
-    IID,
     LabeledDataset,
     gen_blobs,
-    load_dataset,
     partition_dirichlet,
     partition_iid,
-    save_dataset,
     split_train_test,
 )
 from flsim.engine import derive_stream
@@ -100,7 +99,6 @@ class TestIID:
         data = blobs(per_class=10)  # 100 samples
         plan = partition_iid(data, 10, rng())
         assert all(len(a) == 10 for a in plan.assignments)
-        assert plan.alpha_used == IID
 
     def test_remainder_from_client_zero(self):
         data = LabeledDataset(np.zeros((101, 2)), np.r_[np.zeros(50, int), np.ones(51, int)], 2)
@@ -148,14 +146,6 @@ class TestDirichlet:
         with pytest.raises(ConfigError):
             partition_dirichlet(blobs(), 10, -1.0, rng())
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 1e6])
-    def test_partition_properties(self, alpha):
-        data = blobs(num_classes=10, per_class=40)
-        plan = partition_dirichlet(data, 20, alpha, rng(11))
-        seen = np.sort(np.concatenate(plan.assignments))
-        assert np.array_equal(seen, np.arange(len(data)))
-        assert all(len(a) >= 1 for a in plan.assignments)
-
     def test_large_alpha_concentrates(self):
         data = blobs(num_classes=10, per_class=200, seed=5)
         global_p = np.full(10, 0.1)
@@ -188,20 +178,37 @@ class TestDirichlet:
                 assert np.array_equal(a, b)
 
 
-class TestDumpLoad:
-    def test_roundtrip(self, tmp_path):
-        data = blobs(num_classes=3, per_class=4, dim=5)
-        path = tmp_path / "blob.csv"
-        save_dataset(data, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "5,3,12"
-        loaded = load_dataset(path)
-        assert np.array_equal(loaded.features, data.features)
-        assert np.array_equal(loaded.labels, data.labels)
-        assert loaded.num_classes == 3
 
-    def test_bad_file(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("not,a header line,nope,extra\n")
+@settings(max_examples=200, deadline=None)
+@given(
+    dirichlet=st.booleans(),
+    alpha=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    num_classes=st.integers(2, 6),
+    per_class=st.integers(1, 8),
+    n_clients=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dirichlet=True, alpha=0.0, num_classes=10, per_class=40, n_clients=20, seed=11)
+@example(dirichlet=True, alpha=0.3, num_classes=10, per_class=40, n_clients=20, seed=11)
+@example(dirichlet=True, alpha=1.0, num_classes=10, per_class=40, n_clients=20, seed=11)
+@example(dirichlet=True, alpha=1e6, num_classes=10, per_class=40, n_clients=20, seed=11)
+def test_partition_properties(dirichlet, alpha, num_classes, per_class, n_clients, seed):
+    """A true partition with no empty shard, or ConfigError where a precondition fails."""
+    data = blobs(num_classes=num_classes, per_class=per_class)
+
+    def make():
+        if dirichlet:
+            return partition_dirichlet(data, n_clients, alpha, rng(seed))
+        return partition_iid(data, n_clients, rng(seed))
+
+    # partition_iid: n_clients <= samples; dirichlet also: alpha = 0 needs a client per class
+    possible = n_clients <= len(data) and (not dirichlet or alpha > 0 or n_clients >= num_classes)
+    if not possible:
         with pytest.raises(ConfigError):
-            load_dataset(path)
+            make()
+        return
+    plan = make()
+    assert len(plan.assignments) == n_clients
+    seen = np.sort(np.concatenate(plan.assignments))
+    assert np.array_equal(seen, np.arange(len(data)))
+    assert all(len(a) >= 1 for a in plan.assignments)

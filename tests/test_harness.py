@@ -40,7 +40,6 @@ grid.fedprox.lambda = 0.1,0.001
 partitions = iid,dirichlet:0
 seeds = 1,2
 rounds = 3
-seed = 1
 n_clients = 10
 sample_size = 4
 data.per_class = 30
@@ -75,7 +74,11 @@ BAD_SWEEPS = [
     ("partitions = iid,dirichlet:0", "partitions = dirichletX", "unknown partition"),
     ("partitions = iid,dirichlet:0", "partitions = iid:0.5", "unknown partition"),
     ("methods = fedavg,fedprox", "methods = fedavg,fedprox,fedcm\ngrid.fedcm.mu = 0.1,2", "mu"),
-    ("seed = 1", "seed = 1\nlambda = 0.5", r"grid\.<method>\.lambda"),
+    ("rounds = 3", "rounds = 3\nlambda = 0.5", r"grid\.<method>\.lambda"),
+    ("rounds = 3", "rounds = 3\nmethod = fedprox", "use methods"),
+    ("rounds = 3", "rounds = 3\nseed = 9", "use seeds"),
+    ("rounds = 3", "rounds = 3\npartition = dirichlet", "use partitions"),
+    ("rounds = 3", "rounds = 3\nalpha = 0.3", "use partitions = dirichlet:<alpha>"),
 ]
 
 
@@ -364,7 +367,7 @@ class TestSummarize:
         rows = summarize([str(bad), str(good)], errors=errors)
         assert len(rows) == 1 and len(errors) == 1
 
-    def test_status_from_run_directory(self, tmp_path):
+    def test_status_from_run_directory(self, tmp_path, capsys):
         text = RUN_TEXT.replace("eval_every = 2", "eval_every = 1")
         exp = parse_config(text + LATE_DIVERGE_EXTRA)
         path, row = run_experiment(exp, tmp_path / "late")
@@ -382,6 +385,10 @@ class TestSummarize:
         bare = tmp_path / "bare.jsonl"
         bare.write_text(open(path).read())
         assert summarize([str(bare)])[0].status == "unknown"
+        capsys.readouterr()
+        assert cli_main(["summarize", str(bare)]) == 0
+        fields = capsys.readouterr().out.splitlines()[1].split(",")
+        assert fields[:4] == ["unknown", "-", "-", "-"] and fields[-1] == "unknown"
 
     def test_best_matches_independent_rescan(self, tmp_path):
         exp = parse_config(RUN_TEXT.replace("eval_every = 2", "eval_every = 1"))
