@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
+from .models import row_keys
 
 IID = "iid"
 
@@ -32,6 +34,11 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """``row_keys`` of every row, computed on first use."""
+        return row_keys(self.features, self.labels)
 
     def subset(self, indices) -> "LabeledDataset":
         idx = np.asarray(indices, dtype=np.int64)

@@ -547,7 +547,7 @@ def export_curves(metrics_files, out_path, last: int | None = None):
         records = read_metrics(path)
         run_id = os.path.basename(os.path.dirname(path)) or os.path.basename(path)
         pts = [(r["round"], r["top1"]) for r in records if r["top1"] is not None]
-        if last is not None:
+        if last is not None and records:  # a run that diverged in round 0 has none
             max_round = max(r["round"] for r in records)
             pts = [(rd, t) for rd, t in pts if rd > max_round - last]
         rows.extend((run_id, rd, t) for rd, t in pts)

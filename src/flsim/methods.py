@@ -202,7 +202,7 @@ def client_opt(cid, server, data, shard, state, hp, cfg, rng):
         order = rng.permutation(len(shard))
         for start in range(0, len(shard), cfg.batch_size):
             rows = shard[order[start : start + cfg.batch_size]]
-            batch = Batch(data.features[rows], data.labels[rows])
+            batch = Batch(data.features[rows], data.labels[rows], data.ranks[rows])
             loss, g = loss_and_grad(cfg.model, ParamVector(theta, layout), batch)
             g = g.values
             if m.sam:

@@ -7,6 +7,7 @@ closed-form values, used by tests.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +25,10 @@ class Block:
     name: str
     shape: tuple
     offset: int
+    size: int = field(init=False)
 
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape))
+    def __post_init__(self):
+        object.__setattr__(self, "size", math.prod(self.shape))
 
 
 @dataclass
@@ -39,7 +40,8 @@ class ParamVector:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        total = sum(b.size for b in self.layout)
+        last = self.layout[-1]  # layout_for packs the blocks back to back
+        total = last.offset + last.size
         if self.values.shape != (total,):
             raise ConfigError(
                 f"values length {self.values.shape} does not match layout size {total}"
@@ -114,10 +116,40 @@ def param_count(spec: ModelSpec) -> int:
     return sum(b.size for b in layout_for(spec))
 
 
+def row_keys(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Dense int64 rank of each row in lexicographic (features..., label) order.
+
+    Equal rows share a rank (``-0.0`` equals ``0.0``). Each pass sorts by
+    (rank so far, next column) and re-ranks; once every rank is distinct the
+    remaining columns cannot change the order, so the loop stops there.
+    """
+    columns = list(np.asarray(features, dtype=np.float64).T)
+    columns.append(np.asarray(labels, dtype=np.int64))
+    keys = np.zeros(len(columns[-1]), dtype=np.int64)
+    for col in columns:
+        order = np.lexsort((col, keys))
+        k, c = keys[order], col[order]
+        is_new = np.empty(len(order), dtype=bool)
+        is_new[:1] = True
+        is_new[1:] = (k[1:] != k[:-1]) | (c[1:] != c[:-1])
+        keys[order] = np.cumsum(is_new) - 1
+        if is_new.all():
+            break
+    return keys
+
+
 @dataclass
 class Batch:
+    """Rows to train on, with their optional ``row_keys`` ranks.
+
+    The ranks may come from any dataset that holds the rows: restricted to
+    a subset, they order it as ranking the subset itself would. Without
+    them, the batch ranks its own rows.
+    """
+
     features: np.ndarray
     labels: np.ndarray
+    keys: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -128,6 +160,11 @@ class Batch:
             raise ConfigError("feature row count must equal label count")
         if self.features.shape[0] == 0:
             raise ConfigError("batch must be non-empty")
+        if self.keys is None:
+            return
+        self.keys = np.asarray(self.keys)
+        if self.keys.dtype.kind not in "iu" or self.keys.shape != (len(self.labels),):
+            raise ConfigError("batch keys must be an integer array with one entry per row")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -156,19 +193,24 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
 def _canonical_rows(batch: Batch):
     """Sort rows into a canonical order and merge duplicates into counts.
 
-    Makes loss/grad exactly invariant to row permutation and to
-    duplicating every row (count scaling by a power of two is exact).
+    The order is ``row_keys`` order, ties kept in batch order, so each run
+    of equal rows is represented by its first row. Makes loss/grad exactly
+    invariant to row permutation and to duplicating every row (count
+    scaling by a power of two is exact).
     """
-    keyed = np.column_stack([batch.features, batch.labels.astype(np.float64)])
-    order = np.lexsort(keyed.T[::-1])
-    srt = keyed[order]
-    is_new = np.ones(len(order), dtype=bool)
-    if len(order) > 1:
-        is_new[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    starts = np.flatnonzero(is_new)
-    counts = np.diff(np.append(starts, len(order))).astype(np.float64)
-    rows = order[starts]
-    return batch.features[rows], batch.labels[rows], counts, float(len(order))
+    keys = batch.keys
+    if keys is None:
+        keys = row_keys(batch.features, batch.labels)
+    n = len(keys)
+    order = np.argsort(keys, kind="stable")
+    srt = keys[order]
+    edge = np.empty(n + 1, dtype=bool)  # where a run of equal keys starts or ends
+    edge[0] = edge[n] = True
+    edge[1:n] = srt[1:] != srt[:-1]
+    bounds = edge.nonzero()[0]
+    counts = (bounds[1:] - bounds[:-1]).astype(np.float64)
+    rows = order[bounds[:-1]]
+    return batch.features[rows], batch.labels[rows], counts, float(n)
 
 
 def _check_spec_batch(spec: ModelSpec, batch: Batch):

@@ -452,6 +452,16 @@ class TestCLI:
         assert cli_main(["sweep", str(cfg), "--out", str(tmp_path / "sw")]) == 2
         assert not (tmp_path / "sw").exists()
 
+    def test_export_last_skips_run_diverged_in_round_0(self, tmp_path):
+        cfg = tmp_path / "div.cfg"
+        cfg.write_text(RUN_TEXT + DIVERGE_EXTRA)
+        out = tmp_path / "o"
+        assert cli_main(["run", str(cfg), "--out", str(out)]) == 3
+        assert (out / "metrics.jsonl").read_text() == ""
+        csv = tmp_path / "c.csv"
+        assert cli_main(["export", str(out), "--out", str(csv), "--last", "5"]) == 0
+        assert csv.read_text() == "run_id,round,top1\n"
+
     def test_sweep_summarize_export(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_TEXT)

@@ -2,11 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flsim.engine import derive_stream
 from flsim.errors import ConfigError, UnsupportedOperationError
 from flsim.models import (
     Batch,
+    _canonical_rows,
     ModelSpec,
     ParamVector,
     finite_diff_grad,
@@ -14,6 +18,7 @@ from flsim.models import (
     layout_for,
     loss_and_grad,
     param_count,
+    row_keys,
     top1_accuracy,
 )
 
@@ -209,3 +214,62 @@ def test_layout_mismatch_rejected():
     pv = init_params(LINEAR, derive_stream(0, -1, -1))
     with pytest.raises(ConfigError):
         ParamVector(pv.values[:-1], pv.layout)
+
+
+# few distinct values, so duplicate rows, ties in leading columns and
+# -0.0/0.0 pairs all occur
+SMALL_VALUES = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+
+
+@st.composite
+def rows_and_subset(draw, input_dim, num_classes):
+    n = draw(st.integers(1, 24))
+    X = draw(hnp.arrays(np.float64, (n, input_dim), elements=SMALL_VALUES))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, num_classes - 1)))
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    return X, y, np.array(idx)
+
+
+@pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_row_keys_order_and_loss_bit_identical(spec, data, seed):
+    X, y, idx = data.draw(rows_and_subset(spec.input_dim, spec.num_classes))
+    keys = row_keys(X, y)[idx]
+    keyed = np.column_stack([X[idx], y[idx].astype(np.float64)])
+    order = np.lexsort(keyed.T[::-1])
+    # ranks restricted to the subset sort it as a stable lexsort of its columns
+    assert np.array_equal(np.argsort(keys, kind="stable"), order)
+    # and two rows share a rank exactly when they compare equal
+    same_rank = keys[:, None] == keys[None, :]
+    same_row = (keyed[:, None, :] == keyed[None, :, :]).all(axis=2)
+    assert np.array_equal(same_rank, same_row)
+
+    # canonical rows: each run of equal rows is its first row in batch order,
+    # sign of zero included, as a stable lexsort of the batch gives it
+    starts = np.flatnonzero(np.r_[True, (np.diff(keyed[order], axis=0) != 0).any(axis=1)])
+    Xc, yc, counts, n = _canonical_rows(Batch(X[idx], y[idx], keys))
+    assert Xc.tobytes() == X[idx][order[starts]].tobytes()
+    assert np.array_equal(yc, y[idx][order[starts]])
+    assert np.array_equal(counts, np.diff(starts, append=len(idx))) and n == len(idx)
+
+    pv = init_params(spec, derive_stream(seed, -1, -1))
+    l1, g1 = loss_and_grad(spec, pv, Batch(X[idx], y[idx], keys))
+    l2, g2 = loss_and_grad(spec, pv, Batch(X[idx], y[idx]))
+    assert np.float64(l1).tobytes() == np.float64(l2).tobytes()
+    assert g1.values.tobytes() == g2.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [[0.0, 1.0, 2.0], [0, 1], [[0], [1], [2]], [True, False, True], ["a", "b", "c"]],
+    ids=["float", "short", "2d", "bool", "str"],
+)
+def test_batch_rejects_bad_keys(keys):
+    with pytest.raises(ConfigError):
+        Batch(np.zeros((3, 2)), [0, 1, 0], keys)
+
+
+def test_batch_accepts_integer_keys():
+    batch = Batch(np.zeros((3, 2)), [0, 1, 0], np.array([2, 0, 1], dtype=np.int32))
+    assert batch.keys.tolist() == [2, 0, 1]
