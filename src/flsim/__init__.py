@@ -48,6 +48,7 @@ from .models import (
     Batch,
     ModelSpec,
     ParamVector,
+    batch_loss_and_grad,
     finite_diff_grad,
     init_params,
     loss_and_grad,

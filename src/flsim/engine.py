@@ -189,11 +189,18 @@ def run_training(
 ) -> list:
     """Full training loop; returns the list of RoundMetrics.
 
-    Evaluates test accuracy every ``eval_every`` rounds and at the final
-    round. On divergence, raises DivergenceError with the completed
-    metrics prefix attached.
+    Checks once that ``train`` and ``test`` fit ``cfg.model``. Evaluates test
+    accuracy every ``eval_every`` rounds and at the final round. On
+    divergence, raises DivergenceError with the completed metrics prefix
+    attached.
     """
     cfg.validate()
+    for name, data in (("train", train), ("test", test)):
+        dim, classes = data.features.shape[1], data.num_classes
+        if cfg.model.kind != "quadratic_probe" and (  # the probe reads no rows
+            dim != cfg.model.input_dim or classes > cfg.model.num_classes
+        ):
+            raise ConfigError(f"{name} set: {dim} features, {classes} classes don't fit the model")
     theta0 = init_params(cfg.model, derive_stream(cfg.seed, INIT_ROUND, SERVER_CHANNEL))
     plan = build_partition(cfg, train)
     server = init_server_state(cfg, theta0)

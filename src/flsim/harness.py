@@ -389,13 +389,14 @@ def _summary_row(cfg: RunConfig | None, records, status: str) -> SummaryRow:
     )
 
 
-def run_experiment(exp: ExperimentConfig, out_dir):
+def run_experiment(exp: ExperimentConfig, out_dir, data=None):
     """Run one experiment; write metrics.jsonl, config.txt, summary.csv.
 
+    ``data`` is ``make_dataset(exp)`` if the caller holds it already.
     Divergence is recorded in the summary row, not raised.
     """
     os.makedirs(out_dir, exist_ok=True)
-    train, test = make_dataset(exp)
+    train, test = make_dataset(exp) if data is None else data
     status = "completed"
     try:
         rounds = run_training(exp.run, train, test)
@@ -472,10 +473,13 @@ def run_sweep(spec: SweepSpec, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     seeds = len(spec.cells[0])
     print(f"sweep: {len(spec.cells)} cells x {seeds} seeds = {len(spec.cells) * seeds} runs")
-    cell_rows = [
-        [run_experiment(exp, os.path.join(out_dir, "runs", _run_dir(exp.run)))[1] for exp in cell]
-        for cell in spec.cells
-    ]
+    cell_rows = [[None] * seeds for _ in spec.cells]
+    for s in range(seeds):  # seed-major: one dataset alive at a time
+        # cells differ only in method, hparams and partition: one dataset a seed
+        data = make_dataset(spec.cells[0][s])
+        for cell, rows in zip(spec.cells, cell_rows):
+            out = os.path.join(out_dir, "runs", _run_dir(cell[s].run))
+            rows[s] = run_experiment(cell[s], out, data)[1]
     run_rows = [row for rows in cell_rows for row in rows]
     sweep_rows = [_cell_row(rows) for rows in cell_rows]
     _write_rows(os.path.join(out_dir, "runs.csv"), RUNS_HEADER, run_rows, with_seed=True)
@@ -542,6 +546,8 @@ def export_curves(metrics_files, out_path, last: int | None = None):
     """Long-format (run_id, round, top1) table for plotting tools."""
     if not metrics_files:
         raise ConfigError("need at least one metrics file")
+    if last is not None and last < 1:
+        raise ConfigError(f"last must be at least 1, not {last}")
     rows = []
     for path in metrics_files:
         records = read_metrics(path)

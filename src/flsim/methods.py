@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .models import Batch, ParamVector, loss_and_grad
+from .models import ParamVector, canonical_rows, loss_and_grad
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,6 @@ class ClientRound:
     server: object  # the broadcast ServerState
     theta_r: np.ndarray  # broadcast parameters
     state: dict  # client state at round start, name -> ndarray
-    eps: np.ndarray | None = None  # the last step's SAM perturbation
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,11 @@ class Method:
 
     ``direction(c, g, tv)`` is the step direction at parameters ``tv`` given
     the step's gradient ``g`` (for SAM methods, taken at the perturbed point).
-    ``client_finish(c, theta_f, steps)`` returns the client's new state (every
-    key of ``client_state``) and the ``aux`` vector it sends to the server, or
-    None. ``server_finish(server, results, theta_new, hp, cfg)`` returns the new
-    value of ``server_field``; ``results`` are in ascending client id.
+    ``client_finish(c, theta_f, steps, eps)``, ``eps`` the last SAM perturbation,
+    returns the client's new state (every key of ``client_state``) and the
+    ``aux`` vector it sends to the server, or None. ``server_finish(server,
+    results, theta_new, hp, cfg)`` returns the new value of ``server_field``;
+    ``results`` are in ascending client id.
     """
 
     hparams: frozenset = frozenset()  # config keys the method accepts
@@ -92,7 +92,7 @@ class Method:
     direction: Callable = lambda c, g, tv: g
     sam: bool = False  # two gradient evaluations per step, see client_opt
     perturb_shift: Callable | None = None  # c -> vector added to the SAM raw gradient
-    client_finish: Callable = lambda c, theta_f, steps: ({}, None)
+    client_finish: Callable = lambda c, theta_f, steps, eps: ({}, None)
     server_finish: Callable | None = None
 
 
@@ -103,7 +103,7 @@ def _fedcm_momentum(server, results, theta_new, hp, cfg):
     return np.zeros_like(theta_new)
 
 
-def _fedgamma_client(c, theta_f, steps):
+def _fedgamma_client(c, theta_f, steps, eps):
     denom = c.cfg.client_lr * steps
     # lr=0 leaves theta unmoved; define the 0/0 displacement rate as 0
     rate = (c.theta_r - theta_f) / denom if denom > 0 else 0.0
@@ -111,10 +111,10 @@ def _fedgamma_client(c, theta_f, steps):
     return {"c_m": c_m_new}, c_m_new - c.state["c_m"]
 
 
-def _fedsmoo_client(c, theta_f, steps):
+def _fedsmoo_client(c, theta_f, steps, eps):
     h = c.state["h"] - c.hp.beta * (theta_f - c.theta_r)
-    u = c.state["u"] + (c.eps - c.server.global_perturb.values)
-    return {"h": h, "u": u}, c.eps
+    u = c.state["u"] + (eps - c.server.global_perturb.values)
+    return {"h": h, "u": u}, eps
 
 
 def _fedsmoo_perturb(server, results, theta_new, hp, cfg):
@@ -134,7 +134,7 @@ METHODS = {
         hparams=frozenset({"beta"}),
         client_state=("h",),
         direction=lambda c, g, tv: g - c.state["h"] + c.hp.beta * (tv - c.theta_r),
-        client_finish=lambda c, theta_f, steps: (
+        client_finish=lambda c, theta_f, steps, eps: (
             {"h": c.state["h"] - c.hp.beta * (theta_f - c.theta_r)},
             None,
         ),
@@ -163,7 +163,7 @@ METHODS = {
         client_state=("g_hat",),
         sam=True,
         direction=lambda c, g, tv: g - c.state["g_hat"] + c.hp.gamma * (tv - c.theta_r),
-        client_finish=lambda c, theta_f, steps: (
+        client_finish=lambda c, theta_f, steps, eps: (
             {"g_hat": c.state["g_hat"] - c.hp.gamma * (theta_f - c.theta_r)},
             None,
         ),
@@ -197,23 +197,25 @@ def client_opt(cid, server, data, shard, state, hp, cfg, rng):
     c = ClientRound(cfg, hp, server, theta_r.values, state)
     shift = m.perturb_shift(c) if m.perturb_shift is not None else None
     theta = theta_r.values
+    eps = None
     losses = []
     for _ in range(cfg.local_epochs):
         order = rng.permutation(len(shard))
         for start in range(0, len(shard), cfg.batch_size):
-            rows = shard[order[start : start + cfg.batch_size]]
-            batch = Batch(data.features[rows], data.labels[rows], data.ranks[rows])
-            loss, g = loss_and_grad(cfg.model, ParamVector(theta, layout), batch)
-            g = g.values
+            drawn = shard[order[start : start + cfg.batch_size]]
+            sel, counts = canonical_rows(data.ranks[drawn])
+            rows, n = drawn[sel], float(len(drawn))
+            X, y = data.features[rows], data.labels[rows]
+            loss, g = loss_and_grad(cfg.model, theta, X, y, counts, n)
             if m.sam:
                 # the gradient at theta + rho * raw/||raw||, raw the plain
                 # gradient plus any shift; two evaluations even at rho=0
                 raw = g if shift is None else g + shift
-                c.eps = hp.rho * raw / (np.linalg.norm(raw) + hp.xi)
-                g = loss_and_grad(cfg.model, ParamVector(theta + c.eps, layout), batch)[1].values
+                eps = hp.rho * raw / (np.linalg.norm(raw) + hp.xi)
+                g = loss_and_grad(cfg.model, theta + eps, X, y, counts, n)[1]
             theta = theta - cfg.client_lr * m.direction(c, g, theta)
             losses.append(loss)
-    new_state, aux = m.client_finish(c, theta, len(losses))
+    new_state, aux = m.client_finish(c, theta, len(losses), eps)
     result = ClientResult(
         client_id=cid,
         final_params=ParamVector(theta, layout),

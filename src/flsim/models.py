@@ -8,7 +8,8 @@ closed-form values, used by tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,46 +19,27 @@ MODEL_KINDS = ("linear", "mlp", "quadratic_probe")
 ACTIVATIONS = ("relu", "tanh")
 
 
-@dataclass(frozen=True)
-class Block:
-    """One named tensor inside the flat vector."""
-
-    name: str
-    shape: tuple
-    offset: int
-    size: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "size", math.prod(self.shape))
-
-
 @dataclass
 class ParamVector:
-    """Flat float64 parameters plus the shape descriptor of their blocks."""
+    """Flat float64 parameters plus the layout of their blocks (``layout_for``)."""
 
     values: np.ndarray
-    layout: tuple
+    layout: dict
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        last = self.layout[-1]  # layout_for packs the blocks back to back
-        total = last.offset + last.size
+        total = next(reversed(self.layout.values()))[0].stop  # blocks are back to back
         if self.values.shape != (total,):
             raise ConfigError(
                 f"values length {self.values.shape} does not match layout size {total}"
             )
 
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout)
-
     def zeros_like(self) -> "ParamVector":
         return ParamVector(np.zeros_like(self.values), self.layout)
 
     def block(self, name: str) -> np.ndarray:
-        for b in self.layout:
-            if b.name == name:
-                return self.values[b.offset : b.offset + b.size].reshape(b.shape)
-        raise KeyError(name)
+        sl, shape = self.layout[name]
+        return self.values[sl].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -86,34 +68,38 @@ class ModelSpec:
             if self.activation not in ACTIVATIONS:
                 raise ConfigError(f"unknown activation '{self.activation}'")
 
+    @cached_property
+    def slices(self) -> dict:
+        """``layout_for(self)``, computed once per spec."""
+        return layout_for(self)
 
-def layout_for(spec: ModelSpec) -> tuple:
-    """Block layout is a pure function of the spec."""
+
+def layout_for(spec: ModelSpec) -> dict:
+    """Block name -> (slice of the flat vector, shape), blocks back to back.
+
+    The layout is a pure function of the spec.
+    """
     spec.validate()
-    blocks = []
-    off = 0
-
-    def add(name, shape):
-        nonlocal off
-        b = Block(name, tuple(shape), off)
-        blocks.append(b)
-        off += b.size
-
     if spec.kind == "linear":
-        add("W", (spec.input_dim, spec.num_classes))
-        add("b", (spec.num_classes,))
+        shapes = {"W": (spec.input_dim, spec.num_classes), "b": (spec.num_classes,)}
     elif spec.kind == "mlp":
-        add("W1", (spec.input_dim, spec.hidden_dim))
-        add("b1", (spec.hidden_dim,))
-        add("W2", (spec.hidden_dim, spec.num_classes))
-        add("b2", (spec.num_classes,))
+        shapes = {
+            "W1": (spec.input_dim, spec.hidden_dim),
+            "b1": (spec.hidden_dim,),
+            "W2": (spec.hidden_dim, spec.num_classes),
+            "b2": (spec.num_classes,),
+        }
     else:  # quadratic_probe
-        add("theta", (len(spec.probe_target),))
-    return tuple(blocks)
+        shapes = {"theta": (len(spec.probe_target),)}
+    layout, off = {}, 0
+    for name, shape in shapes.items():
+        layout[name] = (slice(off, off + math.prod(shape)), shape)
+        off = layout[name][0].stop
+    return layout
 
 
 def param_count(spec: ModelSpec) -> int:
-    return sum(b.size for b in layout_for(spec))
+    return sum(math.prod(shape) for _, shape in layout_for(spec).values())
 
 
 def row_keys(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -166,9 +152,6 @@ class Batch:
         if self.keys.dtype.kind not in "iu" or self.keys.shape != (len(self.labels),):
             raise ConfigError("batch keys must be an integer array with one entry per row")
 
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
 
 _FAN_IN = {"W": "input_dim", "W1": "input_dim", "W2": "hidden_dim"}
 
@@ -178,29 +161,21 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
 
     The quadratic probe starts at the zero vector.
     """
-    layout = layout_for(spec)
-    values = np.zeros(sum(b.size for b in layout))
-    pv = ParamVector(values, layout)
-    for b in layout:
-        if b.name in _FAN_IN:
-            bound = 1.0 / np.sqrt(getattr(spec, _FAN_IN[b.name]))
-            pv.values[b.offset : b.offset + b.size] = rng.uniform(
-                -bound, bound, size=b.size
-            )
-    return pv
+    values = np.zeros(param_count(spec))
+    for name, (sl, _) in spec.slices.items():
+        if name in _FAN_IN:
+            bound = 1.0 / np.sqrt(getattr(spec, _FAN_IN[name]))
+            values[sl] = rng.uniform(-bound, bound, size=sl.stop - sl.start)
+    return ParamVector(values, spec.slices)
 
 
-def _canonical_rows(batch: Batch):
-    """Sort rows into a canonical order and merge duplicates into counts.
+def canonical_rows(keys: np.ndarray):
+    """(sel, counts): a batch's rows in ``row_keys`` order, equal rows merged.
 
-    The order is ``row_keys`` order, ties kept in batch order, so each run
-    of equal rows is represented by its first row. Makes loss/grad exactly
-    invariant to row permutation and to duplicating every row (count
-    scaling by a power of two is exact).
+    Each run of equal keys is its first row in batch order, weighted by the
+    run's size. Makes loss/grad exactly invariant to row permutation and to
+    duplicating every row (count scaling by a power of two is exact).
     """
-    keys = batch.keys
-    if keys is None:
-        keys = row_keys(batch.features, batch.labels)
     n = len(keys)
     order = np.argsort(keys, kind="stable")
     srt = keys[order]
@@ -208,9 +183,7 @@ def _canonical_rows(batch: Batch):
     edge[0] = edge[n] = True
     edge[1:n] = srt[1:] != srt[:-1]
     bounds = edge.nonzero()[0]
-    counts = (bounds[1:] - bounds[:-1]).astype(np.float64)
-    rows = order[bounds[:-1]]
-    return batch.features[rows], batch.labels[rows], counts, float(n)
+    return order[bounds[:-1]], (bounds[1:] - bounds[:-1]).astype(np.float64)
 
 
 def _check_spec_batch(spec: ModelSpec, batch: Batch):
@@ -227,75 +200,86 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def _forward_logits(spec: ModelSpec, params: ParamVector, X: np.ndarray):
+def _views(spec: ModelSpec, vec: np.ndarray) -> list:
+    """The blocks of a flat vector as shaped views, in layout order."""
+    return [vec[sl].reshape(shape) for sl, shape in spec.slices.values()]
+
+
+def _forward_logits(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
     if spec.kind == "linear":
-        return X @ params.block("W") + params.block("b"), None
+        W, b = _views(spec, theta)
+        return X @ W + b, None
     # mlp
-    pre = X @ params.block("W1") + params.block("b1")
+    W1, b1, W2, b2 = _views(spec, theta)
+    pre = X @ W1 + b1
     if spec.activation == "relu":
         H = np.maximum(pre, 0.0)
     else:
         H = np.tanh(pre)
-    return H @ params.block("W2") + params.block("b2"), (pre, H)
+    return H @ W2 + b2, (pre, H)
 
 
-def _check_finite_grad(grad: ParamVector):
-    if np.isfinite(grad.values).all():
-        return
-    for b in grad.layout:
-        if not np.isfinite(grad.values[b.offset : b.offset + b.size]).all():
-            raise NumericalOverflowError(b.name)
+def loss_and_grad(spec: ModelSpec, theta: np.ndarray, X, y, counts, n: float):
+    """Mean cross-entropy (natural log) and its exact analytic gradient vector.
 
-
-def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch):
-    """Mean cross-entropy (natural log) and its exact analytic gradient.
-
-    The quadratic probe uses 0.5*||theta - target||^2 and ignores the batch.
+    ``X``, ``y``, ``counts``: a batch's ``canonical_rows``, checked by the
+    caller to fit ``spec``; ``n``: its row count. The quadratic probe uses
+    0.5*||theta - target||^2 and ignores the rows.
     """
-    spec.validate()
-    if spec.kind == "quadratic_probe":
-        target = np.asarray(spec.probe_target, dtype=np.float64)
-        diff = params.values - target
-        loss = 0.5 * float(diff @ diff)
-        grad = ParamVector(diff.copy(), params.layout)
-        if not np.isfinite(loss):
-            raise NumericalOverflowError("loss")
-        _check_finite_grad(grad)
-        return loss, grad
-
-    _check_spec_batch(spec, batch)
-    X, y, counts, n = _canonical_rows(batch)
-    w = counts / n  # per-unique-row weights; sum to 1
-
     # overflow surfaces as a typed error, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        logits, hidden = _forward_logits(spec, params, X)
-        logp = _log_softmax(logits)
-        loss = float(counts @ (-logp[np.arange(len(y)), y]) / n)
-        if not np.isfinite(loss):
-            raise NumericalOverflowError("loss")
-
-        G = np.exp(logp)
-        G[np.arange(len(y)), y] -= 1.0
-        G *= w[:, None]
-
-        grad = ParamVector(np.zeros_like(params.values), params.layout)
-        if spec.kind == "linear":
-            grad.block("W")[:] = X.T @ G
-            grad.block("b")[:] = G.sum(axis=0)
+        if spec.kind == "quadratic_probe":
+            grad = theta - np.asarray(spec.probe_target, dtype=np.float64)
+            loss = 0.5 * float(grad @ grad)
         else:
-            pre, H = hidden
-            grad.block("W2")[:] = H.T @ G
-            grad.block("b2")[:] = G.sum(axis=0)
-            dH = G @ params.block("W2").T
-            if spec.activation == "relu":
-                dpre = dH * (pre > 0.0)
+            logits, hidden = _forward_logits(spec, theta, X)
+            logp = _log_softmax(logits)
+            rows = np.arange(len(y))
+            loss = float(counts @ (-logp[rows, y]) / n)
+            G = np.exp(logp)
+            G[rows, y] -= 1.0
+            G *= (counts / n)[:, None]  # per-unique-row weights; sum to 1
+            grad = np.empty_like(theta)
+            if spec.kind == "linear":
+                gW, gb = _views(spec, grad)
+                gW[:] = X.T @ G
+                gb[:] = G.sum(axis=0)
             else:
-                dpre = dH * (1.0 - np.tanh(pre) ** 2)
-            grad.block("W1")[:] = X.T @ dpre
-            grad.block("b1")[:] = dpre.sum(axis=0)
-    _check_finite_grad(grad)
+                pre, H = hidden
+                gW1, gb1, gW2, gb2 = _views(spec, grad)
+                gW2[:] = H.T @ G
+                gb2[:] = G.sum(axis=0)
+                dH = G @ _views(spec, theta)[2].T  # G @ W2.T
+                if spec.activation == "relu":
+                    dpre = dH * (pre > 0.0)
+                else:
+                    dpre = dH * (1.0 - np.tanh(pre) ** 2)
+                gW1[:] = X.T @ dpre
+                gb1[:] = dpre.sum(axis=0)
+    if not math.isfinite(loss):
+        raise NumericalOverflowError("loss")
+    if not np.isfinite(grad).all():
+        for name, (sl, _) in spec.slices.items():
+            if not np.isfinite(grad[sl]).all():
+                raise NumericalOverflowError(name)
     return loss, grad
+
+
+def batch_loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch):
+    """``loss_and_grad`` on a ParamVector and a Batch, its inputs checked.
+
+    The batch is canonicalised by its keys, or its own ``row_keys`` if it has
+    none. Returns (loss, gradient as a ParamVector).
+    """
+    if params.layout != layout_for(spec):
+        raise ConfigError("params layout does not match the model spec")
+    if spec.kind != "quadratic_probe":
+        _check_spec_batch(spec, batch)
+    keys = batch.keys if batch.keys is not None else row_keys(batch.features, batch.labels)
+    sel, counts = canonical_rows(keys)
+    X, y = batch.features[sel], batch.labels[sel]
+    loss, grad = loss_and_grad(spec, params.values, X, y, counts, float(len(keys)))
+    return loss, ParamVector(grad, params.layout)
 
 
 def top1_accuracy(spec: ModelSpec, params: ParamVector, data: Batch) -> float:
@@ -307,7 +291,7 @@ def top1_accuracy(spec: ModelSpec, params: ParamVector, data: Batch) -> float:
         raise UnsupportedOperationError("top1_accuracy undefined for quadratic_probe")
     _check_spec_batch(spec, data)
     with np.errstate(over="ignore", invalid="ignore"):  # a huge model still gets a score
-        logits, _ = _forward_logits(spec, params, data.features)
+        logits, _ = _forward_logits(spec, params.values, data.features)
     return float(np.mean(np.argmax(logits, axis=1) == data.labels))
 
 
@@ -319,10 +303,10 @@ def finite_diff_grad(
         raise ConfigError("epsilon must be positive")
     est = np.zeros_like(params.values)
     for i in range(len(params.values)):
-        bumped = params.copy()
+        bumped = ParamVector(params.values.copy(), params.layout)
         bumped.values[i] += epsilon
-        lo_plus, _ = loss_and_grad(spec, bumped, batch)
+        lo_plus, _ = batch_loss_and_grad(spec, bumped, batch)
         bumped.values[i] = params.values[i] - epsilon
-        lo_minus, _ = loss_and_grad(spec, bumped, batch)
+        lo_minus, _ = batch_loss_and_grad(spec, bumped, batch)
         est[i] = (lo_plus - lo_minus) / (2.0 * epsilon)
     return ParamVector(est, params.layout)

@@ -24,9 +24,9 @@ from flsim.harness import parse_config, run_experiment, run_sweep
 from flsim.models import (
     Batch,
     ModelSpec,
+    batch_loss_and_grad,
     finite_diff_grad,
     init_params,
-    loss_and_grad,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -61,7 +61,7 @@ def test_criterion_1_gradient_oracle():
                     rng.standard_normal((12, spec.input_dim)),
                     rng.integers(0, spec.num_classes, 12),
                 )
-            _, grad = loss_and_grad(spec, params, batch)
+            _, grad = batch_loss_and_grad(spec, params, batch)
             fd = finite_diff_grad(spec, params, batch, 1e-5)
             rel = np.max(
                 np.abs(fd.values - grad.values) / np.maximum(np.abs(grad.values), 1e-8)
@@ -123,7 +123,7 @@ def test_criterion_3_centralized_equivalence():
             order = rng.permutation(len(shard))
             for s in range(0, len(shard), cfg.batch_size):
                 idx = order[s : s + cfg.batch_size]
-                _, g = loss_and_grad(
+                _, g = batch_loss_and_grad(
                     cfg.model, theta, Batch(shard.features[idx], shard.labels[idx])
                 )
                 theta.values = theta.values - cfg.client_lr * g.values

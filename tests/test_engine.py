@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import mlp_config, probe_config, small_task, trajectory
+from flsim import engine
 from flsim.data import LabeledDataset, PartitionPlan
 from flsim.engine import (
     build_partition,
@@ -17,7 +18,7 @@ from flsim.engine import (
     sample_clients,
 )
 from flsim.errors import ConfigError, DivergenceError
-from flsim.models import Batch, init_params, loss_and_grad
+from flsim.models import Batch, batch_loss_and_grad, init_params
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -131,7 +132,7 @@ class TestRunRound:
         new_server, _, _ = run_round(server, states, plan, data, cfg)
         # replicate one client's single full-batch step
         batch = Batch(rows, labels)
-        _, g = loss_and_grad(cfg.model, theta0, batch)
+        _, g = batch_loss_and_grad(cfg.model, theta0, batch)
         expected = theta0.values - cfg.client_lr * g.values
         assert np.array_equal(new_server.global_params.values, expected)
 
@@ -167,6 +168,18 @@ class TestRunTraining:
             assert ra.update_norm == rb.update_norm
             assert ra.test_top1 == rb.test_top1
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["train", "test"])
+    @pytest.mark.parametrize("dim,classes", [(7, 5), (8, 6)], ids=["dim", "classes"])
+    def test_data_must_fit_model(self, which, dim, classes, monkeypatch):
+        # checked once, before round 0; the gradient kernel checks no batch
+        data = list(small_task())
+        data[which] = small_task(num_classes=classes, dim=dim)[which]
+        rounds = []
+        monkeypatch.setattr(engine, "run_round", lambda *a: rounds.append(a))
+        with pytest.raises(ConfigError, match=["train", "test"][which]):
+            run_training(mlp_config("fedavg"), *data)
+        assert rounds == []
+
     def test_eval_schedule(self):
         train, test = small_task()
         cfg = mlp_config("fedavg", rounds=7, eval_every=3)
@@ -191,7 +204,7 @@ class TestRunTraining:
                     idx = order[s : s + cfg.batch_size]
                     pv = init_params(cfg.model, derive_stream(0, 0, 0))
                     pv.values = theta
-                    _, g = loss_and_grad(
+                    _, g = batch_loss_and_grad(
                         cfg.model, pv, Batch(shard.features[idx], shard.labels[idx])
                     )
                     theta = theta - cfg.client_lr * g.values

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from flsim.cli import main as cli_main
 from flsim.errors import ConfigError, ParseError
+from flsim import harness
 from flsim.harness import (
     _HPARAM_KEYS,
     _KEYS,
+    _run_dir,
     ExperimentConfig,
     SweepSpec,
     export_curves,
@@ -322,6 +324,28 @@ class TestSweep:
         run_sweep(spec, tmp_path / "s")
         assert strip_time_cols(tmp_path / "s" / "sweep.csv") == first
 
+    def test_one_dataset_per_seed(self, tmp_path, monkeypatch):
+        # cells differ only in method, hparams and partition, so each seed's
+        # dataset is built once and every run of that seed trains on it
+        text = (
+            SWEEP_TEXT.replace("methods = fedavg,fedprox", "methods = fedavg,fedprox,fedsam")
+            .replace("grid.fedprox.lambda = 0.1,0.001\n", "")
+            .replace("partitions = iid,dirichlet:0", "partitions = dirichlet:0.5")
+        )
+        spec = parse_config(text)
+        assert [len(cell) for cell in spec.cells] == [2, 2, 2]
+        built = []
+        real = harness.make_dataset
+        monkeypatch.setattr(harness, "make_dataset", lambda exp: built.append(exp) or real(exp))
+        run_sweep(spec, tmp_path / "s")
+        assert [exp.run.seed for exp in built] == [1, 2]
+        for exp in (exp for cell in spec.cells for exp in cell):
+            swept = tmp_path / "s" / "runs" / _run_dir(exp.run)
+            lone = tmp_path / "lone" / _run_dir(exp.run)
+            run_experiment(exp, lone)
+            assert strip_dt(swept / "metrics.jsonl") == strip_dt(lone / "metrics.jsonl")
+            assert (swept / "config.txt").read_text() == (lone / "config.txt").read_text()
+
     def test_diverged_cell_marked_not_omitted(self, tmp_path):
         text = SWEEP_TEXT + DIVERGE_EXTRA
         rows, _ = run_sweep(parse_config(text), tmp_path / "s")
@@ -461,6 +485,14 @@ class TestCLI:
         csv = tmp_path / "c.csv"
         assert cli_main(["export", str(out), "--out", str(csv), "--last", "5"]) == 0
         assert csv.read_text() == "run_id,round,top1\n"
+
+    @pytest.mark.parametrize("last", ["0", "-2"])
+    def test_export_last_below_one_exit_2_nothing_written(self, tmp_path, last):
+        write_metrics(tmp_path / "m.jsonl", [(r, 0.1) for r in range(3)])
+        csv = tmp_path / "c.csv"
+        argv = ["export", str(tmp_path / "m.jsonl"), "--out", str(csv), "--last", last]
+        assert cli_main(argv) == 2
+        assert not csv.exists()
 
     def test_sweep_summarize_export(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from flsim.engine import derive_stream
-from flsim.errors import ConfigError, UnsupportedOperationError
+from flsim.errors import ConfigError, NumericalOverflowError, UnsupportedOperationError
 from flsim.models import (
     Batch,
-    _canonical_rows,
     ModelSpec,
     ParamVector,
+    batch_loss_and_grad,
+    canonical_rows,
     finite_diff_grad,
     init_params,
     layout_for,
@@ -24,6 +25,7 @@ from flsim.models import (
 
 LINEAR = ModelSpec("linear", input_dim=4, num_classes=3)
 MLP = ModelSpec("mlp", input_dim=5, num_classes=3, hidden_dim=4, activation="relu")
+MLP_TANH = ModelSpec("mlp", input_dim=3, num_classes=4, hidden_dim=6, activation="tanh")
 PROBE3 = ModelSpec("quadratic_probe", probe_target=(0.0, 0.0, 0.0))
 
 
@@ -77,14 +79,14 @@ def test_invalid_spec():
 def test_zero_params_loss_is_log_c():
     spec = ModelSpec("linear", input_dim=6, num_classes=10)
     pv = ParamVector(np.zeros(param_count(spec)), layout_for(spec))
-    loss, _ = loss_and_grad(spec, pv, random_batch(spec, 20, 0))
+    loss, _ = batch_loss_and_grad(spec, pv, random_batch(spec, 20, 0))
     assert loss == pytest.approx(np.log(10), abs=1e-12)
 
 
 def test_probe_loss_and_grad():
     spec = ModelSpec("quadratic_probe", probe_target=(0.0, 0.0))
     pv = ParamVector(np.array([1.0, 2.0]), layout_for(spec))
-    loss, grad = loss_and_grad(spec, pv, random_batch(LINEAR, 2, 0))
+    loss, grad = batch_loss_and_grad(spec, pv, random_batch(LINEAR, 2, 0))
     assert loss == 2.5
     assert np.array_equal(grad.values, np.array([1.0, 2.0]))
 
@@ -101,7 +103,7 @@ def test_finite_diff_probe_linear_exact():
     [
         LINEAR,
         MLP,
-        ModelSpec("mlp", input_dim=3, num_classes=4, hidden_dim=6, activation="tanh"),
+        MLP_TANH,
         PROBE3,
     ],
 )
@@ -113,7 +115,7 @@ def test_gradient_matches_finite_differences(spec):
             batch = random_batch(LINEAR, 2, trial)
         else:
             batch = random_batch(spec, 12, trial)
-        _, grad = loss_and_grad(spec, pv, batch)
+        _, grad = batch_loss_and_grad(spec, pv, batch)
         fd = finite_diff_grad(spec, pv, batch, 1e-5)
         assert rel_err(fd.values, grad.values) < 1e-5
 
@@ -121,7 +123,7 @@ def test_gradient_matches_finite_differences(spec):
 def test_loss_non_negative():
     for trial in range(5):
         pv = init_params(MLP, derive_stream(trial, -1, -1))
-        loss, _ = loss_and_grad(MLP, pv, random_batch(MLP, 16, trial))
+        loss, _ = batch_loss_and_grad(MLP, pv, random_batch(MLP, 16, trial))
         assert loss >= 0.0
 
 
@@ -130,8 +132,8 @@ def test_permutation_invariance_exact():
     batch = random_batch(LINEAR, 16, 5)
     perm = np.random.default_rng(0).permutation(16)
     shuffled = Batch(batch.features[perm], batch.labels[perm])
-    l1, g1 = loss_and_grad(LINEAR, pv, batch)
-    l2, g2 = loss_and_grad(LINEAR, pv, shuffled)
+    l1, g1 = batch_loss_and_grad(LINEAR, pv, batch)
+    l2, g2 = batch_loss_and_grad(LINEAR, pv, shuffled)
     assert l1 == l2
     assert np.array_equal(g1.values, g2.values)
 
@@ -143,8 +145,8 @@ def test_duplication_invariance_exact():
         np.concatenate([batch.features, batch.features]),
         np.concatenate([batch.labels, batch.labels]),
     )
-    l1, g1 = loss_and_grad(MLP, pv, batch)
-    l2, g2 = loss_and_grad(MLP, pv, doubled)
+    l1, g1 = batch_loss_and_grad(MLP, pv, batch)
+    l2, g2 = batch_loss_and_grad(MLP, pv, doubled)
     assert l1 == l2
     assert np.array_equal(g1.values, g2.values)
 
@@ -189,7 +191,7 @@ def test_oracle_trained_model_separable_blobs():
     pv = init_params(spec, derive_stream(0, -1, -1))
     batch = Batch(data.features, data.labels)
     for _ in range(200):
-        _, grad = loss_and_grad(spec, pv, batch)
+        _, grad = batch_loss_and_grad(spec, pv, batch)
         pv.values -= 0.5 * grad.values
     assert top1_accuracy(spec, pv, batch) == 1.0
 
@@ -199,8 +201,8 @@ def test_finite_diff_duplicated_sample_identical():
     single = Batch(x, [1])
     dup = Batch(np.repeat(x, 3, axis=0), [1, 1, 1])
     pv = init_params(LINEAR, derive_stream(4, -1, -1))
-    _, g1 = loss_and_grad(LINEAR, pv, single)
-    _, g2 = loss_and_grad(LINEAR, pv, dup)
+    _, g1 = batch_loss_and_grad(LINEAR, pv, single)
+    _, g2 = batch_loss_and_grad(LINEAR, pv, dup)
     assert np.array_equal(g1.values, g2.values)
 
 
@@ -230,11 +232,24 @@ def rows_and_subset(draw, input_dim, num_classes):
     return X, y, np.array(idx)
 
 
-@pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp"])
+def _outcome(fn):
+    """(loss bytes, gradient bytes) of ``fn()``, or its overflow error's text."""
+    try:
+        loss, grad = fn()
+    except NumericalOverflowError as exc:
+        return str(exc)
+    return np.float64(loss).tobytes(), np.asarray(grad).tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec", [LINEAR, MLP, MLP_TANH, PROBE3], ids=["linear", "mlp", "mlp_tanh", "probe"]
+)
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), seed=st.integers(0, 2**16))
-def test_row_keys_order_and_loss_bit_identical(spec, data, seed):
-    X, y, idx = data.draw(rows_and_subset(spec.input_dim, spec.num_classes))
+@given(data=st.data(), seed=st.integers(0, 2**16), scale=st.sampled_from([1.0, 1e160, 1e308]))
+def test_row_keys_order_and_loss_bit_identical(spec, data, seed, scale):
+    probe = spec.kind == "quadratic_probe"  # reads no rows; draw some anyway
+    dims = (4, 3) if probe else (spec.input_dim, spec.num_classes)
+    X, y, idx = data.draw(rows_and_subset(*dims))
     keys = row_keys(X, y)[idx]
     keyed = np.column_stack([X[idx], y[idx].astype(np.float64)])
     order = np.lexsort(keyed.T[::-1])
@@ -248,16 +263,41 @@ def test_row_keys_order_and_loss_bit_identical(spec, data, seed):
     # canonical rows: each run of equal rows is its first row in batch order,
     # sign of zero included, as a stable lexsort of the batch gives it
     starts = np.flatnonzero(np.r_[True, (np.diff(keyed[order], axis=0) != 0).any(axis=1)])
-    Xc, yc, counts, n = _canonical_rows(Batch(X[idx], y[idx], keys))
-    assert Xc.tobytes() == X[idx][order[starts]].tobytes()
-    assert np.array_equal(yc, y[idx][order[starts]])
-    assert np.array_equal(counts, np.diff(starts, append=len(idx))) and n == len(idx)
+    sel, counts = canonical_rows(keys)
+    assert X[idx][sel].tobytes() == X[idx][order[starts]].tobytes()
+    assert np.array_equal(y[idx][sel], y[idx][order[starts]])
+    assert np.array_equal(counts, np.diff(starts, append=len(idx)))
 
+    # the kernel on the rows the dataset's ranks select, as client_opt calls
+    # it, against the checked adapter ranking the batch itself: the same
+    # bytes, or the same overflow error naming the same block
     pv = init_params(spec, derive_stream(seed, -1, -1))
-    l1, g1 = loss_and_grad(spec, pv, Batch(X[idx], y[idx], keys))
-    l2, g2 = loss_and_grad(spec, pv, Batch(X[idx], y[idx]))
-    assert np.float64(l1).tobytes() == np.float64(l2).tobytes()
-    assert g1.values.tobytes() == g2.values.tobytes()
+    if probe:
+        pv.values += 1.0  # the probe starts at zero
+    pv.values *= scale
+    rows = idx[sel]
+    direct = _outcome(
+        lambda: loss_and_grad(spec, pv.values, X[rows], y[rows], counts, float(len(idx)))
+    )
+    adapted = _outcome(
+        lambda: (lambda loss, grad: (loss, grad.values))(
+            *batch_loss_and_grad(spec, pv, Batch(X[idx], y[idx]))
+        )
+    )
+    assert direct == adapted
+
+
+def test_overflow_names_block_on_both_paths():
+    # zero rows give zero hidden units and uniform softmax, so the loss is
+    # finite (log 4) while dH = G @ W2.T overflows and W1's gradient is nan
+    pv = ParamVector(np.zeros(param_count(MLP_TANH)), layout_for(MLP_TANH))
+    pv.block("W2")[:] = [1.5e308, 1.5e308, 1.5e308, -1.5e308]
+    X, y = np.zeros((2, 3)), np.array([3, 3])
+    with pytest.raises(NumericalOverflowError, match="'W1'"):
+        batch_loss_and_grad(MLP_TANH, pv, Batch(X, y))
+    sel, counts = canonical_rows(row_keys(X, y))
+    with pytest.raises(NumericalOverflowError, match="'W1'"):
+        loss_and_grad(MLP_TANH, pv.values, X[sel], y[sel], counts, 2.0)
 
 
 @pytest.mark.parametrize(
