@@ -15,9 +15,7 @@ wall time over reported gradient evaluations for each run, and their mean.
     python3 scripts/bench_eval.py [--src DIR] [--seed N] [--repeat K] [--json]
 
 ``--src`` names the ``src`` directory to import flsim from (default: this
-checkout's). An older checkout whose ``loss_and_grad`` takes
-``(spec, ParamVector, Batch)`` is timed through that form, so the same
-script measures both sides of a change.
+checkout's), so the same script measures both sides of a change.
 """
 from __future__ import annotations
 
@@ -49,28 +47,17 @@ def kernel_us(flsim, name, repeat, number=2000):
     ranks = m.row_keys(X, y)
     rows = rng.choice(len(y), BATCH, replace=False)
 
-    if hasattr(m, "batch_loss_and_grad"):  # raw-vector kernel
-        theta = params.values
+    theta = params.values
+    sel, counts = m.canonical_rows(ranks[rows])
+    Xc, yc, n = X[rows[sel]], y[rows[sel]], float(BATCH)
+
+    def kernel():
+        m.loss_and_grad(spec, theta, Xc, yc, counts, n)
+
+    def step():
         sel, counts = m.canonical_rows(ranks[rows])
-        Xc, yc, n = X[rows[sel]], y[rows[sel]], float(BATCH)
-
-        def kernel():
-            m.loss_and_grad(spec, theta, Xc, yc, counts, n)
-
-        def step():
-            sel, counts = m.canonical_rows(ranks[rows])
-            r = rows[sel]
-            m.loss_and_grad(spec, theta, X[r], y[r], counts, float(len(rows)))
-
-    else:  # (spec, ParamVector, Batch) kernel
-        batch = m.Batch(X[rows], y[rows], ranks[rows])
-
-        def kernel():
-            m.loss_and_grad(spec, params, batch)
-
-        def step():
-            b = m.Batch(X[rows], y[rows], ranks[rows])
-            m.loss_and_grad(spec, m.ParamVector(params.values, params.layout), b)
+        r = rows[sel]
+        m.loss_and_grad(spec, theta, X[r], y[r], counts, float(len(rows)))
 
     return tuple(
         1e6 * min(timeit.repeat(fn, number=number, repeat=repeat)) / number

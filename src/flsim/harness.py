@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +28,29 @@ from .errors import ConfigError, DivergenceError, ParseError
 from .methods import METHOD_NAMES, METHODS, HyperParams
 from .models import ModelSpec
 
-# metrics.jsonl key -> RoundMetrics attribute, in file order
+
+def _is_number(v, finite=False) -> bool:
+    """A JSON number a float64 holds; a JSON true/false loads as bool, not int."""
+    if type(v) is int:
+        return abs(v) <= sys.float_info.max
+    return type(v) is float and (not finite or math.isfinite(v))
+
+
+def _is_int(v) -> bool:
+    return type(v) is int and _is_number(v)
+
+
+# metrics.jsonl key -> (RoundMetrics attribute, check read_metrics applies to
+# the value), in file order. loss and upd_norm may be non-finite: files
+# written before overflowing update norms became divergences hold Infinity.
 METRICS_FIELDS = {
-    "round": "round",
-    "sampled": "sampled_clients",
-    "loss": "mean_train_loss",
-    "top1": "test_top1",
-    "dt": "wall_time_seconds",
-    "grad_evals": "grad_evals",
-    "upd_norm": "update_norm",
+    "round": ("round", _is_int),
+    "sampled": ("sampled_clients", lambda v: type(v) is list and all(map(_is_int, v))),
+    "loss": ("mean_train_loss", _is_number),
+    "top1": ("test_top1", lambda v: v is None or _is_number(v, finite=True)),
+    "dt": ("wall_time_seconds", lambda v: _is_number(v, finite=True)),
+    "grad_evals": ("grad_evals", _is_int),
+    "upd_norm": ("update_norm", _is_number),
 }
 RUNS_HEADER = (
     "method,hparams,partition,seed,best_top1,best_round,"
@@ -403,7 +418,7 @@ def run_experiment(exp: ExperimentConfig, out_dir, data=None):
     except DivergenceError as exc:
         rounds = exc.metrics
         status = "diverged"
-    records = [{key: getattr(m, attr) for key, attr in METRICS_FIELDS.items()} for m in rounds]
+    records = [{key: getattr(m, attr) for key, (attr, _) in METRICS_FIELDS.items()} for m in rounds]
 
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     with open(metrics_path, "w") as fh:
@@ -496,7 +511,7 @@ def _read_sidecar(metrics_path):
 
 
 def read_metrics(path):
-    """Load one metrics.jsonl file into a list of record dicts."""
+    """Load one metrics.jsonl file into a list of record dicts, each checked."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -507,8 +522,11 @@ def read_metrics(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad metrics line") from exc
-            if any(k not in rec for k in METRICS_FIELDS):
-                raise ConfigError(f"{path}:{lineno}: missing metrics fields")
+            if type(rec) is not dict:
+                raise ConfigError(f"{path}:{lineno}: metrics line is not a JSON object")
+            for key, (_, ok) in METRICS_FIELDS.items():
+                if key not in rec or not ok(rec[key]):
+                    raise ConfigError(f"{path}:{lineno}: missing or bad metrics field '{key}'")
             records.append(rec)
     return records
 

@@ -1,9 +1,10 @@
 """Flat-parameter models with hand-derived gradients.
 
-Three model kinds share a single flat float64 parameter vector:
-a softmax linear classifier, a one-hidden-layer MLP, and a quadratic
-probe (loss 0.5*||theta - target||^2) whose optimizer steps have
-closed-form values, used by tests.
+Three model kinds share a single flat float64 parameter vector: a
+softmax linear classifier and a one-hidden-layer MLP, stacks of one and
+two dense layers that share one forward and one backward loop, and a
+quadratic probe (loss 0.5*||theta - target||^2) whose optimizer steps
+have closed-form values, used by tests.
 """
 from __future__ import annotations
 
@@ -77,20 +78,22 @@ class ModelSpec:
 def layout_for(spec: ModelSpec) -> dict:
     """Block name -> (slice of the flat vector, shape), blocks back to back.
 
-    The layout is a pure function of the spec.
+    ``linear`` and ``mlp`` are stacks of dense layers, each a weight ``W``
+    (fan-in x fan-out) then a bias ``b``; with more than one layer the names
+    carry the layer number (``W1``, ``b1``, ``W2``, ...). The layout is a
+    pure function of the spec.
     """
     spec.validate()
-    if spec.kind == "linear":
-        shapes = {"W": (spec.input_dim, spec.num_classes), "b": (spec.num_classes,)}
-    elif spec.kind == "mlp":
-        shapes = {
-            "W1": (spec.input_dim, spec.hidden_dim),
-            "b1": (spec.hidden_dim,),
-            "W2": (spec.hidden_dim, spec.num_classes),
-            "b2": (spec.num_classes,),
-        }
-    else:  # quadratic_probe
+    if spec.kind == "quadratic_probe":
         shapes = {"theta": (len(spec.probe_target),)}
+    else:
+        hidden = [spec.hidden_dim] if spec.kind == "mlp" else []
+        widths = [spec.input_dim, *hidden, spec.num_classes]
+        shapes = {}
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+            tag = str(i + 1) if len(widths) > 2 else ""
+            shapes["W" + tag] = (fan_in, fan_out)
+            shapes["b" + tag] = (fan_out,)
     layout, off = {}, 0
     for name, shape in shapes.items():
         layout[name] = (slice(off, off + math.prod(shape)), shape)
@@ -99,7 +102,7 @@ def layout_for(spec: ModelSpec) -> dict:
 
 
 def param_count(spec: ModelSpec) -> int:
-    return sum(math.prod(shape) for _, shape in layout_for(spec).values())
+    return next(reversed(spec.slices.values()))[0].stop  # blocks are back to back
 
 
 def row_keys(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -126,16 +129,10 @@ def row_keys(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Batch:
-    """Rows to train on, with their optional ``row_keys`` ranks.
-
-    The ranks may come from any dataset that holds the rows: restricted to
-    a subset, they order it as ranking the subset itself would. Without
-    them, the batch ranks its own rows.
-    """
+    """Rows to train on; ``batch_loss_and_grad`` ranks them with ``row_keys``."""
 
     features: np.ndarray
     labels: np.ndarray
-    keys: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -146,14 +143,6 @@ class Batch:
             raise ConfigError("feature row count must equal label count")
         if self.features.shape[0] == 0:
             raise ConfigError("batch must be non-empty")
-        if self.keys is None:
-            return
-        self.keys = np.asarray(self.keys)
-        if self.keys.dtype.kind not in "iu" or self.keys.shape != (len(self.labels),):
-            raise ConfigError("batch keys must be an integer array with one entry per row")
-
-
-_FAN_IN = {"W": "input_dim", "W1": "input_dim", "W2": "hidden_dim"}
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
@@ -162,9 +151,9 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
     The quadratic probe starts at the zero vector.
     """
     values = np.zeros(param_count(spec))
-    for name, (sl, _) in spec.slices.items():
-        if name in _FAN_IN:
-            bound = 1.0 / np.sqrt(getattr(spec, _FAN_IN[name]))
+    for sl, shape in spec.slices.values():
+        if len(shape) == 2:  # a weight, fan-in x fan-out
+            bound = 1.0 / np.sqrt(shape[0])
             values[sl] = rng.uniform(-bound, bound, size=sl.stop - sl.start)
     return ParamVector(values, spec.slices)
 
@@ -200,23 +189,20 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def _views(spec: ModelSpec, vec: np.ndarray) -> list:
-    """The blocks of a flat vector as shaped views, in layout order."""
-    return [vec[sl].reshape(shape) for sl, shape in spec.slices.values()]
+def _layers(spec: ModelSpec, vec: np.ndarray) -> list:
+    """(W, b) views of a flat vector's blocks, one pair per dense layer."""
+    views = iter([vec[sl].reshape(shape) for sl, shape in spec.slices.values()])
+    return list(zip(views, views))
 
 
-def _forward_logits(spec: ModelSpec, theta: np.ndarray, X: np.ndarray):
-    if spec.kind == "linear":
-        W, b = _views(spec, theta)
-        return X @ W + b, None
-    # mlp
-    W1, b1, W2, b2 = _views(spec, theta)
-    pre = X @ W1 + b1
-    if spec.activation == "relu":
-        H = np.maximum(pre, 0.0)
-    else:
-        H = np.tanh(pre)
-    return H @ W2 + b2, (pre, H)
+def _forward_logits(spec: ModelSpec, layers: list, X: np.ndarray):
+    """Logits and each layer's input: ``X``, then each hidden layer's output."""
+    (W, b), *above = layers
+    inputs, Z = [X], X @ W + b
+    for W, b in above:
+        inputs.append(np.maximum(Z, 0.0) if spec.activation == "relu" else np.tanh(Z))
+        Z = inputs[-1] @ W + b
+    return Z, inputs
 
 
 def loss_and_grad(spec: ModelSpec, theta: np.ndarray, X, y, counts, n: float):
@@ -232,30 +218,22 @@ def loss_and_grad(spec: ModelSpec, theta: np.ndarray, X, y, counts, n: float):
             grad = theta - np.asarray(spec.probe_target, dtype=np.float64)
             loss = 0.5 * float(grad @ grad)
         else:
-            logits, hidden = _forward_logits(spec, theta, X)
+            layers = _layers(spec, theta)
+            logits, inputs = _forward_logits(spec, layers, X)
             logp = _log_softmax(logits)
             rows = np.arange(len(y))
             loss = float(counts @ (-logp[rows, y]) / n)
             G = np.exp(logp)
             G[rows, y] -= 1.0
             G *= (counts / n)[:, None]  # per-unique-row weights; sum to 1
-            grad = np.empty_like(theta)
-            if spec.kind == "linear":
-                gW, gb = _views(spec, grad)
-                gW[:] = X.T @ G
-                gb[:] = G.sum(axis=0)
-            else:
-                pre, H = hidden
-                gW1, gb1, gW2, gb2 = _views(spec, grad)
-                gW2[:] = H.T @ G
-                gb2[:] = G.sum(axis=0)
-                dH = G @ _views(spec, theta)[2].T  # G @ W2.T
-                if spec.activation == "relu":
-                    dpre = dH * (pre > 0.0)
-                else:
-                    dpre = dH * (1.0 - np.tanh(pre) ** 2)
-                gW1[:] = X.T @ dpre
-                gb1[:] = dpre.sum(axis=0)
+            blocks = []  # gradient blocks in layout order
+            for i in reversed(range(len(layers))):
+                A = inputs[i]
+                blocks[:0] = [(A.T @ G).ravel(), G.sum(axis=0)]  # W, then b
+                if i:  # back through the activation whose output is A
+                    dact = A > 0.0 if spec.activation == "relu" else 1.0 - A**2
+                    G = (G @ layers[i][0].T) * dact
+            grad = np.concatenate(blocks)
     if not math.isfinite(loss):
         raise NumericalOverflowError("loss")
     if not np.isfinite(grad).all():
@@ -268,17 +246,16 @@ def loss_and_grad(spec: ModelSpec, theta: np.ndarray, X, y, counts, n: float):
 def batch_loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch):
     """``loss_and_grad`` on a ParamVector and a Batch, its inputs checked.
 
-    The batch is canonicalised by its keys, or its own ``row_keys`` if it has
-    none. Returns (loss, gradient as a ParamVector).
+    The batch is canonicalised by its own ``row_keys``. Returns (loss,
+    gradient as a ParamVector).
     """
-    if params.layout != layout_for(spec):
+    if params.layout != spec.slices:
         raise ConfigError("params layout does not match the model spec")
     if spec.kind != "quadratic_probe":
         _check_spec_batch(spec, batch)
-    keys = batch.keys if batch.keys is not None else row_keys(batch.features, batch.labels)
-    sel, counts = canonical_rows(keys)
+    sel, counts = canonical_rows(row_keys(batch.features, batch.labels))
     X, y = batch.features[sel], batch.labels[sel]
-    loss, grad = loss_and_grad(spec, params.values, X, y, counts, float(len(keys)))
+    loss, grad = loss_and_grad(spec, params.values, X, y, counts, float(len(batch.labels)))
     return loss, ParamVector(grad, params.layout)
 
 
@@ -291,7 +268,7 @@ def top1_accuracy(spec: ModelSpec, params: ParamVector, data: Batch) -> float:
         raise UnsupportedOperationError("top1_accuracy undefined for quadratic_probe")
     _check_spec_batch(spec, data)
     with np.errstate(over="ignore", invalid="ignore"):  # a huge model still gets a score
-        logits, _ = _forward_logits(spec, params.values, data.features)
+        logits, _ = _forward_logits(spec, _layers(spec, params.values), data.features)
     return float(np.mean(np.argmax(logits, axis=1) == data.labels))
 
 

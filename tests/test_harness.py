@@ -1,6 +1,9 @@
 import json
+import math
 import os
 import re
+import sys
+import tempfile
 import warnings
 
 import pytest
@@ -363,6 +366,53 @@ def write_metrics(path, series):
             fh.write(json.dumps(rec) + "\n")
 
 
+GOOD_RECORD = {
+    "round": 0, "sampled": [0, 3], "loss": 1.0, "top1": 0.5,
+    "dt": 0.1, "grad_evals": 4, "upd_norm": 0.5,
+}
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400)])
+    | st.floats()
+    | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def metrics_value_ok(key, v):
+    """What a metrics.jsonl field may hold: JSON booleans are not numbers,
+    and an integer must fit a float64."""
+    integer = type(v) is int and abs(v) <= sys.float_info.max
+    number = integer or type(v) is float
+    if key in ("round", "grad_evals"):
+        return integer
+    if key == "sampled":
+        return type(v) is list and all(type(x) is int and abs(x) <= sys.float_info.max for x in v)
+    if key == "top1":
+        return v is None or (number and math.isfinite(v))
+    if key == "dt":
+        return number and math.isfinite(v)
+    return number  # loss and upd_norm: old files hold Infinity
+
+
+@st.composite
+def malformed_metrics_line(draw):
+    """A metrics line that is not an object, lacks a field or holds a bad value."""
+    how = draw(st.sampled_from(["not_object", "missing", "bad_value"]))
+    if how == "not_object":
+        return json.dumps(draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict))))
+    rec, key = dict(GOOD_RECORD), draw(st.sampled_from(sorted(GOOD_RECORD)))
+    if how == "missing":
+        del rec[key]
+    else:
+        rec[key] = draw(JSON_VALUES.filter(lambda v: not metrics_value_ok(key, v)))
+    return json.dumps(rec)
+
+
 class TestSummarize:
     def test_monotone_series(self, tmp_path):
         p = tmp_path / "m.jsonl"
@@ -493,6 +543,37 @@ class TestCLI:
         argv = ["export", str(tmp_path / "m.jsonl"), "--out", str(csv), "--last", last]
         assert cli_main(argv) == 2
         assert not csv.exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(line=malformed_metrics_line())
+    def test_malformed_metrics_exit_2_nothing_written(self, line):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "metrics.jsonl")
+            with open(path, "w") as fh:
+                fh.write(json.dumps(GOOD_RECORD) + "\n" + line + "\n")
+            with pytest.raises(ConfigError, match=re.escape(f"{path}:2:")):
+                harness.read_metrics(path)
+            assert cli_main(["summarize", path]) == 2
+            csv = os.path.join(tmp, "c.csv")
+            assert cli_main(["export", path, "--out", csv]) == 2
+            assert not os.path.exists(csv)
+
+    def test_old_infinite_upd_norm_still_loads(self, tmp_path, capsys):
+        # files written before an overflowing update norm became a divergence
+        path = tmp_path / "metrics.jsonl"
+        path.write_text(
+            '{"round":0,"sampled":[1],"loss":2.3,"top1":0.25,"dt":0.1,'
+            '"grad_evals":4,"upd_norm":1.5}\n'
+            '{"round":1,"sampled":[0],"loss":NaN,"top1":0.5,"dt":0.1,'
+            '"grad_evals":4,"upd_norm":Infinity}\n'
+        )
+        assert cli_main(["summarize", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[4:6] == ["0.5", "1"]
+        csv = tmp_path / "c.csv"
+        assert cli_main(["export", str(path), "--out", str(csv)]) == 0
+        assert csv.read_text() == "run_id,round,top1\n" + "".join(
+            f"{tmp_path.name},{r},{t}\n" for r, t in [(0, 0.25), (1, 0.5)]
+        )
 
     def test_sweep_summarize_export(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

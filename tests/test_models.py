@@ -45,6 +45,20 @@ def test_param_counts():
     assert param_count(LINEAR) == 4 * 3 + 3
     assert param_count(MLP) == 5 * 4 + 4 + 4 * 3 + 3
     assert param_count(PROBE3) == 3
+    # one dense layer (W, b) per pair of widths, blocks back to back in that order
+    shapes = {
+        LINEAR: [("W", (4, 3)), ("b", (3,))],
+        MLP: [("W1", (5, 4)), ("b1", (4,)), ("W2", (4, 3)), ("b2", (3,))],
+        PROBE3: [("theta", (3,))],
+    }
+    for spec, expected in shapes.items():
+        layout = layout_for(spec)
+        assert [(name, shape) for name, (_, shape) in layout.items()] == expected
+        stops = np.cumsum([np.prod(shape, dtype=int) for _, shape in expected])
+        assert [(sl.start, sl.stop) for sl, _ in layout.values()] == list(
+            zip([0, *stops[:-1]], stops)
+        )
+        assert spec.slices == layout
 
 
 def test_probe_zero_init():
@@ -65,6 +79,13 @@ def test_init_bounds_and_zero_biases():
     assert np.abs(pv.block("W1")).max() <= 1 / np.sqrt(5)
     assert np.abs(pv.block("W2")).max() <= 1 / np.sqrt(4)
     assert np.all(pv.block("b1") == 0) and np.all(pv.block("b2") == 0)
+    pv = init_params(LINEAR, derive_stream(7, -1, -1))
+    assert np.abs(pv.block("W")).max() <= 1 / np.sqrt(4)
+    assert np.all(pv.block("b") == 0)
+    # fan-in is a weight's row count; here a hidden layer's columns are far fewer
+    wide = ModelSpec("mlp", input_dim=64, num_classes=3, hidden_dim=4)
+    pv = init_params(wide, derive_stream(7, -1, -1))
+    assert np.abs(pv.block("W1")).max() <= 1 / np.sqrt(64)
 
 
 def test_invalid_spec():
@@ -298,18 +319,3 @@ def test_overflow_names_block_on_both_paths():
     sel, counts = canonical_rows(row_keys(X, y))
     with pytest.raises(NumericalOverflowError, match="'W1'"):
         loss_and_grad(MLP_TANH, pv.values, X[sel], y[sel], counts, 2.0)
-
-
-@pytest.mark.parametrize(
-    "keys",
-    [[0.0, 1.0, 2.0], [0, 1], [[0], [1], [2]], [True, False, True], ["a", "b", "c"]],
-    ids=["float", "short", "2d", "bool", "str"],
-)
-def test_batch_rejects_bad_keys(keys):
-    with pytest.raises(ConfigError):
-        Batch(np.zeros((3, 2)), [0, 1, 0], keys)
-
-
-def test_batch_accepts_integer_keys():
-    batch = Batch(np.zeros((3, 2)), [0, 1, 0], np.array([2, 0, 1], dtype=np.int32))
-    assert batch.keys.tolist() == [2, 0, 1]
