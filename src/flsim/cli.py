@@ -28,7 +28,7 @@ EXIT_DIVERGED = 3
 
 
 def _load(path):
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # a bad byte fails parsing
         return parse_config(fh.read())
 
 
@@ -66,8 +66,8 @@ def cmd_summarize(args) -> int:
     print(RUNS_HEADER)
     for row in rows:
         print(_row_csv(row, with_seed=True))
-    for path, exc in errors:
-        print(f"error: {path}: {exc}", file=sys.stderr)
+    for _, exc in errors:  # each error names its file
+        print(f"error: {exc}", file=sys.stderr)
     return EXIT_OK if not errors else EXIT_CONFIG
 
 

@@ -8,7 +8,7 @@ pure function of its config.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,18 +87,13 @@ class RunConfig:
 class ServerState:
     round: int
     global_params: ParamVector
-    # the vectors a method may name as its server_field
-    momentum: ParamVector | None = None
-    global_control: ParamVector | None = None
-    global_perturb: ParamVector | None = None
+    state: dict  # the method's server-state vectors by name
 
 
 def init_server_state(cfg: RunConfig, theta0: ParamVector) -> ServerState:
-    state = ServerState(round=0, global_params=theta0)
-    field_name = _m.METHODS[cfg.method].server_field
-    if field_name is not None:
-        state = replace(state, **{field_name: theta0.zeros_like()})
-    return state
+    """Round 0: ``theta0`` and the method's server-state vectors, all zero."""
+    keys = _m.METHODS[cfg.method].server_state
+    return ServerState(0, theta0, {k: np.zeros_like(theta0.values) for k in keys})
 
 
 def init_client_states(cfg: RunConfig, theta0: ParamVector) -> list:

@@ -36,20 +36,20 @@ def _is_number(v, finite=False) -> bool:
     return type(v) is float and (not finite or math.isfinite(v))
 
 
-def _is_int(v) -> bool:
-    return type(v) is int and _is_number(v)
+def _is_nonneg_int(v) -> bool:
+    return type(v) is int and _is_number(v) and v >= 0
 
 
 # metrics.jsonl key -> (RoundMetrics attribute, check read_metrics applies to
 # the value), in file order. loss and upd_norm may be non-finite: files
 # written before overflowing update norms became divergences hold Infinity.
 METRICS_FIELDS = {
-    "round": ("round", _is_int),
-    "sampled": ("sampled_clients", lambda v: type(v) is list and all(map(_is_int, v))),
+    "round": ("round", _is_nonneg_int),
+    "sampled": ("sampled_clients", lambda v: type(v) is list and all(map(_is_nonneg_int, v))),
     "loss": ("mean_train_loss", _is_number),
-    "top1": ("test_top1", lambda v: v is None or _is_number(v, finite=True)),
-    "dt": ("wall_time_seconds", lambda v: _is_number(v, finite=True)),
-    "grad_evals": ("grad_evals", _is_int),
+    "top1": ("test_top1", lambda v: v is None or (_is_number(v, finite=True) and 0 <= v <= 1)),
+    "dt": ("wall_time_seconds", lambda v: _is_number(v, finite=True) and v >= 0),
+    "grad_evals": ("grad_evals", _is_nonneg_int),
     "upd_norm": ("update_norm", _is_number),
 }
 RUNS_HEADER = (
@@ -364,13 +364,12 @@ def serialize_config(exp: ExperimentConfig) -> str:
 
 
 def _best_of(records):
-    """(best_top1, first round attaining it) over evaluated rounds."""
+    """(best_top1, first round attaining it) over evaluated rounds; (nan, -1) if none."""
     evaluated = [(r["round"], r["top1"]) for r in records if r["top1"] is not None]
     if not evaluated:
-        raise ConfigError("metrics contain no evaluated rounds")
+        return math.nan, -1
     best = max(t for _, t in evaluated)
-    best_round = min(r for r, t in evaluated if t == best)
-    return best, best_round
+    return best, min(r for r, t in evaluated if t == best)
 
 
 def _mean(records, key) -> float:
@@ -383,12 +382,7 @@ def _summary_row(cfg: RunConfig | None, records, status: str) -> SummaryRow:
     A diverged run reports the best accuracy of its completed prefix (nan if
     none was evaluated) and, as its round, the round that failed.
     """
-    try:
-        best, best_round = _best_of(records)
-    except ConfigError:
-        if status != "diverged":
-            raise
-        best = math.nan
+    best, best_round = _best_of(records)
     if status == "diverged":
         best_round = len(records)  # metrics stop just before the failed round
     return SummaryRow(
@@ -503,17 +497,24 @@ def run_sweep(spec: SweepSpec, out_dir):
 
 
 def _read_sidecar(metrics_path):
+    """The RunConfig in the ``config.txt`` beside a metrics file, or None."""
     cfg_path = os.path.join(os.path.dirname(metrics_path), "config.txt")
     if not os.path.exists(cfg_path):
         return None
-    with open(cfg_path) as fh:
-        return parse_config(fh.read())
+    with open(cfg_path, errors="replace") as fh:  # a bad byte fails parsing
+        try:
+            exp = parse_config(fh.read())
+        except ConfigError as exc:
+            raise ConfigError(f"{cfg_path}: {exc}") from exc
+    if not isinstance(exp, ExperimentConfig):
+        raise ConfigError(f"{cfg_path}: describes a sweep, not a single run")
+    return exp.run
 
 
 def read_metrics(path):
     """Load one metrics.jsonl file into a list of record dicts, each checked."""
     records = []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # a bad byte fails its line
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -537,21 +538,22 @@ def summarize(metrics_files, errors: list | None = None):
     The status comes from the run directory: with a ``config.txt`` sidecar a
     run is diverged when its metrics hold fewer records than ``rounds``
     (metrics are written only after training ends); without one it is
-    ``unknown``. Malformed files are skipped; their errors are appended to
-    ``errors``.
+    ``unknown``. Malformed files are skipped; their errors, each naming the
+    file at fault, are appended to ``errors``.
     """
     rows = []
     for path in metrics_files:
         try:
             records = read_metrics(path)
-            exp = _read_sidecar(path)
-            cfg = exp.run if exp is not None else None
+            cfg = _read_sidecar(path)
             if cfg is None:
                 status = "unknown"
             elif len(records) < cfg.rounds:
                 status = "diverged"
             else:
                 status = "completed"
+            if status != "diverged" and all(r["top1"] is None for r in records):
+                raise ConfigError(f"{path}: metrics contain no evaluated rounds")
             rows.append(_summary_row(cfg, records, status))
         except (ConfigError, OSError) as exc:
             if errors is None:

@@ -3,11 +3,11 @@
 ``client_opt`` runs one client's local round on plain arrays: L epochs of
 shuffled minibatch steps theta <- theta - lr * d over the client's rows of
 the training set. ``server_opt`` folds the client results in ascending
-client id into the next ``ServerState``. A client's state is a dict from
-name to vector. A method is one ``Method`` record in ``METHODS``: the
-hyperparameters it accepts, the names of the client state it carries
-across rounds, the one server-state field it may update, its per-step
-direction d, and its end-of-round client and server updates.
+client id into the next ``ServerState``. Inside a round every vector is a
+plain float64 array; client and server state are dicts of them by name. A
+method is one ``Method`` record in ``METHODS``: the hyperparameters it
+accepts, the names of the client and server state it carries across
+rounds, its per-step direction d, and its end-of-round updates.
 """
 from __future__ import annotations
 
@@ -54,12 +54,12 @@ class HyperParams:
 @dataclass
 class ClientResult:
     client_id: int
-    final_params: ParamVector
+    final_params: np.ndarray
     steps_taken: int
     mean_loss: float
     grad_evals: int
     num_samples: int
-    aux: ParamVector | None = None
+    aux: np.ndarray | None = None
 
 
 @dataclass
@@ -82,44 +82,44 @@ class Method:
     ``client_finish(c, theta_f, steps, eps)``, ``eps`` the last SAM perturbation,
     returns the client's new state (every key of ``client_state``) and the
     ``aux`` vector it sends to the server, or None. ``server_finish(server,
-    results, theta_new, hp, cfg)`` returns the new value of ``server_field``;
-    ``results`` are in ascending client id.
+    results, theta_new, hp, cfg)`` returns the new server state (every key of
+    ``server_state``); ``results`` are in ascending client id.
     """
 
     hparams: frozenset = frozenset()  # config keys the method accepts
     client_state: tuple = ()  # per-client vector names
-    server_field: str | None = None  # the ServerState vector it updates
+    server_state: tuple = ()  # server vector names
     direction: Callable = lambda c, g, tv: g
     sam: bool = False  # two gradient evaluations per step, see client_opt
     perturb_shift: Callable | None = None  # c -> vector added to the SAM raw gradient
     client_finish: Callable = lambda c, theta_f, steps, eps: ({}, None)
-    server_finish: Callable | None = None
+    server_finish: Callable = lambda server, results, theta_new, hp, cfg: {}
 
 
 def _fedcm_momentum(server, results, theta_new, hp, cfg):
     denom = cfg.client_lr * float(np.mean([r.steps_taken for r in results]))
     if denom > 0:
-        return (server.global_params.values - theta_new) / denom
-    return np.zeros_like(theta_new)
+        return {"momentum": (server.global_params.values - theta_new) / denom}
+    return {"momentum": np.zeros_like(theta_new)}
 
 
 def _fedgamma_client(c, theta_f, steps, eps):
     denom = c.cfg.client_lr * steps
     # lr=0 leaves theta unmoved; define the 0/0 displacement rate as 0
     rate = (c.theta_r - theta_f) / denom if denom > 0 else 0.0
-    c_m_new = c.state["c_m"] - c.server.global_control.values + rate
+    c_m_new = c.state["c_m"] - c.server.state["global_control"] + rate
     return {"c_m": c_m_new}, c_m_new - c.state["c_m"]
 
 
 def _fedsmoo_client(c, theta_f, steps, eps):
     h = c.state["h"] - c.hp.beta * (theta_f - c.theta_r)
-    u = c.state["u"] + (eps - c.server.global_perturb.values)
+    u = c.state["u"] + (eps - c.server.state["global_perturb"])
     return {"h": h, "u": u}, eps
 
 
 def _fedsmoo_perturb(server, results, theta_new, hp, cfg):
-    m_bar = np.mean([r.aux.values for r in results], axis=0)
-    return hp.rho * m_bar / (np.linalg.norm(m_bar) + hp.xi)
+    m_bar = np.mean([r.aux for r in results], axis=0)
+    return {"global_perturb": hp.rho * m_bar / (np.linalg.norm(m_bar) + hp.xi)}
 
 
 _SAM_HPARAMS = frozenset({"rho", "xi"})
@@ -141,22 +141,22 @@ METHODS = {
     ),
     "fedcm": Method(
         hparams=frozenset({"mu"}),
-        server_field="momentum",
-        direction=lambda c, g, tv: c.hp.mu * g + (1.0 - c.hp.mu) * c.server.momentum.values,
+        server_state=("momentum",),
+        direction=lambda c, g, tv: c.hp.mu * g + (1.0 - c.hp.mu) * c.server.state["momentum"],
         server_finish=_fedcm_momentum,
     ),
     "fedsam": Method(hparams=_SAM_HPARAMS, sam=True),
     "fedgamma": Method(
         hparams=_SAM_HPARAMS,
         client_state=("c_m",),
-        server_field="global_control",
+        server_state=("global_control",),
         sam=True,
-        direction=lambda c, g, tv: g - c.state["c_m"] + c.server.global_control.values,
+        direction=lambda c, g, tv: g - c.state["c_m"] + c.server.state["global_control"],
         client_finish=_fedgamma_client,
-        server_finish=lambda server, results, theta_new, hp, cfg: (
-            server.global_control.values
-            + np.sum([r.aux.values for r in results], axis=0) / cfg.n_clients
-        ),
+        server_finish=lambda server, results, theta_new, hp, cfg: {
+            "global_control": server.state["global_control"]
+            + np.sum([r.aux for r in results], axis=0) / cfg.n_clients
+        },
     ),
     "fedspeed": Method(
         hparams=_SAM_HPARAMS | {"gamma"},
@@ -171,9 +171,9 @@ METHODS = {
     "fedsmoo": Method(
         hparams=_SAM_HPARAMS | {"beta"},
         client_state=("h", "u"),
-        server_field="global_perturb",
+        server_state=("global_perturb",),
         sam=True,
-        perturb_shift=lambda c: c.server.global_perturb.values - c.state["u"],
+        perturb_shift=lambda c: c.server.state["global_perturb"] - c.state["u"],
         direction=lambda c, g, tv: g - c.state["h"] + c.hp.beta * (tv - c.theta_r),
         client_finish=_fedsmoo_client,
         server_finish=_fedsmoo_perturb,
@@ -192,11 +192,9 @@ def client_opt(cid, server, data, shard, state, hp, cfg, rng):
     epochs of shuffled minibatch steps; returns (ClientResult, new state).
     """
     m = METHODS[cfg.method]
-    theta_r = server.global_params
-    layout = theta_r.layout
-    c = ClientRound(cfg, hp, server, theta_r.values, state)
+    theta = server.global_params.values
+    c = ClientRound(cfg, hp, server, theta, state)
     shift = m.perturb_shift(c) if m.perturb_shift is not None else None
-    theta = theta_r.values
     eps = None
     losses = []
     for _ in range(cfg.local_epochs):
@@ -218,39 +216,34 @@ def client_opt(cid, server, data, shard, state, hp, cfg, rng):
     new_state, aux = m.client_finish(c, theta, len(losses), eps)
     result = ClientResult(
         client_id=cid,
-        final_params=ParamVector(theta, layout),
+        final_params=theta,
         steps_taken=len(losses),
         mean_loss=float(np.mean(losses)),
         grad_evals=len(losses) * (2 if m.sam else 1),
         num_samples=len(shard),
-        aux=None if aux is None else ParamVector(aux, layout),
+        aux=aux,
     )
     return result, new_state
 
 
-def mean_params(results, weighted: bool = False) -> ParamVector:
+def mean_params(results, weighted: bool = False) -> np.ndarray:
     """Deterministic fold in ascending client id (uniform mean by default)."""
     ordered = sorted(results, key=lambda r: r.client_id)
-    stack = np.stack([r.final_params.values for r in ordered])
+    stack = np.stack([r.final_params for r in ordered])
     if weighted:
         w = np.array([r.num_samples for r in ordered], dtype=np.float64)
-        vals = (w[:, None] * stack).sum(axis=0) / w.sum()
-    else:
-        vals = stack.mean(axis=0)
-    return ParamVector(vals, ordered[0].final_params.layout)
+        return (w[:, None] * stack).sum(axis=0) / w.sum()
+    return stack.mean(axis=0)
 
 
 def server_opt(server, results, hp, cfg):
     """Aggregate client results into the next server state.
 
-    Returns a new ServerState with round incremented; only the method's
-    declared server field (if any) is updated.
+    Returns a new ServerState with round incremented and the method's server
+    state from its ``server_finish``.
     """
     ordered = sorted(results, key=lambda r: r.client_id)
     theta_new = mean_params(ordered, weighted=cfg.weighted_avg)
-    new = replace(server, round=server.round + 1, global_params=theta_new)
-    m = METHODS[cfg.method]
-    if m.server_field is None:
-        return new
-    value = m.server_finish(server, ordered, theta_new.values, hp, cfg)
-    return replace(new, **{m.server_field: ParamVector(value, theta_new.layout)})
+    state = METHODS[cfg.method].server_finish(server, ordered, theta_new, hp, cfg)
+    global_params = ParamVector(theta_new, server.global_params.layout)
+    return replace(server, round=server.round + 1, global_params=global_params, state=state)

@@ -35,9 +35,6 @@ class ParamVector:
                 f"values length {self.values.shape} does not match layout size {total}"
             )
 
-    def zeros_like(self) -> "ParamVector":
-        return ParamVector(np.zeros_like(self.values), self.layout)
-
     def block(self, name: str) -> np.ndarray:
         sl, shape = self.layout[name]
         return self.values[sl].reshape(shape)

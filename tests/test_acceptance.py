@@ -21,6 +21,7 @@ from flsim.engine import (
     run_training,
 )
 from flsim.harness import parse_config, run_experiment, run_sweep
+from flsim.methods import METHODS
 from flsim.models import (
     Batch,
     ModelSpec,
@@ -228,10 +229,11 @@ def test_criterion_6_server_state_audit():
             server, states, _m = run_round(server, states, plan, train, cfg)
         touched = []
         for name in ("momentum", "global_control", "global_perturb"):
-            v = getattr(server, name)
-            if v is not None and np.any(v.values != 0):
+            v = server.state.get(name)
+            if v is not None and np.any(v != 0):
                 touched.append(name)
         mutated[method] = touched
+        assert set(server.state) == set(METHODS[method].server_state)
     assert mutated == {
         "fedavg": [],
         "fedprox": [],

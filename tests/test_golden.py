@@ -90,10 +90,10 @@ def case_hash(case: str) -> str:
     h = hashlib.sha256()
     h.update(server.global_params.values.astype("<f8").tobytes())
     for name in SERVER_FIELDS:
-        vec = getattr(server, name)
+        vec = server.state.get(name)
         if vec is not None:
             h.update(name.encode())
-            h.update(vec.values.astype("<f8").tobytes())
+            h.update(vec.astype("<f8").tobytes())
     per_round = [[m.grad_evals, list(m.sampled_clients)] for m in records]
     h.update(json.dumps(per_round).encode())
     return h.hexdigest()

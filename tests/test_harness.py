@@ -370,6 +370,7 @@ GOOD_RECORD = {
     "round": 0, "sampled": [0, 3], "loss": 1.0, "top1": 0.5,
     "dt": 0.1, "grad_evals": 4, "upd_norm": 0.5,
 }
+GOOD_LINE = (json.dumps(GOOD_RECORD) + "\n").encode()
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
@@ -383,19 +384,24 @@ JSON_VALUES = st.recursive(
 )
 
 
+# in-range types, out-of-range values: negative counts, ids and times, top1 > 1
+OUT_OF_RANGE = st.sampled_from([-5, -3, -1, -0.45, 1.0000001, 7.5, [-2], [1, -2]])
+
+
 def metrics_value_ok(key, v):
     """What a metrics.jsonl field may hold: JSON booleans are not numbers,
-    and an integer must fit a float64."""
+    an integer must fit a float64, counts, ids and times are non-negative
+    and top1 is in [0, 1]."""
     integer = type(v) is int and abs(v) <= sys.float_info.max
     number = integer or type(v) is float
     if key in ("round", "grad_evals"):
-        return integer
+        return integer and v >= 0
     if key == "sampled":
-        return type(v) is list and all(type(x) is int and abs(x) <= sys.float_info.max for x in v)
+        return type(v) is list and all(metrics_value_ok("round", x) for x in v)
     if key == "top1":
-        return v is None or (number and math.isfinite(v))
+        return v is None or (number and 0 <= v <= 1)
     if key == "dt":
-        return number and math.isfinite(v)
+        return number and math.isfinite(v) and v >= 0
     return number  # loss and upd_norm: old files hold Infinity
 
 
@@ -409,7 +415,8 @@ def malformed_metrics_line(draw):
     if how == "missing":
         del rec[key]
     else:
-        rec[key] = draw(JSON_VALUES.filter(lambda v: not metrics_value_ok(key, v)))
+        values = JSON_VALUES | OUT_OF_RANGE
+        rec[key] = draw(values.filter(lambda v: not metrics_value_ok(key, v)))
     return json.dumps(rec)
 
 
@@ -504,6 +511,8 @@ class TestCLI:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("method = fedavg\nrho = 1\nrounds = 1\nseed = 0\n")
         assert cli_main(["run", str(cfg)]) == 2
+        cfg.write_bytes(b"\xffmethod = fedavg\nrounds = 1\nseed = 0\n")  # not UTF-8
+        assert cli_main(["run", str(cfg)]) == 2
 
     def test_non_finite_config_exit_2(self, tmp_path):
         cfg = tmp_path / "nan.cfg"
@@ -557,6 +566,33 @@ class TestCLI:
             csv = os.path.join(tmp, "c.csv")
             assert cli_main(["export", path, "--out", csv]) == 2
             assert not os.path.exists(csv)
+
+    @pytest.mark.parametrize(
+        "metrics,config,blamed",
+        [
+            (b'{"round":0}\n', None, "metrics.jsonl"),
+            (b'\xff{"round":0}\n', None, "metrics.jsonl"),
+            (GOOD_LINE, b"method = fedavg\n", "config.txt"),
+            (GOOD_LINE, b"methods = fedavg\nseeds = 1\nrounds = 2\n", "config.txt"),
+            (GOOD_LINE, b"\xffmethod = fedavg\n", "config.txt"),
+        ],
+        ids=[
+            "bad_metrics_line", "metrics_not_utf8", "bad_config", "sweep_config", "config_not_utf8"
+        ],
+    )
+    def test_summarize_names_the_file_at_fault_once(
+        self, tmp_path, capsys, metrics, config, blamed
+    ):
+        run = tmp_path / "d"
+        run.mkdir()
+        (run / "metrics.jsonl").write_bytes(metrics)
+        if config is not None:
+            (run / "config.txt").write_bytes(config)
+        capsys.readouterr()
+        assert cli_main(["summarize", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(str(run / blamed)) == 1
+        assert err.count(str(run)) == 1  # and no other file
 
     def test_old_infinite_upd_norm_still_loads(self, tmp_path, capsys):
         # files written before an overflowing update norm became a divergence
