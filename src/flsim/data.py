@@ -74,15 +74,12 @@ def gen_blobs(
     """Gaussian blobs: class k centered at a fixed direction of norm 4."""
     if num_classes < 2 or per_class < 1 or spread < 0:
         raise ConfigError("gen_blobs: need num_classes>=2, per_class>=1, spread>=0")
-    feats = np.empty((num_classes * per_class, dim))
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
-    for k in range(num_classes):
-        lo = k * per_class
-        feats[lo : lo + per_class] = _class_center(k, dim) + spread * rng.standard_normal(
-            (per_class, dim)
-        )
-        labels[lo : lo + per_class] = k
-    return LabeledDataset(feats, labels, num_classes)
+    centers = np.array([_class_center(k, dim) for k in range(num_classes)])
+    feats = rng.standard_normal((num_classes, per_class, dim))
+    feats *= spread  # in place: no second dataset-sized array
+    feats += centers[:, None, :]
+    labels = np.repeat(np.arange(num_classes), per_class)
+    return LabeledDataset(feats.reshape(len(labels), dim), labels, num_classes)
 
 
 def split_train_test(data: LabeledDataset, test_fraction: float, rng: np.random.Generator):
@@ -108,26 +105,19 @@ def partition_iid(data: LabeledDataset, n_clients: int, rng: np.random.Generator
     total = len(data)
     if n_clients > total:
         raise ConfigError("more clients than samples")
-    perm = rng.permutation(total)
-    base, rem = divmod(total, n_clients)
-    assignments, pos = [], 0
-    for cid in range(n_clients):
-        size = base + (1 if cid < rem else 0)
-        assignments.append(perm[pos : pos + size].copy())
-        pos += size
-    plan = PartitionPlan(assignments)
+    plan = PartitionPlan(np.array_split(rng.permutation(total), n_clients))
     plan.validate(total)
     return plan
 
 
 def _repair_empty_clients(assignments):
-    """Give each empty client one sample stolen from the currently largest."""
-    for cid in range(len(assignments)):
-        if len(assignments[cid]) > 0:
-            continue
-        donor = int(np.argmax([len(a) for a in assignments]))
+    """Give each empty client one sample stolen from the currently largest (>= 2 rows)."""
+    sizes = np.array([len(a) for a in assignments])
+    for cid in np.flatnonzero(sizes == 0):
+        donor = int(np.argmax(sizes))
         assignments[cid] = assignments[donor][-1:]
         assignments[donor] = assignments[donor][:-1]
+        sizes[cid], sizes[donor] = 1, sizes[donor] - 1
 
 
 def partition_dirichlet(
@@ -137,40 +127,34 @@ def partition_dirichlet(
 
     alpha=0 is the degenerate single-class-per-client limit: clients cycle
     through classes (client i serves class i mod num_classes) and each
-    class's samples are divided among its assigned clients.
+    class's samples are divided among its assigned clients. A shard lists its
+    rows class by class, each class in its shuffled order.
     """
     if alpha < 0:
         raise ConfigError("alpha must be non-negative")
     total = len(data)
     if n_clients > total:
         raise ConfigError("more clients than samples")
-    assignments = [np.empty(0, dtype=np.int64) for _ in range(n_clients)]
-
-    if alpha == 0:
-        if n_clients < data.num_classes:
-            raise ConfigError("alpha=0 requires n_clients >= num_classes")
-        for k in range(data.num_classes):
-            idx = np.flatnonzero(data.labels == k)
-            idx = idx[rng.permutation(len(idx))]
-            owners = [c for c in range(n_clients) if c % data.num_classes == k]
-            for i, chunk in enumerate(np.array_split(idx, len(owners))):
-                assignments[owners[i]] = np.concatenate([assignments[owners[i]], chunk])
-    else:
-        for k in range(data.num_classes):
-            idx = np.flatnonzero(data.labels == k)
-            idx = idx[rng.permutation(len(idx))]
+    if alpha == 0 and n_clients < data.num_classes:
+        raise ConfigError("alpha=0 requires n_clients >= num_classes")
+    rows, owners = [], []  # per class: shuffled indices, and the client of each
+    for k in range(data.num_classes):
+        idx = np.flatnonzero(data.labels == k)
+        idx = idx[rng.permutation(len(idx))]
+        if alpha == 0:
+            mine = np.arange(k, n_clients, data.num_classes)
+            owner = np.repeat(mine, [len(c) for c in np.array_split(idx, len(mine))])
+        else:
             p = rng.dirichlet(np.full(n_clients, alpha))
             cuts = np.floor(np.cumsum(p) * len(idx)).astype(np.int64)
-            prev = 0
-            for cid in range(n_clients):
-                assignments[cid] = np.concatenate([assignments[cid], idx[prev : cuts[cid]]])
-                prev = cuts[cid]
-            # cumulative rounding can leave a tail; it belongs to the last client
-            if prev < len(idx):
-                assignments[-1] = np.concatenate([assignments[-1], idx[prev:]])
-
+            # client c owns positions [cuts[c-1], cuts[c]); the last also owns the rounding tail
+            owner = np.minimum(np.searchsorted(cuts, np.arange(len(idx)), "right"), n_clients - 1)
+        rows.append(idx)
+        owners.append(owner)
+    owners = np.concatenate(owners)
+    bounds = np.cumsum(np.bincount(owners, minlength=n_clients))[:-1]
+    assignments = np.split(np.concatenate(rows)[np.argsort(owners, kind="stable")], bounds)
     _repair_empty_clients(assignments)
     plan = PartitionPlan(assignments)
     plan.validate(total)
     return plan
-
