@@ -79,6 +79,9 @@ class RunConfig:
             raise ConfigError(f"unknown partition '{self.partition}'")
         if self.partition == "dirichlet" and self.alpha < 0:
             raise ConfigError("alpha must be non-negative")
+        if self.partition == "dirichlet" and self.alpha == 0:
+            if self.n_clients < self.model.num_classes:
+                raise ConfigError("alpha=0 requires n_clients >= num_classes")
         self.model.validate()
         self.hyperparams()
 

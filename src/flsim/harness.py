@@ -568,10 +568,13 @@ def export_curves(metrics_files, out_path, last: int | None = None):
         raise ConfigError("need at least one metrics file")
     if last is not None and last < 1:
         raise ConfigError(f"last must be at least 1, not {last}")
-    rows = []
+    rows, seen = [], {}  # seen: run id -> the metrics file it came from
     for path in metrics_files:
-        records = read_metrics(path)
         run_id = os.path.basename(os.path.dirname(path)) or os.path.basename(path)
+        if run_id in seen:
+            raise ConfigError(f"{seen[run_id]} and {path} both have run id '{run_id}'")
+        seen[run_id] = path
+        records = read_metrics(path)
         pts = [(r["round"], r["top1"]) for r in records if r["top1"] is not None]
         if last is not None and records:  # a run that diverged in round 0 has none
             max_round = max(r["round"] for r in records)

@@ -22,6 +22,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from conftest import MLP_SPEC, small_task  # noqa: E402
 from flsim.engine import RunConfig, run_training  # noqa: E402
+from flsim.methods import METHODS  # noqa: E402
 from flsim.models import ModelSpec  # noqa: E402
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "golden.json")
@@ -41,7 +42,6 @@ MODELS = {
     "mlp": MLP_SPEC,
 }
 PARTITIONS = {"iid": ("iid", 0.0), "dirichlet:0": ("dirichlet", 0.0)}
-SERVER_FIELDS = ("momentum", "global_control", "global_perturb")
 
 CASES = [
     f"{method}/{model}/{part}"
@@ -89,11 +89,9 @@ def case_hash(case: str) -> str:
     server = final["server"]
     h = hashlib.sha256()
     h.update(server.global_params.values.astype("<f8").tobytes())
-    for name in SERVER_FIELDS:
-        vec = server.state.get(name)
-        if vec is not None:
-            h.update(name.encode())
-            h.update(vec.astype("<f8").tobytes())
+    for name in METHODS[method].server_state:
+        h.update(name.encode())
+        h.update(server.state[name].astype("<f8").tobytes())
     per_round = [[m.grad_evals, list(m.sampled_clients)] for m in records]
     h.update(json.dumps(per_round).encode())
     return h.hexdigest()

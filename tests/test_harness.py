@@ -84,6 +84,7 @@ BAD_SWEEPS = [
     ("rounds = 3", "rounds = 3\nseed = 9", "use seeds"),
     ("rounds = 3", "rounds = 3\npartition = dirichlet", "use partitions"),
     ("rounds = 3", "rounds = 3\nalpha = 0.3", "use partitions = dirichlet:<alpha>"),
+    ("n_clients = 10", "n_clients = 5", "alpha=0 requires n_clients >= num_classes"),
 ]
 
 
@@ -480,7 +481,10 @@ class TestSummarize:
 
 class TestExport:
     def test_row_count_and_sort(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        # one directory per run: two files in one directory share a run id
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        a, b = tmp_path / "a" / "metrics.jsonl", tmp_path / "b" / "metrics.jsonl"
         write_metrics(a, [(r, 0.1 * r) for r in range(5)])
         write_metrics(b, [(r, 0.05 * r) for r in range(5)])
         out = tmp_path / "curves.csv"
@@ -544,6 +548,18 @@ class TestCLI:
         csv = tmp_path / "c.csv"
         assert cli_main(["export", str(out), "--out", str(csv), "--last", "5"]) == 0
         assert csv.read_text() == "run_id,round,top1\n"
+
+    def test_export_duplicate_run_id_exit_2_nothing_written(self, tmp_path, capsys):
+        merged = tmp_path / "merged"
+        for parent in ("x", "y"):
+            (merged / parent / "run1").mkdir(parents=True)
+            write_metrics(merged / parent / "run1" / "metrics.jsonl", [(r, 0.1) for r in range(3)])
+        csv = tmp_path / "c.csv"
+        assert cli_main(["export", str(merged), "--out", str(csv)]) == 2
+        assert not csv.exists()
+        err = capsys.readouterr().err
+        for parent in ("x", "y"):
+            assert str(merged / parent / "run1" / "metrics.jsonl") in err
 
     @pytest.mark.parametrize("last", ["0", "-2"])
     def test_export_last_below_one_exit_2_nothing_written(self, tmp_path, last):
