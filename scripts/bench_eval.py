@@ -40,14 +40,13 @@ def kernel_us(flsim, name, repeat, number=2000):
     """(kernel µs, step µs) for one spec at batch 32 on a 24,000-row dataset."""
     m = flsim.models
     spec = m.ModelSpec(**SPECS[name])
-    params = m.init_params(spec, flsim.engine.derive_stream(0, -1, -1))
+    theta = m.init_params(spec, flsim.engine.derive_stream(0, -1, -1))
     rng = np.random.default_rng(0)
     X = rng.standard_normal((24000, spec.input_dim))
     y = rng.integers(0, spec.num_classes, 24000)
     ranks = m.row_keys(X, y)
     rows = rng.choice(len(y), BATCH, replace=False)
 
-    theta = params.values
     sel, counts = m.canonical_rows(ranks[rows])
     Xc, yc, n = X[rows[sel]], y[rows[sel]], float(BATCH)
 

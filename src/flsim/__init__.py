@@ -45,11 +45,7 @@ from .methods import (
     HyperParams,
 )
 from .models import (
-    Batch,
     ModelSpec,
-    ParamVector,
-    batch_loss_and_grad,
-    finite_diff_grad,
     init_params,
     loss_and_grad,
     param_count,

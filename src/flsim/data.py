@@ -21,6 +21,8 @@ class LabeledDataset:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.features.ndim != 2:
+            raise ConfigError("features must be a 2-d matrix")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ConfigError("feature/label count mismatch")
         if len(self.labels) == 0:
@@ -50,12 +52,14 @@ class PartitionPlan:
     assignments: list  # client id -> np.ndarray of sample indices
 
     def validate(self, total: int):
-        seen = np.concatenate([np.asarray(a) for a in self.assignments])
-        if len(seen) != total or len(np.unique(seen)) != total:
-            raise ConfigError("assignments do not partition the index set")
         for cid, a in enumerate(self.assignments):
             if len(a) == 0:
                 raise ConfigError(f"client {cid} has an empty shard")
+        seen = np.concatenate(self.assignments)
+        # every index in [0, total) exactly once; bincount needs them in range
+        in_range = seen.dtype.kind in "iu" and ((seen >= 0) & (seen < total)).all()
+        if len(seen) != total or not in_range or (np.bincount(seen, minlength=total) != 1).any():
+            raise ConfigError("assignments do not partition the index set")
 
 
 def _class_center(k: int, dim: int) -> np.ndarray:
@@ -103,8 +107,8 @@ def split_train_test(data: LabeledDataset, test_fraction: float, rng: np.random.
 def partition_iid(data: LabeledDataset, n_clients: int, rng: np.random.Generator) -> PartitionPlan:
     """Global shuffle, contiguous equal chunks; remainder spread from client 0."""
     total = len(data)
-    if n_clients > total:
-        raise ConfigError("more clients than samples")
+    if not 1 <= n_clients <= total:
+        raise ConfigError(f"need 1 <= n_clients <= {total} samples")
     plan = PartitionPlan(np.array_split(rng.permutation(total), n_clients))
     plan.validate(total)
     return plan
@@ -133,8 +137,8 @@ def partition_dirichlet(
     if alpha < 0:
         raise ConfigError("alpha must be non-negative")
     total = len(data)
-    if n_clients > total:
-        raise ConfigError("more clients than samples")
+    if not 1 <= n_clients <= total:
+        raise ConfigError(f"need 1 <= n_clients <= {total} samples")
     if alpha == 0 and n_clients < data.num_classes:
         raise ConfigError("alpha=0 requires n_clients >= num_classes")
     rows, owners = [], []  # per class: shuffled indices, and the client of each

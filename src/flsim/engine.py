@@ -15,7 +15,7 @@ import numpy as np
 from . import methods as _m
 from .data import IID, LabeledDataset, PartitionPlan, partition_dirichlet, partition_iid
 from .errors import ConfigError, DivergenceError, NumericalOverflowError
-from .models import Batch, ModelSpec, ParamVector, init_params, top1_accuracy
+from .models import ModelSpec, ParamVector, init_params, top1_accuracy
 
 # reserved stream channels (client_id slot for server-side draws,
 # round slot for pre-training setup draws)
@@ -93,16 +93,17 @@ class ServerState:
     state: dict  # the method's server-state vectors by name
 
 
-def init_server_state(cfg: RunConfig, theta0: ParamVector) -> ServerState:
+def init_server_state(cfg: RunConfig, theta0: np.ndarray) -> ServerState:
     """Round 0: ``theta0`` and the method's server-state vectors, all zero."""
     keys = _m.METHODS[cfg.method].server_state
-    return ServerState(0, theta0, {k: np.zeros_like(theta0.values) for k in keys})
+    params = ParamVector(theta0, cfg.model.slices)
+    return ServerState(0, params, {k: np.zeros_like(params.values) for k in keys})
 
 
-def init_client_states(cfg: RunConfig, theta0: ParamVector) -> list:
+def init_client_states(cfg: RunConfig, theta0: np.ndarray) -> list:
     """Per client id, its method's client-state vectors by name, all zero."""
     keys = _m.METHODS[cfg.method].client_state
-    return [{k: np.zeros_like(theta0.values) for k in keys} for _ in range(cfg.n_clients)]
+    return [{k: np.zeros_like(theta0) for k in keys} for _ in range(cfg.n_clients)]
 
 
 @dataclass
@@ -203,7 +204,6 @@ def run_training(
     plan = build_partition(cfg, train)
     server = init_server_state(cfg, theta0)
     states = init_client_states(cfg, theta0)
-    test_batch = Batch(test.features, test.labels)
 
     records = []
     for r in range(cfg.rounds):
@@ -213,7 +213,8 @@ def run_training(
             exc.metrics = records
             raise
         if r % cfg.eval_every == 0 or r == cfg.rounds - 1:
-            metrics.test_top1 = top1_accuracy(cfg.model, server.global_params, test_batch)
+            theta = server.global_params.values
+            metrics.test_top1 = top1_accuracy(cfg.model, theta, test.features, test.labels)
         records.append(metrics)
         if on_round is not None:
             on_round(server, states, metrics)

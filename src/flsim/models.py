@@ -22,7 +22,11 @@ ACTIVATIONS = ("relu", "tanh")
 
 @dataclass
 class ParamVector:
-    """Flat float64 parameters plus the layout of their blocks (``layout_for``)."""
+    """Flat float64 parameters plus the layout of their blocks (``layout_for``).
+
+    The type of ``ServerState.global_params`` only; everything else in the
+    package passes the plain vector.
+    """
 
     values: np.ndarray
     layout: dict
@@ -34,10 +38,6 @@ class ParamVector:
             raise ConfigError(
                 f"values length {self.values.shape} does not match layout size {total}"
             )
-
-    def block(self, name: str) -> np.ndarray:
-        sl, shape = self.layout[name]
-        return self.values[sl].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -124,25 +124,7 @@ def row_keys(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return keys
 
 
-@dataclass
-class Batch:
-    """Rows to train on; ``batch_loss_and_grad`` ranks them with ``row_keys``."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2:
-            raise ConfigError("batch features must be a 2-d matrix")
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ConfigError("feature row count must equal label count")
-        if self.features.shape[0] == 0:
-            raise ConfigError("batch must be non-empty")
-
-
-def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
+def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """Weights uniform in +-1/sqrt(fan_in) per block, biases zero.
 
     The quadratic probe starts at the zero vector.
@@ -152,7 +134,7 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParamVector:
         if len(shape) == 2:  # a weight, fan-in x fan-out
             bound = 1.0 / np.sqrt(shape[0])
             values[sl] = rng.uniform(-bound, bound, size=sl.stop - sl.start)
-    return ParamVector(values, spec.slices)
+    return values
 
 
 def canonical_rows(keys: np.ndarray):
@@ -170,15 +152,6 @@ def canonical_rows(keys: np.ndarray):
     edge[1:n] = srt[1:] != srt[:-1]
     bounds = edge.nonzero()[0]
     return order[bounds[:-1]], (bounds[1:] - bounds[:-1]).astype(np.float64)
-
-
-def _check_spec_batch(spec: ModelSpec, batch: Batch):
-    if batch.features.shape[1] != spec.input_dim:
-        raise ConfigError(
-            f"batch feature dim {batch.features.shape[1]} != input_dim {spec.input_dim}"
-        )
-    if batch.labels.min() < 0 or batch.labels.max() >= spec.num_classes:
-        raise ConfigError("labels out of range for num_classes")
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -240,47 +213,14 @@ def loss_and_grad(spec: ModelSpec, theta: np.ndarray, X, y, counts, n: float):
     return loss, grad
 
 
-def batch_loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch):
-    """``loss_and_grad`` on a ParamVector and a Batch, its inputs checked.
+def top1_accuracy(spec: ModelSpec, theta: np.ndarray, X, y) -> float:
+    """Fraction of rows of ``X`` whose argmax logit equals the label in ``y``.
 
-    The batch is canonicalised by its own ``row_keys``. Returns (loss,
-    gradient as a ParamVector).
-    """
-    if params.layout != spec.slices:
-        raise ConfigError("params layout does not match the model spec")
-    if spec.kind != "quadratic_probe":
-        _check_spec_batch(spec, batch)
-    sel, counts = canonical_rows(row_keys(batch.features, batch.labels))
-    X, y = batch.features[sel], batch.labels[sel]
-    loss, grad = loss_and_grad(spec, params.values, X, y, counts, float(len(batch.labels)))
-    return loss, ParamVector(grad, params.layout)
-
-
-def top1_accuracy(spec: ModelSpec, params: ParamVector, data: Batch) -> float:
-    """Fraction of rows whose argmax logit equals the label.
-
-    Ties break toward the lowest class index (np.argmax semantics).
+    The rows are checked by the caller to fit ``spec``. Ties break toward
+    the lowest class index (np.argmax semantics).
     """
     if spec.kind == "quadratic_probe":
         raise UnsupportedOperationError("top1_accuracy undefined for quadratic_probe")
-    _check_spec_batch(spec, data)
     with np.errstate(over="ignore", invalid="ignore"):  # a huge model still gets a score
-        logits, _ = _forward_logits(spec, _layers(spec, params.values), data.features)
-    return float(np.mean(np.argmax(logits, axis=1) == data.labels))
-
-
-def finite_diff_grad(
-    spec: ModelSpec, params: ParamVector, batch: Batch, epsilon: float
-) -> ParamVector:
-    """Central-difference gradient estimate, coordinate by coordinate."""
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
-    est = np.zeros_like(params.values)
-    for i in range(len(params.values)):
-        bumped = ParamVector(params.values.copy(), params.layout)
-        bumped.values[i] += epsilon
-        lo_plus, _ = batch_loss_and_grad(spec, bumped, batch)
-        bumped.values[i] = params.values[i] - epsilon
-        lo_minus, _ = batch_loss_and_grad(spec, bumped, batch)
-        est[i] = (lo_plus - lo_minus) / (2.0 * epsilon)
-    return ParamVector(est, params.layout)
+        logits, _ = _forward_logits(spec, _layers(spec, theta), X)
+    return float(np.mean(np.argmax(logits, axis=1) == y))

@@ -22,13 +22,8 @@ from flsim.engine import (
 )
 from flsim.harness import parse_config, run_experiment, run_sweep
 from flsim.methods import METHODS
-from flsim.models import (
-    Batch,
-    ModelSpec,
-    batch_loss_and_grad,
-    finite_diff_grad,
-    init_params,
-)
+from flsim.models import ModelSpec, init_params
+from oracle import batch_loss_and_grad, finite_diff_grad
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -55,18 +50,16 @@ def test_criterion_1_gradient_oracle():
             params = init_params(spec, derive_stream(trial, -1, -1))
             rng = np.random.default_rng(1000 + trial)
             if spec.kind == "quadratic_probe":
-                params.values += rng.standard_normal(len(params.values))
-                batch = Batch(np.zeros((1, 1)), [0])
+                params += rng.standard_normal(len(params))
+                batch = (np.zeros((1, 1)), [0])
             else:
-                batch = Batch(
+                batch = (
                     rng.standard_normal((12, spec.input_dim)),
                     rng.integers(0, spec.num_classes, 12),
                 )
-            _, grad = batch_loss_and_grad(spec, params, batch)
-            fd = finite_diff_grad(spec, params, batch, 1e-5)
-            rel = np.max(
-                np.abs(fd.values - grad.values) / np.maximum(np.abs(grad.values), 1e-8)
-            )
+            _, grad = batch_loss_and_grad(spec, params, *batch)
+            fd = finite_diff_grad(spec, params, *batch, 1e-5)
+            rel = np.max(np.abs(fd - grad) / np.maximum(np.abs(grad), 1e-8))
             assert rel < 1e-5, f"{spec.kind} trial {trial}: rel err {rel}"
     assert time.perf_counter() - t0 < 10.0
     report(1, "gradient oracle")
@@ -125,10 +118,10 @@ def test_criterion_3_centralized_equivalence():
             for s in range(0, len(shard), cfg.batch_size):
                 idx = order[s : s + cfg.batch_size]
                 _, g = batch_loss_and_grad(
-                    cfg.model, theta, Batch(shard.features[idx], shard.labels[idx])
+                    cfg.model, theta, shard.features[idx], shard.labels[idx]
                 )
-                theta.values = theta.values - cfg.client_lr * g.values
-        assert np.array_equal(traj[r], theta.values), f"round {r} differs"
+                theta = theta - cfg.client_lr * g
+        assert np.array_equal(traj[r], theta), f"round {r} differs"
     report(3, "centralized equivalence")
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from flsim.data import (
     LabeledDataset,
+    PartitionPlan,
     gen_blobs,
     partition_dirichlet,
     partition_iid,
@@ -59,6 +60,45 @@ class TestGenBlobs:
             gen_blobs(3, 4, 0, 0.1, rng())
         with pytest.raises(ConfigError):
             gen_blobs(3, 4, 5, -0.1, rng())
+
+
+class TestLabeledDataset:
+    @pytest.mark.parametrize("shape", [(6,), (6, 1, 1)], ids=["1-d", "3-d"])
+    def test_features_must_be_a_matrix(self, shape):
+        with pytest.raises(ConfigError, match="2-d"):
+            LabeledDataset(np.arange(6.0).reshape(shape), [0, 1] * 3, 2)
+
+
+class TestPartitionPlan:
+    @pytest.mark.parametrize(
+        "assignments",
+        [
+            [[0, 1], [-1]],  # negative index
+            [[0, 1], [5]],  # index >= total
+            [[0, 1], [1]],  # duplicate index, one missing
+            [[0, 1, 2], []],  # empty shard
+            [[0.0, 1.0], [2.0]],  # not integer indices
+        ],
+        ids=["negative", "too-large", "duplicate", "empty-shard", "float"],
+    )
+    def test_rejects_non_partition(self, assignments):
+        plan = PartitionPlan([np.array(a) for a in assignments])
+        with pytest.raises(ConfigError):
+            plan.validate(3)
+
+    def test_accepts_partition(self):
+        PartitionPlan([np.array([2, 0]), np.array([1])]).validate(3)
+
+
+@pytest.mark.parametrize("n_clients", [0, -1])
+@pytest.mark.parametrize("make", ["iid", "dirichlet:0", "dirichlet:0.5"])
+def test_partition_needs_a_client(make, n_clients):
+    data = blobs(num_classes=2, per_class=5)
+    with pytest.raises(ConfigError, match="n_clients"):
+        if make == "iid":
+            partition_iid(data, n_clients, rng())
+        else:
+            partition_dirichlet(data, n_clients, float(make.split(":")[1]), rng())
 
 
 class TestSplit:

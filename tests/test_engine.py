@@ -18,7 +18,8 @@ from flsim.engine import (
     sample_clients,
 )
 from flsim.errors import ConfigError, DivergenceError
-from flsim.models import Batch, batch_loss_and_grad, init_params
+from flsim.models import init_params
+from oracle import batch_loss_and_grad
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -131,9 +132,8 @@ class TestRunRound:
         states = init_client_states(cfg, theta0)
         new_server, _, _ = run_round(server, states, plan, data, cfg)
         # replicate one client's single full-batch step
-        batch = Batch(rows, labels)
-        _, g = batch_loss_and_grad(cfg.model, theta0, batch)
-        expected = theta0.values - cfg.client_lr * g.values
+        _, g = batch_loss_and_grad(cfg.model, theta0, rows, labels)
+        expected = theta0 - cfg.client_lr * g
         assert np.array_equal(new_server.global_params.values, expected)
 
     def test_divergence_raises_typed_error(self):
@@ -193,7 +193,7 @@ class TestRunTraining:
         cfg = mlp_config("fedavg", n_clients=1, sample_size=1, rounds=10, local_epochs=2)
         traj = trajectory(cfg, train)
 
-        theta = init_params(cfg.model, derive_stream(cfg.seed, -1, -1)).values.copy()
+        theta = init_params(cfg.model, derive_stream(cfg.seed, -1, -1)).copy()
         plan = build_partition(cfg, train)
         shard = train.subset(plan.assignments[0])
         for r in range(cfg.rounds):
@@ -202,12 +202,10 @@ class TestRunTraining:
                 order = rng.permutation(len(shard))
                 for s in range(0, len(shard), cfg.batch_size):
                     idx = order[s : s + cfg.batch_size]
-                    pv = init_params(cfg.model, derive_stream(0, 0, 0))
-                    pv.values = theta
                     _, g = batch_loss_and_grad(
-                        cfg.model, pv, Batch(shard.features[idx], shard.labels[idx])
+                        cfg.model, theta, shard.features[idx], shard.labels[idx]
                     )
-                    theta = theta - cfg.client_lr * g.values
+                    theta = theta - cfg.client_lr * g
             assert np.array_equal(traj[r], theta)
 
     def test_pilot_floor(self):

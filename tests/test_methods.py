@@ -14,13 +14,13 @@ from flsim.methods import (
     mean_params,
     server_opt,
 )
-from flsim.models import ParamVector, layout_for, param_count
+from flsim.models import param_count
 
 
 def run_probe(method, hparams, steps=1, theta0=1.0, lr=0.1, target=(0.0,)):
     """One local round on the quadratic probe, from theta0 in every coordinate."""
     cfg = probe_config(method, target=target, client_lr=lr, local_epochs=steps)
-    theta_r = ParamVector(np.full(len(target), float(theta0)), layout_for(cfg.model))
+    theta_r = np.full(len(target), float(theta0))
     server = init_server_state(cfg, theta_r)
     (state,) = init_client_states(cfg, theta_r)
     hp = HyperParams.for_method(method, hparams)

@@ -9,12 +9,9 @@ from hypothesis.extra import numpy as hnp
 from flsim.engine import derive_stream
 from flsim.errors import ConfigError, NumericalOverflowError, UnsupportedOperationError
 from flsim.models import (
-    Batch,
     ModelSpec,
     ParamVector,
-    batch_loss_and_grad,
     canonical_rows,
-    finite_diff_grad,
     init_params,
     layout_for,
     loss_and_grad,
@@ -22,6 +19,7 @@ from flsim.models import (
     row_keys,
     top1_accuracy,
 )
+from oracle import batch_loss_and_grad, block, finite_diff_grad
 
 LINEAR = ModelSpec("linear", input_dim=4, num_classes=3)
 MLP = ModelSpec("mlp", input_dim=5, num_classes=3, hidden_dim=4, activation="relu")
@@ -31,7 +29,7 @@ PROBE3 = ModelSpec("quadratic_probe", probe_target=(0.0, 0.0, 0.0))
 
 def random_batch(spec, n, seed):
     rng = np.random.default_rng(seed)
-    return Batch(
+    return (
         rng.standard_normal((n, spec.input_dim)),
         rng.integers(0, spec.num_classes, n),
     )
@@ -62,30 +60,30 @@ def test_param_counts():
 
 
 def test_probe_zero_init():
-    pv = init_params(PROBE3, derive_stream(0, -1, -1))
-    assert np.array_equal(pv.values, np.zeros(3))
+    theta = init_params(PROBE3, derive_stream(0, -1, -1))
+    assert np.array_equal(theta, np.zeros(3))
 
 
 def test_init_deterministic():
     a = init_params(MLP, derive_stream(42, -1, -1))
     b = init_params(MLP, derive_stream(42, -1, -1))
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     c = init_params(MLP, derive_stream(43, -1, -1))
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
 
 
 def test_init_bounds_and_zero_biases():
-    pv = init_params(MLP, derive_stream(7, -1, -1))
-    assert np.abs(pv.block("W1")).max() <= 1 / np.sqrt(5)
-    assert np.abs(pv.block("W2")).max() <= 1 / np.sqrt(4)
-    assert np.all(pv.block("b1") == 0) and np.all(pv.block("b2") == 0)
-    pv = init_params(LINEAR, derive_stream(7, -1, -1))
-    assert np.abs(pv.block("W")).max() <= 1 / np.sqrt(4)
-    assert np.all(pv.block("b") == 0)
+    theta = init_params(MLP, derive_stream(7, -1, -1))
+    assert np.abs(block(MLP, theta, "W1")).max() <= 1 / np.sqrt(5)
+    assert np.abs(block(MLP, theta, "W2")).max() <= 1 / np.sqrt(4)
+    assert np.all(block(MLP, theta, "b1") == 0) and np.all(block(MLP, theta, "b2") == 0)
+    theta = init_params(LINEAR, derive_stream(7, -1, -1))
+    assert np.abs(block(LINEAR, theta, "W")).max() <= 1 / np.sqrt(4)
+    assert np.all(block(LINEAR, theta, "b") == 0)
     # fan-in is a weight's row count; here a hidden layer's columns are far fewer
     wide = ModelSpec("mlp", input_dim=64, num_classes=3, hidden_dim=4)
-    pv = init_params(wide, derive_stream(7, -1, -1))
-    assert np.abs(pv.block("W1")).max() <= 1 / np.sqrt(64)
+    theta = init_params(wide, derive_stream(7, -1, -1))
+    assert np.abs(block(wide, theta, "W1")).max() <= 1 / np.sqrt(64)
 
 
 def test_invalid_spec():
@@ -99,24 +97,24 @@ def test_invalid_spec():
 
 def test_zero_params_loss_is_log_c():
     spec = ModelSpec("linear", input_dim=6, num_classes=10)
-    pv = ParamVector(np.zeros(param_count(spec)), layout_for(spec))
-    loss, _ = batch_loss_and_grad(spec, pv, random_batch(spec, 20, 0))
+    theta = np.zeros(param_count(spec))
+    loss, _ = batch_loss_and_grad(spec, theta, *random_batch(spec, 20, 0))
     assert loss == pytest.approx(np.log(10), abs=1e-12)
 
 
 def test_probe_loss_and_grad():
     spec = ModelSpec("quadratic_probe", probe_target=(0.0, 0.0))
-    pv = ParamVector(np.array([1.0, 2.0]), layout_for(spec))
-    loss, grad = batch_loss_and_grad(spec, pv, random_batch(LINEAR, 2, 0))
+    theta = np.array([1.0, 2.0])
+    loss, grad = batch_loss_and_grad(spec, theta, *random_batch(LINEAR, 2, 0))
     assert loss == 2.5
-    assert np.array_equal(grad.values, np.array([1.0, 2.0]))
+    assert np.array_equal(grad, np.array([1.0, 2.0]))
 
 
 def test_finite_diff_probe_linear_exact():
     spec = ModelSpec("quadratic_probe", probe_target=(1.0,))
-    pv = ParamVector(np.array([3.0]), layout_for(spec))
-    fd = finite_diff_grad(spec, pv, random_batch(LINEAR, 1, 0), 1e-4)
-    assert fd.values[0] == pytest.approx(2.0, abs=1e-8)
+    theta = np.array([3.0])
+    fd = finite_diff_grad(spec, theta, *random_batch(LINEAR, 1, 0), 1e-4)
+    assert fd[0] == pytest.approx(2.0, abs=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -130,77 +128,71 @@ def test_finite_diff_probe_linear_exact():
 )
 def test_gradient_matches_finite_differences(spec):
     for trial in range(10):
-        pv = init_params(spec, derive_stream(trial, -1, -1))
+        theta = init_params(spec, derive_stream(trial, -1, -1))
         if spec.kind == "quadratic_probe":
-            pv.values += np.random.default_rng(trial).standard_normal(len(pv.values))
+            theta += np.random.default_rng(trial).standard_normal(len(theta))
             batch = random_batch(LINEAR, 2, trial)
         else:
             batch = random_batch(spec, 12, trial)
-        _, grad = batch_loss_and_grad(spec, pv, batch)
-        fd = finite_diff_grad(spec, pv, batch, 1e-5)
-        assert rel_err(fd.values, grad.values) < 1e-5
+        _, grad = batch_loss_and_grad(spec, theta, *batch)
+        fd = finite_diff_grad(spec, theta, *batch, 1e-5)
+        assert rel_err(fd, grad) < 1e-5
 
 
 def test_loss_non_negative():
     for trial in range(5):
-        pv = init_params(MLP, derive_stream(trial, -1, -1))
-        loss, _ = batch_loss_and_grad(MLP, pv, random_batch(MLP, 16, trial))
+        theta = init_params(MLP, derive_stream(trial, -1, -1))
+        loss, _ = batch_loss_and_grad(MLP, theta, *random_batch(MLP, 16, trial))
         assert loss >= 0.0
 
 
 def test_permutation_invariance_exact():
-    pv = init_params(LINEAR, derive_stream(5, -1, -1))
-    batch = random_batch(LINEAR, 16, 5)
+    theta = init_params(LINEAR, derive_stream(5, -1, -1))
+    X, y = random_batch(LINEAR, 16, 5)
     perm = np.random.default_rng(0).permutation(16)
-    shuffled = Batch(batch.features[perm], batch.labels[perm])
-    l1, g1 = batch_loss_and_grad(LINEAR, pv, batch)
-    l2, g2 = batch_loss_and_grad(LINEAR, pv, shuffled)
+    l1, g1 = batch_loss_and_grad(LINEAR, theta, X, y)
+    l2, g2 = batch_loss_and_grad(LINEAR, theta, X[perm], y[perm])
     assert l1 == l2
-    assert np.array_equal(g1.values, g2.values)
+    assert np.array_equal(g1, g2)
 
 
 def test_duplication_invariance_exact():
-    pv = init_params(MLP, derive_stream(9, -1, -1))
-    batch = random_batch(MLP, 10, 9)
-    doubled = Batch(
-        np.concatenate([batch.features, batch.features]),
-        np.concatenate([batch.labels, batch.labels]),
-    )
-    l1, g1 = batch_loss_and_grad(MLP, pv, batch)
-    l2, g2 = batch_loss_and_grad(MLP, pv, doubled)
+    theta = init_params(MLP, derive_stream(9, -1, -1))
+    X, y = random_batch(MLP, 10, 9)
+    l1, g1 = batch_loss_and_grad(MLP, theta, X, y)
+    l2, g2 = batch_loss_and_grad(MLP, theta, np.concatenate([X, X]), np.concatenate([y, y]))
     assert l1 == l2
-    assert np.array_equal(g1.values, g2.values)
+    assert np.array_equal(g1, g2)
 
 
 def test_accuracy_zero_params_ties_to_class_zero():
     spec = ModelSpec("linear", input_dim=4, num_classes=3)
-    pv = ParamVector(np.zeros(param_count(spec)), layout_for(spec))
-    batch = random_batch(spec, 50, 3)
-    acc = top1_accuracy(spec, pv, batch)
-    assert acc == np.mean(batch.labels == 0)
+    theta = np.zeros(param_count(spec))
+    X, y = random_batch(spec, 50, 3)
+    acc = top1_accuracy(spec, theta, X, y)
+    assert acc == np.mean(y == 0)
 
 
 def test_accuracy_single_sample():
-    pv = init_params(LINEAR, derive_stream(2, -1, -1))
+    theta = init_params(LINEAR, derive_stream(2, -1, -1))
     x = np.random.default_rng(0).standard_normal((1, 4))
-    logits = x @ pv.block("W") + pv.block("b")
-    batch = Batch(x, [int(np.argmax(logits))])
-    assert top1_accuracy(LINEAR, pv, batch) == 1.0
+    logits = x @ block(LINEAR, theta, "W") + block(LINEAR, theta, "b")
+    assert top1_accuracy(LINEAR, theta, x, np.array([int(np.argmax(logits))])) == 1.0
 
 
 def test_accuracy_huge_model_no_warning():
     # finite parameters whose logits overflow still get a score, silently
-    pv = ParamVector(np.full(param_count(MLP), 1e200), layout_for(MLP))
+    theta = np.full(param_count(MLP), 1e200)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        acc = top1_accuracy(MLP, pv, random_batch(MLP, 8, 0))
+        acc = top1_accuracy(MLP, theta, *random_batch(MLP, 8, 0))
     assert 0.0 <= acc <= 1.0
 
 
 def test_accuracy_probe_unsupported():
-    pv = init_params(PROBE3, derive_stream(0, -1, -1))
+    theta = init_params(PROBE3, derive_stream(0, -1, -1))
     with pytest.raises(UnsupportedOperationError):
-        top1_accuracy(PROBE3, pv, random_batch(LINEAR, 2, 0))
+        top1_accuracy(PROBE3, theta, *random_batch(LINEAR, 2, 0))
 
 
 def test_oracle_trained_model_separable_blobs():
@@ -209,34 +201,31 @@ def test_oracle_trained_model_separable_blobs():
 
     data = gen_blobs(10, 8, 20, 0.1, derive_stream(0, -3, -1))
     spec = ModelSpec("linear", input_dim=8, num_classes=10)
-    pv = init_params(spec, derive_stream(0, -1, -1))
-    batch = Batch(data.features, data.labels)
+    theta = init_params(spec, derive_stream(0, -1, -1))
     for _ in range(200):
-        _, grad = batch_loss_and_grad(spec, pv, batch)
-        pv.values -= 0.5 * grad.values
-    assert top1_accuracy(spec, pv, batch) == 1.0
+        _, grad = batch_loss_and_grad(spec, theta, data.features, data.labels)
+        theta -= 0.5 * grad
+    assert top1_accuracy(spec, theta, data.features, data.labels) == 1.0
 
 
 def test_finite_diff_duplicated_sample_identical():
     x = np.random.default_rng(1).standard_normal((1, 4))
-    single = Batch(x, [1])
-    dup = Batch(np.repeat(x, 3, axis=0), [1, 1, 1])
-    pv = init_params(LINEAR, derive_stream(4, -1, -1))
-    _, g1 = batch_loss_and_grad(LINEAR, pv, single)
-    _, g2 = batch_loss_and_grad(LINEAR, pv, dup)
-    assert np.array_equal(g1.values, g2.values)
+    theta = init_params(LINEAR, derive_stream(4, -1, -1))
+    _, g1 = batch_loss_and_grad(LINEAR, theta, x, [1])
+    _, g2 = batch_loss_and_grad(LINEAR, theta, np.repeat(x, 3, axis=0), [1, 1, 1])
+    assert np.array_equal(g1, g2)
 
 
 def test_finite_diff_rejects_bad_epsilon():
-    pv = init_params(LINEAR, derive_stream(0, -1, -1))
+    theta = init_params(LINEAR, derive_stream(0, -1, -1))
     with pytest.raises(ConfigError):
-        finite_diff_grad(LINEAR, pv, random_batch(LINEAR, 4, 0), 0.0)
+        finite_diff_grad(LINEAR, theta, *random_batch(LINEAR, 4, 0), 0.0)
 
 
 def test_layout_mismatch_rejected():
-    pv = init_params(LINEAR, derive_stream(0, -1, -1))
+    theta = init_params(LINEAR, derive_stream(0, -1, -1))
     with pytest.raises(ConfigError):
-        ParamVector(pv.values[:-1], pv.layout)
+        ParamVector(theta[:-1], layout_for(LINEAR))
 
 
 # few distinct values, so duplicate rows, ties in leading columns and
@@ -290,32 +279,28 @@ def test_row_keys_order_and_loss_bit_identical(spec, data, seed, scale):
     assert np.array_equal(counts, np.diff(starts, append=len(idx)))
 
     # the kernel on the rows the dataset's ranks select, as client_opt calls
-    # it, against the checked adapter ranking the batch itself: the same
-    # bytes, or the same overflow error naming the same block
-    pv = init_params(spec, derive_stream(seed, -1, -1))
+    # it, against the oracle ranking the batch itself: the same bytes, or the
+    # same overflow error naming the same block
+    theta = init_params(spec, derive_stream(seed, -1, -1))
     if probe:
-        pv.values += 1.0  # the probe starts at zero
-    pv.values *= scale
+        theta += 1.0  # the probe starts at zero
+    theta *= scale
     rows = idx[sel]
     direct = _outcome(
-        lambda: loss_and_grad(spec, pv.values, X[rows], y[rows], counts, float(len(idx)))
+        lambda: loss_and_grad(spec, theta, X[rows], y[rows], counts, float(len(idx)))
     )
-    adapted = _outcome(
-        lambda: (lambda loss, grad: (loss, grad.values))(
-            *batch_loss_and_grad(spec, pv, Batch(X[idx], y[idx]))
-        )
-    )
+    adapted = _outcome(lambda: batch_loss_and_grad(spec, theta, X[idx], y[idx]))
     assert direct == adapted
 
 
 def test_overflow_names_block_on_both_paths():
     # zero rows give zero hidden units and uniform softmax, so the loss is
     # finite (log 4) while dH = G @ W2.T overflows and W1's gradient is nan
-    pv = ParamVector(np.zeros(param_count(MLP_TANH)), layout_for(MLP_TANH))
-    pv.block("W2")[:] = [1.5e308, 1.5e308, 1.5e308, -1.5e308]
+    theta = np.zeros(param_count(MLP_TANH))
+    block(MLP_TANH, theta, "W2")[:] = [1.5e308, 1.5e308, 1.5e308, -1.5e308]
     X, y = np.zeros((2, 3)), np.array([3, 3])
     with pytest.raises(NumericalOverflowError, match="'W1'"):
-        batch_loss_and_grad(MLP_TANH, pv, Batch(X, y))
+        batch_loss_and_grad(MLP_TANH, theta, X, y)
     sel, counts = canonical_rows(row_keys(X, y))
     with pytest.raises(NumericalOverflowError, match="'W1'"):
-        loss_and_grad(MLP_TANH, pv.values, X[sel], y[sel], counts, 2.0)
+        loss_and_grad(MLP_TANH, theta, X[sel], y[sel], counts, 2.0)
