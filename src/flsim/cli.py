@@ -12,10 +12,9 @@ import sys
 from .errors import ConfigError
 from .harness import (
     ExperimentConfig,
-    RUNS_HEADER,
     SweepSpec,
-    _row_csv,
     export_curves,
+    format_rows,
     parse_config,
     run_experiment,
     run_sweep,
@@ -46,8 +45,7 @@ def cmd_run(args) -> int:
     if not isinstance(exp, ExperimentConfig):
         raise ConfigError("config describes a sweep; use the 'sweep' command")
     _, row = run_experiment(exp, args.out)
-    print(RUNS_HEADER)
-    print(_row_csv(row, with_seed=True))
+    print(format_rows([row]), end="")
     return EXIT_OK if row.status == "completed" else EXIT_DIVERGED
 
 
@@ -63,9 +61,7 @@ def cmd_sweep(args) -> int:
 def cmd_summarize(args) -> int:
     errors = []
     rows = summarize(_find_metrics(args.target), errors=errors)
-    print(RUNS_HEADER)
-    for row in rows:
-        print(_row_csv(row, with_seed=True))
+    print(format_rows(rows), end="")
     for _, exc in errors:  # each error names its file
         print(f"error: {exc}", file=sys.stderr)
     return EXIT_OK if not errors else EXIT_CONFIG

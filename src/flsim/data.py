@@ -20,9 +20,15 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):  # a nan label casts to garbage; checked below
+            self.labels = labels.astype(np.int64, copy=False)
         if self.features.ndim != 2:
             raise ConfigError("features must be a 2-d matrix")
+        if not np.array_equal(self.labels, labels):
+            raise ConfigError("labels must be integers")
+        if not np.isfinite(self.features).all():
+            raise ConfigError("features must be finite")
         if self.features.shape[0] != self.labels.shape[0]:
             raise ConfigError("feature/label count mismatch")
         if len(self.labels) == 0:

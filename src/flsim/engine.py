@@ -71,8 +71,12 @@ class RunConfig:
             raise ConfigError("need 1 <= sample_size <= n_clients")
         if self.rounds < 1 or self.local_epochs < 1:
             raise ConfigError("rounds and local_epochs must be >= 1")
+        if not np.isfinite((self.client_lr, self.alpha)).all():
+            raise ConfigError("client_lr and alpha must be finite")
         if self.client_lr < 0:
             raise ConfigError("client_lr must be non-negative")
+        if not -(2**63) <= self.seed < 2**63:  # derive_stream keeps the low 64 bits
+            raise ConfigError("seed must be in [-2**63, 2**63)")
         if self.batch_size < 1 or self.eval_every < 1:
             raise ConfigError("batch_size and eval_every must be >= 1")
         if self.partition not in (IID, "dirichlet"):

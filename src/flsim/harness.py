@@ -56,7 +56,6 @@ RUNS_HEADER = (
     "method,hparams,partition,seed,best_top1,best_round,"
     "time_per_round,grad_evals_per_round,status"
 )
-SWEEP_HEADER = RUNS_HEADER.replace("seed,", "")  # per-cell means over the seeds
 
 REQUIRED_SWEEP_KEYS = ("methods", "rounds", "seeds")
 
@@ -258,15 +257,12 @@ def parse_config(text: str):
 
     pairs = {}
     for key, val in raw_pairs.items():
-        if key in _SWEEP_KEYS or key.startswith("grid."):
-            if not is_sweep:
-                raise ParseError("sweep key in run config", key=key, line=lines[key])
-        elif is_sweep and (key in _PER_RUN_KEYS or key in _HPARAM_KEYS):
+        if is_sweep and (key in _PER_RUN_KEYS or key in _HPARAM_KEYS):
             use = _PER_RUN_KEYS.get(key, f"grid.<method>.{key}")
             raise ParseError(f"set per run in a sweep; use {use}", key=key, line=lines[key])
         elif key in _KEYS or key in _HPARAM_KEYS:
             pairs[key] = _coerce(key, val, lines[key])
-        else:
+        elif not (key in _SWEEP_KEYS or key.startswith("grid.")):  # sweep keys are read below
             raise ParseError("unknown key", key=key, line=lines[key])
 
     if not is_sweep:
@@ -353,76 +349,59 @@ def make_dataset(exp: ExperimentConfig):
     )
 
 
-def serialize_config(exp: ExperimentConfig) -> str:
-    """Every config key with its value, one ``key = value`` line each, sorted."""
+def _config_pairs(exp: ExperimentConfig) -> dict:
+    """Every config key of ``exp`` with its value."""
     sections = {"": exp.run, "model": exp.run.model, "data": exp.data}
     out = dict(exp.run.client_hparams)
     for key in _KEYS:
         section, _, name = key.rpartition(".")
         out[key] = getattr(sections[section], name)
-    return "".join(f"{k} = {v}\n" for k, v in sorted(out.items()))
+    return out
 
 
-def _best_of(records):
-    """(best_top1, first round attaining it) over evaluated rounds; (nan, -1) if none."""
-    evaluated = [(r["round"], r["top1"]) for r in records if r["top1"] is not None]
-    if not evaluated:
-        return math.nan, -1
-    best = max(t for _, t in evaluated)
-    return best, min(r for r, t in evaluated if t == best)
+def serialize_config(exp: ExperimentConfig) -> str:
+    """Every config key with its value, one ``key = value`` line each, sorted."""
+    return "".join(f"{k} = {v}\n" for k, v in sorted(_config_pairs(exp).items()))
 
 
-def _mean(records, key) -> float:
-    return float(np.mean([r[key] for r in records])) if records else math.nan
-
-
-def _summary_row(cfg: RunConfig | None, records, status: str) -> SummaryRow:
-    """One runs.csv row from metrics.jsonl records; ``cfg`` is None if unknown.
-
-    A diverged run reports the best accuracy of its completed prefix (nan if
-    none was evaluated) and, as its round, the round that failed.
-    """
-    best, best_round = _best_of(records)
-    if status == "diverged":
-        best_round = len(records)  # metrics stop just before the failed round
-    return SummaryRow(
-        method=cfg.method if cfg else "unknown",
-        hparams=_hparams_label(cfg) if cfg else "-",
-        partition=_partition_label(cfg) if cfg else "-",
-        best_top1=best,
-        best_round=best_round,
-        mean_time_per_round=_mean(records, "dt"),
-        mean_grad_evals_per_round=_mean(records, "grad_evals"),
-        status=status,
-        seed=cfg.seed if cfg else None,
-    )
+def _check_readback(exp: ExperimentConfig):
+    """Raise ConfigError, naming the key, unless config.txt would parse back as ``exp``."""
+    try:
+        back = parse_config(serialize_config(exp))
+    except ParseError as exc:
+        raise ConfigError(f"config.txt would not read back: {exc}") from exc
+    if back != exp:  # such as the string "0.1" for 0.1
+        ours, read = _config_pairs(exp), _config_pairs(back)
+        bad = [k for k in sorted(ours | read) if ours.get(k) != read.get(k)]
+        what = f"key: {bad[0]}" if bad else "a field with no config key"
+        raise ConfigError(f"config.txt would not read back the config ({what})")
 
 
 def run_experiment(exp: ExperimentConfig, out_dir, data=None):
     """Run one experiment; write metrics.jsonl, config.txt, summary.csv.
 
-    ``data`` is ``make_dataset(exp)`` if the caller holds it already.
-    Divergence is recorded in the summary row, not raised.
+    Returns the metrics path and the row ``summarize`` reads back from the
+    run directory; divergence is recorded in that row, not raised. ``data``
+    is ``make_dataset(exp)`` if the caller holds it already. A config that
+    config.txt cannot hold is a ConfigError before training; ``out_dir`` is
+    made after training, so no ConfigError leaves a directory behind.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    _check_readback(exp)
     train, test = make_dataset(exp) if data is None else data
-    status = "completed"
     try:
         rounds = run_training(exp.run, train, test)
     except DivergenceError as exc:
         rounds = exc.metrics
-        status = "diverged"
-    records = [{key: getattr(m, attr) for key, (attr, _) in METRICS_FIELDS.items()} for m in rounds]
-
+    os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     with open(metrics_path, "w") as fh:
-        for rec in records:
+        for m in rounds:
+            rec = {key: getattr(m, attr) for key, (attr, _) in METRICS_FIELDS.items()}
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
     with open(os.path.join(out_dir, "config.txt"), "w") as fh:
         fh.write(serialize_config(exp))
-
-    row = _summary_row(exp.run, records, status)
-    _write_rows(os.path.join(out_dir, "summary.csv"), RUNS_HEADER, [row], with_seed=True)
+    (row,) = summarize([metrics_path])
+    _write_rows(os.path.join(out_dir, "summary.csv"), [row])
     return metrics_path, row
 
 
@@ -432,18 +411,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _row_csv(row: SummaryRow, with_seed: bool) -> str:
-    fields = [row.method, row.hparams, row.partition]
-    if with_seed:
-        fields.append("-" if row.seed is None else str(row.seed))
-    fields += [
-        _fmt(row.best_top1),
-        str(row.best_round),
-        _fmt(row.mean_time_per_round),
-        _fmt(row.mean_grad_evals_per_round),
-        row.status,
-    ]
-    return ",".join(fields)
+def format_rows(rows, with_seed=True) -> str:
+    """The header, then one CSV line per row; sweep.csv's cell means have no seed."""
+    out = (RUNS_HEADER if with_seed else RUNS_HEADER.replace("seed,", "")) + "\n"
+    for row in rows:
+        seed = ["-" if row.seed is None else str(row.seed)] if with_seed else []
+        fields = [row.method, row.hparams, row.partition, *seed, _fmt(row.best_top1)]
+        fields += [str(row.best_round), _fmt(row.mean_time_per_round)]
+        fields += [_fmt(row.mean_grad_evals_per_round), row.status]
+        out += ",".join(fields) + "\n"
+    return out
+
+
+def _write_rows(path, rows, with_seed=True):
+    with open(path, "w") as fh:
+        fh.write(format_rows(rows, with_seed))
 
 
 def _run_dir(cfg: RunConfig) -> str:
@@ -470,13 +452,6 @@ def _cell_row(rows) -> SummaryRow:
     )
 
 
-def _write_rows(path, header, rows, with_seed):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(_row_csv(row, with_seed) + "\n")
-
-
 def run_sweep(spec: SweepSpec, out_dir):
     """Run every (cell, seed) of the sweep and write runs.csv + sweep.csv."""
     os.makedirs(out_dir, exist_ok=True)
@@ -491,8 +466,8 @@ def run_sweep(spec: SweepSpec, out_dir):
             rows[s] = run_experiment(cell[s], out, data)[1]
     run_rows = [row for rows in cell_rows for row in rows]
     sweep_rows = [_cell_row(rows) for rows in cell_rows]
-    _write_rows(os.path.join(out_dir, "runs.csv"), RUNS_HEADER, run_rows, with_seed=True)
-    _write_rows(os.path.join(out_dir, "sweep.csv"), SWEEP_HEADER, sweep_rows, with_seed=False)
+    _write_rows(os.path.join(out_dir, "runs.csv"), run_rows)
+    _write_rows(os.path.join(out_dir, "sweep.csv"), sweep_rows, with_seed=False)
     return sweep_rows, run_rows
 
 
@@ -532,29 +507,48 @@ def read_metrics(path):
     return records
 
 
-def summarize(metrics_files, errors: list | None = None):
-    """Best accuracy and first round attaining it, per metrics file.
+def _mean(records, key) -> float:
+    return float(np.mean([r[key] for r in records])) if records else math.nan
 
-    The status comes from the run directory: with a ``config.txt`` sidecar a
-    run is diverged when its metrics hold fewer records than ``rounds``
-    (metrics are written only after training ends); without one it is
-    ``unknown``. Malformed files are skipped; their errors, each naming the
-    file at fault, are appended to ``errors``.
+
+def summarize(metrics_files, errors: list | None = None):
+    """One runs.csv row per metrics file, read back from its run directory.
+
+    The row holds the best top-1, the first round attaining it, and the means
+    per round. The status comes from the run directory: with a ``config.txt``
+    sidecar a run is diverged when its metrics hold fewer records than
+    ``rounds`` (metrics are written only after training ends); without one
+    it is ``unknown``. A diverged run reports the best top-1 of its
+    completed prefix (nan if none was evaluated) and, as its round, the
+    round that failed. Malformed files are skipped; their errors, each
+    naming the file at fault, are appended to ``errors``.
     """
     rows = []
     for path in metrics_files:
         try:
             records = read_metrics(path)
             cfg = _read_sidecar(path)
-            if cfg is None:
-                status = "unknown"
-            elif len(records) < cfg.rounds:
-                status = "diverged"
-            else:
-                status = "completed"
-            if status != "diverged" and all(r["top1"] is None for r in records):
+            evaluated = [(r["round"], r["top1"]) for r in records if r["top1"] is not None]
+            best = max((t for _, t in evaluated), default=math.nan)
+            best_round = min((r for r, t in evaluated if t == best), default=-1)
+            if cfg is not None and len(records) < cfg.rounds:
+                status, best_round = "diverged", len(records)
+            elif not evaluated:
                 raise ConfigError(f"{path}: metrics contain no evaluated rounds")
-            rows.append(_summary_row(cfg, records, status))
+            else:
+                status = "unknown" if cfg is None else "completed"
+            row = SummaryRow(
+                method=cfg.method if cfg else "unknown",
+                hparams=_hparams_label(cfg) if cfg else "-",
+                partition=_partition_label(cfg) if cfg else "-",
+                best_top1=best,
+                best_round=best_round,
+                mean_time_per_round=_mean(records, "dt"),
+                mean_grad_evals_per_round=_mean(records, "grad_evals"),
+                status=status,
+                seed=cfg.seed if cfg else None,
+            )
+            rows.append(row)
         except (ConfigError, OSError) as exc:
             if errors is None:
                 raise

@@ -11,7 +11,7 @@ rounds, its per-step direction d, and its end-of-round updates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -30,6 +30,8 @@ class HyperParams:
     xi: float = 1e-12  # SAM zero-gradient guard
 
     def validate(self):
+        if not np.isfinite(astuple(self)).all():
+            raise ConfigError("hyperparameters must be finite")
         if self.lam < 0 or self.beta < 0 or self.rho < 0 or self.gamma < 0:
             raise ConfigError("lambda/beta/rho/gamma must be non-negative")
         if not (0.0 <= self.mu <= 1.0):
@@ -227,11 +229,10 @@ def client_opt(cid, server, data, shard, state, hp, cfg, rng):
 
 
 def mean_params(results, weighted: bool = False) -> np.ndarray:
-    """Deterministic fold in ascending client id (uniform mean by default)."""
-    ordered = sorted(results, key=lambda r: r.client_id)
-    stack = np.stack([r.final_params for r in ordered])
+    """Fold of the results in the order given (uniform mean by default)."""
+    stack = np.stack([r.final_params for r in results])
     if weighted:
-        w = np.array([r.num_samples for r in ordered], dtype=np.float64)
+        w = np.array([r.num_samples for r in results], dtype=np.float64)
         return (w[:, None] * stack).sum(axis=0) / w.sum()
     return stack.mean(axis=0)
 
@@ -239,8 +240,8 @@ def mean_params(results, weighted: bool = False) -> np.ndarray:
 def server_opt(server, results, hp, cfg):
     """Aggregate client results into the next server state.
 
-    Returns a new ServerState with round incremented and the method's server
-    state from its ``server_finish``.
+    Sorts the results by client id once, for the fold and ``server_finish``;
+    returns a new ServerState with round incremented and the method's state.
     """
     ordered = sorted(results, key=lambda r: r.client_id)
     theta_new = mean_params(ordered, weighted=cfg.weighted_avg)

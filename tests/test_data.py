@@ -68,6 +68,24 @@ class TestLabeledDataset:
         with pytest.raises(ConfigError, match="2-d"):
             LabeledDataset(np.arange(6.0).reshape(shape), [0, 1] * 3, 2)
 
+    @pytest.mark.parametrize(
+        "labels", [[0.5, 1.7, 0.2, 1.0], [0, 1, np.nan, 1], [0, 1, np.inf, 1], [0, 1, 1e20, 1]]
+    )
+    def test_labels_must_be_integers(self, labels):
+        with pytest.raises(ConfigError, match="integers"):
+            LabeledDataset(np.zeros((4, 2)), labels, 2)
+
+    def test_integer_valued_float_labels_accepted(self):
+        data = LabeledDataset(np.zeros((4, 2)), [0.0, 1.0, 0.0, 1.0], 2)
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_features_must_be_finite(self, bad):
+        features = np.zeros((4, 2))
+        features[2, 1] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            LabeledDataset(features, [0, 1, 0, 1], 2)
+
 
 class TestPartitionPlan:
     @pytest.mark.parametrize(

@@ -145,6 +145,30 @@ class TestRunRound:
         assert isinstance(exc_info.value.metrics, list)
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("alpha", np.nan),
+            ("alpha", np.inf),
+            ("client_lr", np.nan),
+            ("client_lr", np.inf),
+            ("seed", 2**64),
+            ("seed", 2**63),
+            ("seed", -(2**63) - 1),
+        ],
+    )
+    def test_rejects_non_finite_and_aliasing_seed(self, field, value):
+        # derive_stream keeps the low 64 bits, so seeds 0 and 2**64 would share a stream
+        cfg = mlp_config(**{"partition": "dirichlet", "alpha": 0.5, field: value})
+        with pytest.raises(ConfigError, match="finite" if field != "seed" else "seed"):
+            cfg.validate()
+
+    def test_seed_range_ends_accepted(self):
+        for seed in (-(2**63), 2**63 - 1):
+            mlp_config(seed=seed).validate()
+
+
 class TestRunTraining:
     def test_single_round_equals_run_round(self):
         train, test = small_task()

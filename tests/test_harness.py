@@ -5,9 +5,10 @@ import re
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flsim.cli import main as cli_main
@@ -16,6 +17,7 @@ from flsim import harness
 from flsim.harness import (
     _HPARAM_KEYS,
     _KEYS,
+    _config_pairs,
     _run_dir,
     ExperimentConfig,
     SweepSpec,
@@ -85,7 +87,51 @@ BAD_SWEEPS = [
     ("rounds = 3", "rounds = 3\npartition = dirichlet", "use partitions"),
     ("rounds = 3", "rounds = 3\nalpha = 0.3", "use partitions = dirichlet:<alpha>"),
     ("n_clients = 10", "n_clients = 5", "alpha=0 requires n_clients >= num_classes"),
+    ("seeds = 1,2", "seeds = 0,18446744073709551616", r"seed must be in \[-2\*\*63"),
 ]
+
+
+def with_value(exp, key, value):
+    """``exp`` with config key ``key`` set to ``value`` through the Python API."""
+    section, _, name = key.rpartition(".")
+    if section == "data":
+        return replace(exp, data=replace(exp.data, **{name: value}))
+    if section == "model":
+        run = replace(exp.run, model=replace(exp.run.model, **{name: value}))
+    elif key in _HPARAM_KEYS:
+        run = replace(exp.run, client_hparams={**exp.run.client_hparams, key: value})
+    else:
+        run = replace(exp.run, **{key: value})
+    return replace(exp, run=run)
+
+
+@st.composite
+def mixed_type_changes(draw):
+    """A method, and a few of its run's keys set to values of mixed types: the
+    value itself, a numeric string, a bool, a float for an int, nan and inf,
+    and for the seed, values past 2**63 and 2**64."""
+    method = draw(st.sampled_from(METHOD_NAMES))
+    pairs = _config_pairs(mixed_base(method))
+    changes = {}
+    for key in draw(st.sets(st.sampled_from(sorted(pairs)), min_size=1, max_size=3)):
+        value = pairs[key]
+        alike = [value, str(value), True, False, math.nan, math.inf, -math.inf]
+        if type(value) is int:
+            alike.append(float(value))
+        if type(value) is float:
+            alike.append(int(value))
+        if key == "seed":
+            alike += [2**64, 2**64 + value, 2**63, -(2**63) - 1]
+        changes[key] = draw(st.sampled_from(alike))
+    return method, changes
+
+
+def mixed_base(method):
+    """A small run of ``method`` with every hyperparameter it takes set."""
+    values = {"lambda": 0.01, "beta": 0.01, "mu": 0.5, "rho": 0.05, "gamma": 0.1, "xi": 1e-12}
+    hparams = "".join(f"{k} = {values[k]}\n" for k in sorted(METHODS[method].hparams))
+    text = RUN_TEXT.replace("method = fedprox\nlambda = 0.01\n", f"method = {method}\n")
+    return parse_config(text.replace("rounds = 4", "rounds = 2") + hparams)
 
 
 def reject_constant(name):
@@ -299,6 +345,79 @@ class TestRunExperiment:
         assert row.status == "diverged"
         for line in open(path):
             json.loads(line, parse_constant=reject_constant)
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=mixed_type_changes())
+    @example(case=("fedprox", {"lambda": "0.1"}))
+    @example(case=("fedavg", {"rounds": 2.0}))
+    @example(case=("fedprox", {"lambda": True}))
+    @example(case=("fedavg", {"alpha": math.nan}))
+    def test_python_api_config_reads_back_or_is_config_error(self, case):
+        method, changes = case
+        exp = mixed_base(method)
+        for key, value in changes.items():
+            exp = with_value(exp, key, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "r")
+            try:
+                _, row = run_experiment(exp, out)
+            except ConfigError:
+                assert not os.path.exists(out)
+                return
+            with open(os.path.join(out, "config.txt")) as fh:
+                assert parse_config(fh.read()) == exp
+            assert row.status in ("completed", "diverged")
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("lambda", "0.1"),
+            ("rounds", 2.0),
+            ("lambda", True),
+            ("alpha", math.nan),
+            ("seed", 2**64),
+        ],
+    )
+    def test_config_txt_cannot_hold_names_the_key(self, tmp_path, key, value):
+        exp = with_value(parse_config(RUN_TEXT), key, value)
+        with pytest.raises(ConfigError, match=key):
+            run_experiment(exp, tmp_path / "r")
+        assert not (tmp_path / "r").exists()
+
+
+class TestOneRowPath:
+    """run and sweep report the row summarize reads back from the run directory."""
+
+    @pytest.mark.parametrize("extra", ["", DIVERGE_EXTRA], ids=["completed", "diverged"])
+    def test_run(self, tmp_path, capsys, extra):
+        path, row = run_experiment(parse_config(RUN_TEXT + extra), tmp_path / "api")
+        assert row.status == ("diverged" if extra else "completed")
+        assert repr(row) == repr(summarize([str(path)])[0])  # repr: nan equals nan
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_TEXT + extra)
+        out = tmp_path / "cli"
+        capsys.readouterr()
+        assert cli_main(["run", str(cfg), "--out", str(out)]) == (3 if extra else 0)
+        run_stdout = capsys.readouterr().out
+        assert cli_main(["summarize", str(out)]) == 0
+        summary = (out / "summary.csv").read_bytes()
+        assert run_stdout.encode() == summary == capsys.readouterr().out.encode()
+
+    def test_sweep(self, tmp_path, capsys):
+        spec = parse_config(SWEEP_TEXT)
+        _, run_rows = run_sweep(spec, tmp_path / "s")
+        runs = tmp_path / "s" / "runs"
+        for exp, row in zip((exp for cell in spec.cells for exp in cell), run_rows):
+            run = runs / _run_dir(exp.run)
+            assert repr(row) == repr(summarize([str(run / "metrics.jsonl")])[0])
+            capsys.readouterr()
+            assert cli_main(["summarize", str(run)]) == 0
+            assert capsys.readouterr().out.encode() == (run / "summary.csv").read_bytes()
+        assert cli_main(["summarize", str(tmp_path / "s")]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        table = (tmp_path / "s" / "runs.csv").read_text().splitlines()
+        assert [header, *sorted(lines)] == [table[0], *sorted(table[1:])]
 
 
 class TestSweep:

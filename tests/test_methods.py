@@ -44,6 +44,13 @@ class TestHyperParams:
         with pytest.raises(ConfigError):
             HyperParams.for_method("fedsam", {"xi": 0.0})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("key", ["lambda", "beta", "mu", "rho", "gamma", "xi"])
+    def test_non_finite_rejected(self, key, value):
+        method = next(m for m in sorted(METHODS) if key in METHODS[m].hparams)
+        with pytest.raises(ConfigError, match="finite"):
+            HyperParams.for_method(method, {key: value})
+
     def test_defaults(self):
         hp = HyperParams.for_method("fedspeed", {"rho": 0.01})
         assert hp.gamma == 0.1 and hp.xi == 1e-12
@@ -207,11 +214,21 @@ class TestAggregation:
         assert np.array_equal(mean_params(results), [2.0, 4.0])
 
     def test_order_invariant_fold(self):
+        # server_opt sorts by client id once, for the fold and for server_finish
         rng = np.random.default_rng(0)
-        results = [self.make_result(i, rng.standard_normal(2)) for i in range(7)]
-        a = mean_params(results)
-        b = mean_params(list(reversed(results)))
-        assert np.array_equal(a, b)
+        for method in METHODS:
+            cfg = probe_config(method, target=(0.0, 0.0), n_clients=7, sample_size=7)
+            server = init_server_state(cfg, rng.standard_normal(2))
+            results = [self.make_result(i, rng.standard_normal(2)) for i in range(7)]
+            for r in results:
+                r.aux = rng.standard_normal(2)
+            hp = cfg.hyperparams()
+            a = server_opt(server, results, hp, cfg)
+            b = server_opt(server, list(reversed(results)), hp, cfg)
+            assert a.state.keys() == b.state.keys()
+            for key in a.state:
+                assert np.array_equal(a.state[key], b.state[key])
+            assert np.array_equal(a.global_params.values, b.global_params.values)
 
     def test_weighted_mean(self):
         results = [
