@@ -25,7 +25,7 @@ from .engine import (
     run_training,
 )
 from .errors import ConfigError, DivergenceError, ParseError
-from .methods import METHOD_NAMES, METHODS, HyperParams
+from .methods import METHOD_NAMES, METHODS
 from .models import ModelSpec
 
 
@@ -86,7 +86,7 @@ _KEYS = {
     "data.test_fraction": (float, 1.0 / 6.0),
 }
 REQUIRED_RUN_KEYS = tuple(k for k, (_, default) in _KEYS.items() if default is None)
-# method hyperparameters: floats; absent ones take their HyperParams default
+# method hyperparameters: floats; absent ones take their method's default
 _HPARAM_KEYS = frozenset().union(*(m.hparams for m in METHODS.values()))
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 _SWEEP_KEYS = {"methods", "partitions", "seeds"}
@@ -107,6 +107,11 @@ class DataParams:
     per_class: int
     spread: float
     test_fraction: float
+
+    def validate(self):
+        """Reject what make_dataset would; one row of a class leaves it none to train on."""
+        if self.per_class < 2 or self.spread < 0 or not 0 < self.test_fraction < 1:
+            raise ConfigError("need data.per_class >= 2, spread >= 0, 0 < test_fraction < 1")
 
 
 @dataclass
@@ -173,19 +178,6 @@ def _sweep_list(text: str, key: str, lineno: int) -> list:
     return items
 
 
-def _no_repeats(labels, key: str, lineno: int):
-    """Reject a sweep list that names one value twice.
-
-    Labels are compared as they appear in run directory names and hparams
-    labels, so two values that print alike would also collide there.
-    """
-    seen = set()
-    for label in labels:
-        if label in seen:
-            raise ParseError(f"duplicate value '{label}'", key=key, line=lineno)
-        seen.add(label)
-
-
 def _coerce(key: str, val: str, lineno: int):
     kind = _KEYS[key][0] if key in _KEYS else float
     try:
@@ -212,10 +204,10 @@ def _parse_partition_token(token: str, key: str, lineno: int):
         raise ParseError(f"bad alpha in '{token}'", key=key, line=lineno) from None
 
 
-def _build_run(pairs, lines, blame="method"):
+def _build_run(pairs):
     """One validated run from coerced pairs; absent keys take their defaults.
 
-    A config the run rejects is a ParseError at the ``blame`` key's line.
+    A run that fails validation is a ParseError naming its run directory.
     """
     fields = {"": {}, "model": {}, "data": {}}
     for key, (_, default) in _KEYS.items():
@@ -223,14 +215,16 @@ def _build_run(pairs, lines, blame="method"):
         fields[section][name] = pairs.get(key, default)
     cfg = RunConfig(
         model=ModelSpec(**fields["model"]),
-        client_hparams={k: pairs[k] for k in _HPARAM_KEYS if k in pairs},
+        client_hparams={k: v for k, v in pairs.items() if k in _HPARAM_KEYS},  # in document order
         **fields[""],
     )
+    exp = ExperimentConfig(cfg, DataParams(**fields["data"]))
     try:
         cfg.validate()
+        exp.data.validate()
     except ConfigError as exc:
-        raise ParseError(str(exc), key=blame, line=lines.get(blame)) from exc
-    return ExperimentConfig(cfg, DataParams(**fields["data"]))
+        raise ParseError(f"{exc} (run {_run_dir(cfg)})") from exc
+    return exp
 
 
 def _cell_order(cell):
@@ -266,28 +260,18 @@ def parse_config(text: str):
             raise ParseError("unknown key", key=key, line=lines[key])
 
     if not is_sweep:
-        return _build_run(pairs, lines)
+        return _build_run(pairs)
 
     methods = _sweep_list(raw_pairs["methods"], "methods", lines["methods"])
-    for m in methods:
-        if m not in METHOD_NAMES:
-            raise ParseError(f"unknown method '{m}'", key="methods", line=lines["methods"])
-    _no_repeats(methods, "methods", lines["methods"])
     try:
         seeds = [int(s) for s in _sweep_list(raw_pairs["seeds"], "seeds", lines["seeds"])]
     except ValueError:
         raise ParseError("bad seed list", key="seeds", line=lines["seeds"]) from None
-    _no_repeats(seeds, "seeds", lines["seeds"])
     part_line = lines.get("partitions")
     partitions = [
         _parse_partition_token(t, "partitions", part_line)
         for t in _sweep_list(raw_pairs.get("partitions", IID), "partitions", part_line)
     ]
-    _no_repeats(
-        (IID if p == IID else f"dirichlet:{a:g}" for p, a in partitions),
-        "partitions",
-        part_line,
-    )
     combos = {m: [{}] for m in methods}  # method -> grid points, one dict each
     for key, val in raw_pairs.items():
         if not key.startswith("grid."):
@@ -298,26 +282,25 @@ def parse_config(text: str):
         _, gm, gk = parts
         if gm not in methods:
             raise ParseError(f"grid method '{gm}' not in methods", key=key, line=lines[key])
-        if gk not in METHODS[gm].hparams:
-            raise ParseError(f"hyperparameter '{gk}' illegal for {gm}", key=key, line=lines[key])
-        items = _sweep_list(val, key, lines[key])
+        if gk not in _HPARAM_KEYS:  # one its method does not take fails as a run
+            raise ParseError(f"unknown hyperparameter '{gk}'", key=key, line=lines[key])
         try:
-            values = [_finite(v) for v in items]
-            for v in values:
-                HyperParams.for_method(gm, {gk: v})
+            values = [_finite(v) for v in _sweep_list(val, key, lines[key])]
         except ValueError:
             raise ParseError("bad grid values", key=key, line=lines[key]) from None
-        except ConfigError as exc:
-            raise ParseError(str(exc), key=key, line=lines[key]) from exc
-        _no_repeats((f"{v:g}" for v in values), key, lines[key])
         combos[gm] = [dict(c, **{gk: v}) for c in combos[gm] for v in values]
 
-    cells = []
+    cells, names = [], set()
     for method in methods:
         for combo in combos[method]:
             for part, alpha in partitions:
                 cell = dict(pairs, **combo, method=method, partition=part, alpha=alpha)
-                cells.append([_build_run(dict(cell, seed=s), lines, "methods") for s in seeds])
+                cells.append([_build_run(dict(cell, seed=s)) for s in seeds])
+                for exp in cells[-1]:  # values that print alike share a run directory
+                    name = _run_dir(exp.run)
+                    if name in names:
+                        raise ParseError(f"duplicate value: two runs would write runs/{name}")
+                    names.add(name)
     return SweepSpec(sorted(cells, key=_cell_order))
 
 

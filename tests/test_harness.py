@@ -22,6 +22,7 @@ from flsim.harness import (
     ExperimentConfig,
     SweepSpec,
     export_curves,
+    make_dataset,
     parse_config,
     run_experiment,
     run_sweep,
@@ -88,6 +89,8 @@ BAD_SWEEPS = [
     ("rounds = 3", "rounds = 3\nalpha = 0.3", "use partitions = dirichlet:<alpha>"),
     ("n_clients = 10", "n_clients = 5", "alpha=0 requires n_clients >= num_classes"),
     ("seeds = 1,2", "seeds = 0,18446744073709551616", r"seed must be in \[-2\*\*63"),
+    ("data.per_class = 30", "data.per_class = 1", "per_class >= 2"),
+    ("data.per_class = 30", "data.per_class = 30\ndata.test_fraction = 2", "test_fraction < 1"),
 ]
 
 
@@ -241,6 +244,10 @@ class TestParse:
                 strategy = st.sampled_from(choices[key]) if kind is str else numbers[kind]
                 pairs[key] = data.draw(strategy)
         pairs["model.num_classes"] = data.draw(st.integers(2, 100))
+        # the data keys in the ranges make_dataset accepts
+        pairs["data.per_class"] = data.draw(st.integers(2, 10**6))
+        fraction = st.floats(0, 1, exclude_min=True, exclude_max=True)
+        pairs["data.test_fraction"] = data.draw(fraction)
         # sample_size <= n_clients, whichever of the two takes its default (10 and 100)
         pairs["sample_size"] = data.draw(st.integers(1, 100))
         pairs["n_clients"] = data.draw(st.integers(max(pairs["sample_size"], 10), 10**6))
@@ -266,11 +273,11 @@ class TestParse:
             )
 
         methods = items(list(METHOD_NAMES), ["", " ", "bogus"])
-        seeds = items(["0", "1", "7", "-3"], ["", "x", "1.5"])
+        seeds = items(["0", "1", "7", "-3"], ["", "x", "1.5", "01"])
         partitions = items(
             ["iid", "dirichlet", "dirichlet:0.3", "dirichlet:2"],
             ["dirichlet:0", "dirichlet:-1", "dirichlet0.3", "dirichletX", "dirichlet:", "iid:1"]
-            + [""],
+            + ["", "dirichlet:0.30000001"],
         )
         gm = methods[0] if methods else "fedavg"
         keys = sorted(METHODS[gm].hparams) if gm in METHODS else []
@@ -279,7 +286,7 @@ class TestParse:
         if partitions:
             text += f"partitions = {','.join(partitions)}\n"
         for key in sorted(grid):
-            values = items(["0.5", "1", "0.01"], ["0", "2", "-1", "0.50", "", "nan"])
+            values = items(["0.5", "1", "0.01"], ["0", "2", "-1", "0.50", "", "nan", "0.5000001"])
             text += f"grid.{gm}.{key} = {','.join(values)}\n"
         text += data.draw(st.sampled_from(["", "", "lambda = 0.1\n", "seed = 4\n"]))
         try:
@@ -290,6 +297,57 @@ class TestParse:
         for cell in spec.cells:
             for exp in cell:
                 exp.run.validate()
+            assert set(cell[0].run.client_hparams) == (grid if cell[0].run.method == gm else set())
+        names = {_run_dir(exp.run) for cell in spec.cells for exp in cell}
+        assert len(names) == len(spec.cells) * len(seeds)
+
+    # spreads stay small: one near the float maximum overflows the drawn features,
+    # which make_dataset rejects and parse time does not check
+    @settings(max_examples=100, deadline=None)
+    @given(
+        per_class=st.integers(-2, 12),
+        spread=st.one_of(st.floats(-2, 5), st.sampled_from([0.0, -0.0, 5e-324, -5e-324])),
+        test_fraction=st.one_of(
+            st.floats(-0.5, 1.5),
+            st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, 1 + 2**-52, 0.5]),
+        ),
+    )
+    def test_data_keys_parse_iff_dataset_builds(self, per_class, spread, test_fraction):
+        values = {
+            "data.per_class": per_class,
+            "data.spread": spread,
+            "data.test_fraction": test_fraction,
+        }
+        exp = parse_config(RUN_TEXT)
+        for key, value in values.items():
+            exp = with_value(exp, key, value)
+        try:
+            make_dataset(exp)
+            builds = True
+        except ConfigError:
+            builds = False
+        text = RUN_TEXT.replace("data.per_class = 30\n", "")
+        text += "".join(f"{k} = {v!r}\n" for k, v in values.items())
+        try:
+            assert parse_config(text) == exp
+            parses = True
+        except ParseError:
+            parses = False
+        assert parses == builds
+
+    @pytest.mark.parametrize("first,second", [("rho", "lambda"), ("lambda", "rho")])
+    def test_first_illegal_hparam_named(self, first, second):
+        run = f"method = fedavg\nrounds = 1\nseed = 0\n{first} = 0.1\n{second} = 0.1\n"
+        sweep = SWEEP_TEXT + f"grid.fedavg.{first} = 0.1\ngrid.fedavg.{second} = 0.1\n"
+        for text in (run, sweep):
+            with pytest.raises(ParseError, match=f"hyperparameter '{first}' is illegal"):
+                parse_config(text)
+
+    def test_out_of_range_seed_names_its_run(self):
+        text = SWEEP_TEXT.replace("seeds = 1,2", "seeds = 0,18446744073709551616")
+        with pytest.raises(ParseError, match=r"\(run \w+_s18446744073709551616\)") as info:
+            parse_config(text)
+        assert "key: methods" not in str(info.value)
 
     @pytest.mark.parametrize(
         "old,new",
