@@ -10,6 +10,9 @@ from .errors import ConfigError
 from .models import row_keys
 
 IID = "iid"
+# the largest gen_blobs spread: NumPy's ziggurat sampler cannot return a standard
+# normal of magnitude 13 or more, so spread * draw + center (norm 4) stays finite
+MAX_SPREAD = 1e300
 
 
 @dataclass
@@ -82,8 +85,9 @@ def gen_blobs(
     rng: np.random.Generator,
 ) -> LabeledDataset:
     """Gaussian blobs: class k centered at a fixed direction of norm 4."""
-    if num_classes < 2 or per_class < 1 or spread < 0:
-        raise ConfigError("gen_blobs: need num_classes>=2, per_class>=1, spread>=0")
+    if num_classes < 2 or per_class < 1 or not 0 <= spread <= MAX_SPREAD:
+        need = f"num_classes>=2, per_class>=1, 0<=spread<={MAX_SPREAD:g}"
+        raise ConfigError(f"gen_blobs: need {need}")
     centers = np.array([_class_center(k, dim) for k in range(num_classes)])
     feats = rng.standard_normal((num_classes, per_class, dim))
     feats *= spread  # in place: no second dataset-sized array

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import IID, gen_blobs, split_train_test
+from .data import IID, MAX_SPREAD, gen_blobs, split_train_test
 from .engine import (
     DATA_ROUND,
     SERVER_CHANNEL,
@@ -89,14 +89,12 @@ REQUIRED_RUN_KEYS = tuple(k for k, (_, default) in _KEYS.items() if default is N
 # method hyperparameters: floats; absent ones take their method's default
 _HPARAM_KEYS = frozenset().union(*(m.hparams for m in METHODS.values()))
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-_SWEEP_KEYS = {"methods", "partitions", "seeds"}
+# sweep list key -> the run key its items set, in the order the lists are read;
+# a grid key grid.<method>.<hparam> is the axis for <hparam>, in <method>'s cells
+_AXES = {"methods": "method", "seeds": "seed", "partitions": "partition"}
 # run keys a sweep sets per run -> the sweep key that sets them
-_PER_RUN_KEYS = {
-    "method": "methods",
-    "seed": "seeds",
-    "partition": "partitions",
-    "alpha": "partitions = dirichlet:<alpha>",
-}
+_PER_RUN_KEYS = {run_key: key for key, run_key in _AXES.items()}
+_PER_RUN_KEYS["alpha"] = "partitions = dirichlet:<alpha>"
 _METHOD_ORDER = {m: i for i, m in enumerate(METHOD_NAMES)}
 
 
@@ -110,8 +108,10 @@ class DataParams:
 
     def validate(self):
         """Reject what make_dataset would; one row of a class leaves it none to train on."""
-        if self.per_class < 2 or self.spread < 0 or not 0 < self.test_fraction < 1:
-            raise ConfigError("need data.per_class >= 2, spread >= 0, 0 < test_fraction < 1")
+        spread_ok = 0 <= self.spread <= MAX_SPREAD
+        if self.per_class < 2 or not spread_ok or not 0 < self.test_fraction < 1:
+            bounds = f"data.per_class >= 2, 0 <= spread <= {MAX_SPREAD:g}, 0 < test_fraction < 1"
+            raise ConfigError(f"need {bounds}")
 
 
 @dataclass
@@ -170,16 +170,9 @@ def _finite(text: str) -> float:
     return value
 
 
-def _sweep_list(text: str, key: str, lineno: int) -> list:
-    """The items of a comma-separated sweep list; an empty item is an error."""
-    items = [t.strip() for t in text.split(",")]
-    if not all(items):
-        raise ParseError("empty list or list item", key=key, line=lineno)
-    return items
-
-
-def _coerce(key: str, val: str, lineno: int):
-    kind = _KEYS[key][0] if key in _KEYS else float
+def _coerce(run_key: str, val: str, key: str, lineno: int):
+    """``val`` read as a value of ``run_key``; a bad one is blamed on ``key``."""
+    kind = _KEYS[run_key][0] if run_key in _KEYS else float
     try:
         if kind is bool:
             return _BOOLS[val.lower()]
@@ -188,20 +181,24 @@ def _coerce(key: str, val: str, lineno: int):
         raise ParseError(f"bad value '{val}'", key=key, line=lineno) from None
 
 
-def _parse_partition_token(token: str, key: str, lineno: int):
-    if token in (IID, "dirichlet"):
-        return (token, 0.0)
-    name, _, alpha = token.partition(":")
-    if name != "dirichlet":
-        raise ParseError(
-            f"unknown partition '{token}'; use iid, dirichlet or dirichlet:<alpha>",
-            key=key,
-            line=lineno,
-        )
-    try:
-        return (name, _finite(alpha))
-    except ValueError:
-        raise ParseError(f"bad alpha in '{token}'", key=key, line=lineno) from None
+def _axis(key: str, text: str, lineno: int, run_key: str) -> list:
+    """The items of sweep list ``key``, each as the dict of run keys it sets."""
+    items = [t.strip() for t in text.split(",")]
+    if not all(items):
+        raise ParseError("empty list or list item", key=key, line=lineno)
+    if run_key != "partition":
+        return [{run_key: _coerce(run_key, item, key, lineno)} for item in items]
+    parts = []
+    for item in items:
+        name, colon, alpha = item.partition(":")
+        if item != IID and name != "dirichlet":
+            use = "use iid, dirichlet or dirichlet:<alpha>"
+            raise ParseError(f"unknown partition '{item}'; {use}", key=key, line=lineno)
+        try:
+            parts.append({"partition": name, "alpha": _finite(alpha) if colon else 0.0})
+        except ValueError:
+            raise ParseError(f"bad alpha in '{item}'", key=key, line=lineno) from None
+    return parts
 
 
 def _build_run(pairs):
@@ -241,9 +238,7 @@ def parse_config(text: str):
     A sweep is returned as the validated config of every run it names.
     """
     raw_pairs, lines = _split_pairs(text)
-    is_sweep = any(
-        k in _SWEEP_KEYS or k.startswith("grid.") for k in raw_pairs
-    )
+    is_sweep = any(k in _AXES or k.startswith("grid.") for k in raw_pairs)
     required = REQUIRED_SWEEP_KEYS if is_sweep else REQUIRED_RUN_KEYS
     missing = [k for k in required if k not in raw_pairs]
     if missing:
@@ -255,24 +250,16 @@ def parse_config(text: str):
             use = _PER_RUN_KEYS.get(key, f"grid.<method>.{key}")
             raise ParseError(f"set per run in a sweep; use {use}", key=key, line=lines[key])
         elif key in _KEYS or key in _HPARAM_KEYS:
-            pairs[key] = _coerce(key, val, lines[key])
-        elif not (key in _SWEEP_KEYS or key.startswith("grid.")):  # sweep keys are read below
+            pairs[key] = _coerce(key, val, key, lines[key])
+        elif not (key in _AXES or key.startswith("grid.")):  # sweep lists are read below
             raise ParseError("unknown key", key=key, line=lines[key])
 
     if not is_sweep:
         return _build_run(pairs)
 
-    methods = _sweep_list(raw_pairs["methods"], "methods", lines["methods"])
-    try:
-        seeds = [int(s) for s in _sweep_list(raw_pairs["seeds"], "seeds", lines["seeds"])]
-    except ValueError:
-        raise ParseError("bad seed list", key="seeds", line=lines["seeds"]) from None
-    part_line = lines.get("partitions")
-    partitions = [
-        _parse_partition_token(t, "partitions", part_line)
-        for t in _sweep_list(raw_pairs.get("partitions", IID), "partitions", part_line)
-    ]
-    combos = {m: [{}] for m in methods}  # method -> grid points, one dict each
+    # methods and seeds are required; partitions defaults to iid
+    axes = {k: _axis(k, raw_pairs.get(k, IID), lines.get(k), rk) for k, rk in _AXES.items()}
+    grid = {m["method"]: [{}] for m in axes["methods"]}  # method -> grid points, one dict each
     for key, val in raw_pairs.items():
         if not key.startswith("grid."):
             continue
@@ -280,22 +267,19 @@ def parse_config(text: str):
         if len(parts) != 3:
             raise ParseError("expected grid.<method>.<hparam>", key=key, line=lines[key])
         _, gm, gk = parts
-        if gm not in methods:
+        if gm not in grid:
             raise ParseError(f"grid method '{gm}' not in methods", key=key, line=lines[key])
         if gk not in _HPARAM_KEYS:  # one its method does not take fails as a run
             raise ParseError(f"unknown hyperparameter '{gk}'", key=key, line=lines[key])
-        try:
-            values = [_finite(v) for v in _sweep_list(val, key, lines[key])]
-        except ValueError:
-            raise ParseError("bad grid values", key=key, line=lines[key]) from None
-        combos[gm] = [dict(c, **{gk: v}) for c in combos[gm] for v in values]
+        values = _axis(key, val, lines[key], gk)
+        grid[gm] = [{**point, **value} for point in grid[gm] for value in values]
 
     cells, names = [], set()
-    for method in methods:
-        for combo in combos[method]:
-            for part, alpha in partitions:
-                cell = dict(pairs, **combo, method=method, partition=part, alpha=alpha)
-                cells.append([_build_run(dict(cell, seed=s)) for s in seeds])
+    for method in axes["methods"]:
+        for point in grid[method["method"]]:
+            for part in axes["partitions"]:
+                cell = {**pairs, **method, **point, **part}
+                cells.append([_build_run({**cell, **seed}) for seed in axes["seeds"]])
                 for exp in cells[-1]:  # values that print alike share a run directory
                     name = _run_dir(exp.run)
                     if name in names:

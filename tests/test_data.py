@@ -86,6 +86,21 @@ class TestLabeledDataset:
         with pytest.raises(ConfigError, match="finite"):
             LabeledDataset(features, [0, 1, 0, 1], 2)
 
+    @pytest.mark.parametrize(
+        "rows,labels,match",
+        [
+            (4, [0, 1, 0], "feature/label count mismatch"),
+            (0, [], "dataset is empty"),
+            (4, [0, 1, 0, 2], "label out of range"),
+            (4, [0, -1, 0, 1], "label out of range"),
+            (4, [0, 0, 0, 0], "class 1 has no samples"),
+        ],
+        ids=["count-mismatch", "empty", "label-too-large", "label-negative", "empty-class"],
+    )
+    def test_rejects_bad_rows(self, rows, labels, match):
+        with pytest.raises(ConfigError, match=match):
+            LabeledDataset(np.zeros((rows, 2)), labels, 2)
+
 
 class TestPartitionPlan:
     @pytest.mark.parametrize(

@@ -164,6 +164,25 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="finite" if field != "seed" else "seed"):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("sample_size", 11, "sample_size <= n_clients"),
+            ("sample_size", 0, "1 <= sample_size"),
+            ("rounds", 0, "rounds and local_epochs"),
+            ("local_epochs", 0, "rounds and local_epochs"),
+            ("client_lr", -0.01, "client_lr must be non-negative"),
+            ("batch_size", 0, "batch_size and eval_every"),
+            ("eval_every", 0, "batch_size and eval_every"),
+            ("alpha", -0.5, "alpha must be non-negative"),
+        ],
+    )
+    def test_rejects_out_of_range(self, field, value, match):
+        base = {"n_clients": 10, "partition": "dirichlet", "alpha": 0.5}
+        cfg = mlp_config(**{**base, field: value})
+        with pytest.raises(ConfigError, match=match):
+            cfg.validate()
+
     def test_seed_range_ends_accepted(self):
         for seed in (-(2**63), 2**63 - 1):
             mlp_config(seed=seed).validate()

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flsim.cli import main as cli_main
+from flsim.data import MAX_SPREAD
 from flsim.errors import ConfigError, ParseError
 from flsim import harness
 from flsim.harness import (
@@ -70,6 +71,25 @@ NON_FINITE = st.one_of(
 
 FLOAT_KEYS = sorted({k for k, (kind, _) in _KEYS.items() if kind is float} | _HPARAM_KEYS)
 
+# pools for whole generated documents: every key, sweep and grid keys, malformed
+# keys, and values of every kind, with separators, comment marks, NUL and non-ASCII
+DOC_KEYS = [*_KEYS, *sorted(_HPARAM_KEYS), "methods", "seeds", "partitions"]
+DOC_KEYS += ["grid.fedprox.lambda", "grid.fedsam.rho", "grid.fedavg.rho", "grid.fedprox"]
+DOC_KEYS += ["grid.fedprox.lambda.x", "grid..", "bogus", "", "#", "a=b", "m\u00e9thod"]
+DOC_VALUES = st.one_of(
+    st.sampled_from(["", "=", "#", "\x00", "\u00e9", "\u0663", "\u2028", "\x85", ",", ",,"]),
+    st.sampled_from(["0", "1", "-3", "01", "1_0", "0.5", "2", "1e308", "1e400", "nan", "-inf"]),
+    st.sampled_from(["true", "no", "iid", "dirichlet", "dirichlet:0.3", "dirichlet:x", "iid:1"]),
+    st.sampled_from(["fedavg", "fedprox,fedsam", "1,2", "0.1,0.01", "1,,2", "mlp", "tanh"]),
+    st.sampled_from(["18446744073709551616", "0.1,0.10", "fedavg,fedavg"]),
+    st.text(max_size=5),
+)
+DOC_SKELETONS = [
+    "",
+    "method = fedavg\nrounds = 1\nseed = 0\n",
+    "methods = fedavg,fedprox\nseeds = 1\nrounds = 1\n",
+]
+
 
 # (text to replace in SWEEP_TEXT, replacement, expected error); each must fail
 # at parse time, before any run directory exists
@@ -91,6 +111,16 @@ BAD_SWEEPS = [
     ("seeds = 1,2", "seeds = 0,18446744073709551616", r"seed must be in \[-2\*\*63"),
     ("data.per_class = 30", "data.per_class = 1", "per_class >= 2"),
     ("data.per_class = 30", "data.per_class = 30\ndata.test_fraction = 2", "test_fraction < 1"),
+    ("data.per_class = 30", "data.per_class = 30\ndata.spread = 1e308", r"spread <= 1e\+300"),
+    ("seeds = 1,2", "seeds = 1,x", r"bad value 'x' \(key: seeds\) \(line 5\)"),
+    ("0.1,0.001", "0.1,abc", r"bad value 'abc' \(key: grid\.fedprox\.lambda\) \(line 3\)"),
+    ("rounds = 3", "rounds = 3\nbogus", r"expected 'key = value' \(line 7\)"),
+    (
+        "grid.fedprox.lambda",
+        "grid.fedprox",
+        r"expected grid\.<method>\.<hparam> \(key: grid\.fedprox\) \(line 3\)",
+    ),
+    ("methods = fedavg,fedprox", "methods = fedavg", "grid method 'fedprox' not in methods"),
 ]
 
 
@@ -224,7 +254,8 @@ class TestParse:
     @settings(max_examples=30, deadline=None)
     @given(text=NON_FINITE)
     def test_non_finite_sweep_values_rejected(self, text):
-        with pytest.raises(ParseError, match="bad grid values"):
+        grid_error = re.escape(f"bad value '{text}' (key: grid.fedprox.lambda) (line 3)")
+        with pytest.raises(ParseError, match=grid_error):
             parse_config(SWEEP_TEXT.replace("lambda = 0.1,0.001", f"lambda = 0.1,{text}"))
         with pytest.raises(ParseError, match="bad alpha"):
             parse_config(SWEEP_TEXT.replace("dirichlet:0", f"dirichlet:{text}"))
@@ -301,12 +332,31 @@ class TestParse:
         names = {_run_dir(exp.run) for cell in spec.cells for exp in cell}
         assert len(names) == len(spec.cells) * len(seeds)
 
-    # spreads stay small: one near the float maximum overflows the drawn features,
-    # which make_dataset rejects and parse time does not check
+    @settings(max_examples=300, deadline=None)
+    @given(
+        skeleton=st.sampled_from(DOC_SKELETONS),
+        lines=st.lists(
+            st.tuples(st.sampled_from(DOC_KEYS), st.sampled_from([" = ", "=", " "]), DOC_VALUES),
+            max_size=8,
+        ),
+    )
+    def test_any_document_parses_or_is_parse_error(self, skeleton, lines):
+        text = skeleton + "".join(f"{k}{sep}{v}\n" for k, sep, v in lines)
+        try:
+            parsed = parse_config(text)
+        except ParseError:
+            return
+        assert isinstance(parsed, (ExperimentConfig, SweepSpec))
+
     @settings(max_examples=100, deadline=None)
     @given(
         per_class=st.integers(-2, 12),
-        spread=st.one_of(st.floats(-2, 5), st.sampled_from([0.0, -0.0, 5e-324, -5e-324])),
+        spread=st.one_of(
+            st.floats(-2, 5),
+            st.floats(5, sys.float_info.max),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, sys.float_info.max]),
+            st.sampled_from([MAX_SPREAD, math.nextafter(MAX_SPREAD, math.inf)]),
+        ),
         test_fraction=st.one_of(
             st.floats(-0.5, 1.5),
             st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1 - 2**-53, 1 + 2**-52, 0.5]),
@@ -803,6 +853,27 @@ class TestCLI:
         assert csv.read_text() == "run_id,round,top1\n" + "".join(
             f"{tmp_path.name},{r},{t}\n" for r, t in [(0, 0.25), (1, 0.5)]
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "run {sweep} --out {out}",
+            "sweep {run} --out {out}",
+            "summarize {empty}",
+            "export {empty} --out {out}",
+            "run {missing} --out {out}",
+            "sweep {missing} --out {out}",
+        ],
+    )
+    def test_wrong_input_exit_2_nothing_written(self, tmp_path, argv):
+        (tmp_path / "run.cfg").write_text(RUN_TEXT)
+        (tmp_path / "sweep.cfg").write_text(SWEEP_TEXT)
+        (tmp_path / "empty").mkdir()
+        names = {"run": "run.cfg", "sweep": "sweep.cfg", "empty": "empty", "missing": "no.cfg"}
+        paths = {name: tmp_path / file for name, file in names.items()}
+        out = tmp_path / "out"
+        assert cli_main([arg.format(out=out, **paths) for arg in argv.split()]) == 2
+        assert not out.exists()
 
     def test_sweep_summarize_export(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
