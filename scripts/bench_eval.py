@@ -1,12 +1,12 @@
 """Microseconds per gradient evaluation: the kernel alone and end to end.
 
-Prints, for linear 32->10 and mlp 32->16->10 at batch 32:
+Prints:
 
-- ``kernel``: one ``flsim.models.loss_and_grad`` call (timeit, best of
-  ``--repeat``);
-- ``step``: what ``client_opt`` pays per evaluation around it, from the
-  batch's row indices: slicing the dataset's row ranks, canonicalising,
-  fancy-indexing features and labels, and the kernel call.
+- ``kernel``: one ``flsim.models.loss_and_grad`` call for linear 32->10 and
+  mlp 32->16->10 at batch 32 (timeit, best of ``--repeat``);
+- ``round``: what the engine pays per evaluation, everything included: one
+  round of the first ``sweep_c7`` run (``engine.run_round``, timeit, best of
+  ``--repeat``) over the round's reported gradient evaluations.
 
 Then it runs each run of the ``sweep_c7`` benchmark sweep in this process on
 one shared dataset (``run_training`` only, best of ``--repeat``) and prints
@@ -15,7 +15,8 @@ wall time over reported gradient evaluations for each run, and their mean.
     python3 scripts/bench_eval.py [--src DIR] [--seed N] [--repeat K] [--json]
 
 ``--src`` names the ``src`` directory to import flsim from (default: this
-checkout's), so the same script measures both sides of a change.
+checkout's), so the same script measures both sides of a change; it calls
+only the engine's public round and training entry points.
 """
 from __future__ import annotations
 
@@ -37,41 +38,54 @@ SPECS = {
 
 
 def kernel_us(flsim, name, repeat, number=2000):
-    """(kernel µs, step µs) for one spec at batch 32 on a 24,000-row dataset."""
+    """µs per kernel call for one spec at batch 32, on canonical random rows."""
     m = flsim.models
     spec = m.ModelSpec(**SPECS[name])
     theta = m.init_params(spec, flsim.engine.derive_stream(0, -1, -1))
     rng = np.random.default_rng(0)
-    X = rng.standard_normal((24000, spec.input_dim))
-    y = rng.integers(0, spec.num_classes, 24000)
-    ranks = m.row_keys(X, y)
-    rows = rng.choice(len(y), BATCH, replace=False)
-
-    sel, counts = m.canonical_rows(ranks[rows])
-    Xc, yc, n = X[rows[sel]], y[rows[sel]], float(BATCH)
+    X = rng.standard_normal((BATCH, spec.input_dim))
+    y = rng.integers(0, spec.num_classes, BATCH)
+    counts, n = np.ones(BATCH), float(BATCH)  # distinct float rows: each its own run
 
     def kernel():
-        m.loss_and_grad(spec, theta, Xc, yc, counts, n)
+        m.loss_and_grad(spec, theta, X, y, counts, n)
 
-    def step():
-        sel, counts = m.canonical_rows(ranks[rows])
-        r = rows[sel]
-        m.loss_and_grad(spec, theta, X[r], y[r], counts, float(len(rows)))
+    return 1e6 * min(timeit.repeat(kernel, number=number, repeat=repeat)) / number
 
-    return tuple(
-        1e6 * min(timeit.repeat(fn, number=number, repeat=repeat)) / number
-        for fn in (kernel, step)
-    )
+
+def sweep_c7_runs(flsim, seed):
+    """The sweep_c7 benchmark's runs for ``seed``, in sweep order."""
+    sys.path.insert(0, ROOT)
+    from perfbench.workloads import SweepC7
+
+    spec = flsim.harness.parse_config(SweepC7.config_text(seed))
+    return [exp for cell in spec.cells for exp in cell]
+
+
+def round_us(flsim, seed, repeat, number=50):
+    """(µs per evaluation, evaluations) of round 0 of the first sweep_c7 run."""
+    eng = flsim.engine
+    exp = sweep_c7_runs(flsim, seed)[0]
+    cfg = exp.run
+    train, _ = flsim.harness.make_dataset(exp)
+    plan = eng.build_partition(cfg, train)
+    stream = eng.derive_stream(cfg.seed, eng.INIT_ROUND, eng.SERVER_CHANNEL)
+    theta0 = flsim.models.init_params(cfg.model, stream)
+    server, states = eng.init_server_state(cfg, theta0), eng.init_client_states(cfg, theta0)
+    # the same round each call; the first also ranks the dataset's rows, once
+    evals = eng.run_round(server, states, plan, train, cfg)[2].grad_evals
+
+    def one_round():
+        eng.run_round(server, states, plan, train, cfg)
+
+    best = min(timeit.repeat(one_round, number=number, repeat=repeat)) / number
+    return 1e6 * best / evals, evals
 
 
 def sweep_us(flsim, seed, repeat):
     """Run id -> (µs per evaluation, evaluations) for each run of sweep_c7."""
-    sys.path.insert(0, ROOT)
-    from perfbench.workloads import SweepC7
-
     h = flsim.harness
-    spec = h.parse_config(SweepC7.config_text(seed))
-    runs = [exp for cell in spec.cells for exp in cell]
+    runs = sweep_c7_runs(flsim, seed)
     train, test = h.make_dataset(runs[0])
     out = {}
     for exp in runs:
@@ -101,11 +115,13 @@ def main(argv=None) -> int:
     import flsim.harness
     import flsim.models
 
-    result = {"kernel_us": {}, "step_us": {}}
+    result = {"kernel_us": {}}
     for name in SPECS:
-        kernel, step = kernel_us(flsim, name, args.repeat)
-        result["kernel_us"][name], result["step_us"][name] = kernel, step
-        print(f"{name} batch {BATCH}: kernel {kernel:.1f} us, step {step:.1f} us")
+        result["kernel_us"][name] = kernel = kernel_us(flsim, name, args.repeat)
+        print(f"{name} batch {BATCH}: kernel {kernel:.1f} us")
+    us, evals = round_us(flsim, args.seed, args.repeat)
+    result["round_us_per_eval"] = us
+    print(f"sweep_c7 seed {args.seed} round 0: {us:.1f} us/eval over {evals} evals")
     runs = sweep_us(flsim, args.seed, args.repeat)
     for run_id, (us, evals) in runs.items():
         print(f"sweep_c7 seed {args.seed} {run_id}: {us:.1f} us/eval over {evals} evals")

@@ -15,7 +15,7 @@ import numpy as np
 from . import methods as _m
 from .data import IID, LabeledDataset, PartitionPlan, partition_dirichlet, partition_iid
 from .errors import ConfigError, DivergenceError, NumericalOverflowError
-from .models import ModelSpec, ParamVector, init_params, top1_accuracy
+from .models import ModelSpec, ParamVector, canonical_rows, init_params, top1_accuracy
 
 # reserved stream channels (client_id slot for server-side draws,
 # round slot for pre-training setup draws)
@@ -136,6 +136,33 @@ def build_partition(cfg: RunConfig, train: LabeledDataset) -> PartitionPlan:
     return partition_dirichlet(train, cfg.n_clients, cfg.alpha, rng)
 
 
+def round_schedule(shards, streams, train: LabeledDataset, cfg: RunConfig):
+    """Every sampled client's local steps, canonicalised in one sort.
+
+    Client by client, draws ``cfg.local_epochs`` permutations of its shard from
+    its stream and cuts each into batches of ``cfg.batch_size``. Returns (rows,
+    clients): ``clients[i]`` lists client i's steps as ``(X, y, counts, n)``, a
+    batch's canonical rows of ``train``, their weights and its row count;
+    ``rows`` index every step's ``X`` into ``train``, step after step.
+    """
+    drawn, sizes, ends = [], [], [0]  # sizes: per step; ends: steps after each client
+    for shard, rng in zip(shards, streams):
+        full, rest = divmod(len(shard), cfg.batch_size)
+        drawn += [shard[rng.permutation(len(shard))] for _ in range(cfg.local_epochs)]
+        sizes += ([cfg.batch_size] * full + [rest] * (rest > 0)) * cfg.local_epochs
+        ends.append(len(sizes))
+    drawn, size = np.concatenate(drawn), len(train)
+    # A key is below len(sizes) * size <= len(drawn) * size. MAX_DATA_VALUES
+    # keeps size <= 2**27, so an int64 key would need over 2**36 drawn rows, an
+    # index array of 512 GiB that np.concatenate above fails to allocate first.
+    keys = np.repeat(np.arange(len(sizes)) * size, sizes) + train.ranks[drawn]
+    sel, counts, starts = canonical_rows(keys, np.arange(len(sizes) + 1) * size)
+    rows, starts = drawn[sel], starts.tolist()
+    X, y = train.features[rows], train.labels[rows]
+    steps = [(X[a:b], y[a:b], counts[a:b], float(n)) for a, b, n in zip(starts, starts[1:], sizes)]
+    return rows, [steps[a:b] for a, b in zip(ends, ends[1:])]
+
+
 def run_round(
     server: ServerState,
     states: list,
@@ -148,17 +175,18 @@ def run_round(
     hp = cfg.hyperparams()
     rng = derive_stream(cfg.seed, server.round, SERVER_CHANNEL)
     sampled = sample_clients(cfg.n_clients, cfg.sample_size, rng)
+    shards = [plan.assignments[cid] for cid in sampled]
+    streams = [derive_stream(cfg.seed, server.round, cid) for cid in sampled]
+    _, schedule = round_schedule(shards, streams, train, cfg)
 
     results = []
     new_states = list(states)
-    for cid in sampled:  # ascending id
-        shard = plan.assignments[cid]
+    for cid, shard, steps in zip(sampled, shards, schedule):  # ascending id
         if len(shard) == 0:
             raise ConfigError(f"client {cid} has an empty shard")
-        crng = derive_stream(cfg.seed, server.round, cid)
         try:
             result, new_states[cid] = _m.client_opt(
-                cid, server, train, shard, states[cid], hp, cfg, crng
+                cid, server, steps, len(shard), states[cid], hp, cfg
             )
         except NumericalOverflowError as exc:
             raise DivergenceError(cfg.method, server.round) from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import IID, MAX_SPREAD, gen_blobs, split_train_test
+from .data import IID, MAX_DATA_VALUES, MAX_SPREAD, gen_blobs, split_train_test
 from .engine import (
     DATA_ROUND,
     SERVER_CHANNEL,
@@ -106,12 +106,15 @@ class DataParams:
     spread: float
     test_fraction: float
 
-    def validate(self):
-        """Reject what make_dataset would; one row of a class leaves it none to train on."""
+    def validate(self, model: ModelSpec):
+        """Reject what make_dataset would, or a dataset past MAX_DATA_VALUES
+        feature values; one row of a class leaves it none to train on."""
         spread_ok = 0 <= self.spread <= MAX_SPREAD
-        if self.per_class < 2 or not spread_ok or not 0 < self.test_fraction < 1:
+        size_ok = self.per_class * model.num_classes * model.input_dim <= MAX_DATA_VALUES
+        if self.per_class < 2 or not spread_ok or not size_ok or not 0 < self.test_fraction < 1:
             bounds = f"data.per_class >= 2, 0 <= spread <= {MAX_SPREAD:g}, 0 < test_fraction < 1"
-            raise ConfigError(f"need {bounds}")
+            size = f"data.per_class x model.num_classes x model.input_dim <= {MAX_DATA_VALUES}"
+            raise ConfigError(f"need {bounds}, {size}")
 
 
 @dataclass
@@ -218,7 +221,7 @@ def _build_run(pairs):
     exp = ExperimentConfig(cfg, DataParams(**fields["data"]))
     try:
         cfg.validate()
-        exp.data.validate()
+        exp.data.validate(cfg.model)
     except ConfigError as exc:
         raise ParseError(f"{exc} (run {_run_dir(cfg)})") from exc
     return exp
@@ -410,9 +413,7 @@ def _cell_row(rows) -> SummaryRow:
         hparams=rows[0].hparams,
         partition=rows[0].partition,
         best_top1=float(np.mean([r.best_top1 for r in completed])) if completed else math.nan,
-        best_round=int(round(np.mean([r.best_round for r in completed])))
-        if completed
-        else -1,
+        best_round=round(np.mean([r.best_round for r in completed])) if completed else -1,
         mean_time_per_round=float(np.mean([r.mean_time_per_round for r in rows])),
         mean_grad_evals_per_round=float(np.mean([r.mean_grad_evals_per_round for r in rows])),
         status="completed" if len(completed) == len(rows) else "diverged",

@@ -1,9 +1,9 @@
 """The eight client/server optimization methods.
 
-``client_opt`` runs one client's local round on plain arrays: L epochs of
-shuffled minibatch steps theta <- theta - lr * d over the client's rows of
-the training set. ``server_opt`` folds the client results in ascending
-client id into the next ``ServerState``. Inside a round every vector is a
+``client_opt`` runs one client's local round on plain arrays: the steps
+theta <- theta - lr * d over the minibatches the engine scheduled for it.
+``server_opt`` folds the client results in ascending client id into the
+next ``ServerState``. Inside a round every vector is a
 plain float64 array; client and server state are dicts of them by name. A
 method is one ``Method`` record in ``METHODS``: the hyperparameters it
 accepts, the names of the client and server state it carries across
@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .models import ParamVector, canonical_rows, loss_and_grad
+from .models import ParamVector, loss_and_grad
 
 
 @dataclass(frozen=True)
@@ -186,12 +186,13 @@ METHOD_NAMES = tuple(METHODS)
 SAM_FAMILY = frozenset(name for name, m in METHODS.items() if m.sam)
 
 
-def client_opt(cid, server, data, shard, state, hp, cfg, rng):
+def client_opt(cid, server, steps, num_samples, state, hp, cfg):
     """Client ``cid``'s local round from the broadcast ``server.global_params``.
 
-    ``shard`` holds the client's row indices into ``data`` and ``state`` maps
-    the method's client-state names to vectors. Runs ``cfg.local_epochs``
-    epochs of shuffled minibatch steps; returns (ClientResult, new state).
+    ``steps`` is the client's part of ``engine.round_schedule``: one
+    ``(X, y, counts, n)`` batch of canonical rows per local step, in order;
+    ``num_samples`` is its shard's row count, and ``state`` maps the method's
+    client-state names to vectors. Returns (ClientResult, new state).
     """
     m = METHODS[cfg.method]
     theta = server.global_params.values
@@ -199,30 +200,24 @@ def client_opt(cid, server, data, shard, state, hp, cfg, rng):
     shift = m.perturb_shift(c) if m.perturb_shift is not None else None
     eps = None
     losses = []
-    for _ in range(cfg.local_epochs):
-        order = rng.permutation(len(shard))
-        for start in range(0, len(shard), cfg.batch_size):
-            drawn = shard[order[start : start + cfg.batch_size]]
-            sel, counts = canonical_rows(data.ranks[drawn])
-            rows, n = drawn[sel], float(len(drawn))
-            X, y = data.features[rows], data.labels[rows]
-            loss, g = loss_and_grad(cfg.model, theta, X, y, counts, n)
-            if m.sam:
-                # the gradient at theta + rho * raw/||raw||, raw the plain
-                # gradient plus any shift; two evaluations even at rho=0
-                raw = g if shift is None else g + shift
-                eps = hp.rho * raw / (np.linalg.norm(raw) + hp.xi)
-                g = loss_and_grad(cfg.model, theta + eps, X, y, counts, n)[1]
-            theta = theta - cfg.client_lr * m.direction(c, g, theta)
-            losses.append(loss)
+    for X, y, counts, n in steps:
+        loss, g = loss_and_grad(cfg.model, theta, X, y, counts, n)
+        if m.sam:
+            # the gradient at theta + rho * raw/||raw||, raw the plain
+            # gradient plus any shift; two evaluations even at rho=0
+            raw = g if shift is None else g + shift
+            eps = hp.rho * raw / (np.linalg.norm(raw) + hp.xi)
+            g = loss_and_grad(cfg.model, theta + eps, X, y, counts, n)[1]
+        theta = theta - cfg.client_lr * m.direction(c, g, theta)
+        losses.append(loss)
     new_state, aux = m.client_finish(c, theta, len(losses), eps)
     result = ClientResult(
         client_id=cid,
         final_params=theta,
         steps_taken=len(losses),
-        mean_loss=float(np.mean(losses)),
+        mean_loss=float(np.add.reduce(losses) / len(losses)),
         grad_evals=len(losses) * (2 if m.sam else 1),
-        num_samples=len(shard),
+        num_samples=num_samples,
         aux=aux,
     )
     return result, new_state

@@ -137,12 +137,15 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     return values
 
 
-def canonical_rows(keys: np.ndarray):
-    """(sel, counts): a batch's rows in ``row_keys`` order, equal rows merged.
+def canonical_rows(keys: np.ndarray, cuts):
+    """(sel, counts, starts): each batch's rows in ``row_keys`` order, equal rows merged.
 
-    Each run of equal keys is its first row in batch order, weighted by the
-    run's size. Makes loss/grad exactly invariant to row permutation and to
-    duplicating every row (count scaling by a power of two is exact).
+    ``keys``: batch after batch, a row's batch index times the dataset's size
+    plus its rank, so batch j's keys lie in ``[cuts[j], cuts[j + 1])``. Each run
+    of equal keys is its first row in batch order, weighted by the run's size;
+    batch j's runs are ``sel[starts[j]:starts[j + 1]]``. Makes loss/grad exactly
+    invariant to row permutation and to duplicating every row (count scaling
+    by a power of two is exact).
     """
     n = len(keys)
     order = np.argsort(keys, kind="stable")
@@ -151,7 +154,8 @@ def canonical_rows(keys: np.ndarray):
     edge[0] = edge[n] = True
     edge[1:n] = srt[1:] != srt[:-1]
     bounds = edge.nonzero()[0]
-    return order[bounds[:-1]], (bounds[1:] - bounds[:-1]).astype(np.float64)
+    first = bounds[:-1]
+    return order[first], (bounds[1:] - first).astype(np.float64), np.searchsorted(srt[first], cuts)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -178,7 +182,7 @@ def _forward_logits(spec: ModelSpec, layers: list, X: np.ndarray):
 def loss_and_grad(spec: ModelSpec, theta: np.ndarray, X, y, counts, n: float):
     """Mean cross-entropy (natural log) and its exact analytic gradient vector.
 
-    ``X``, ``y``, ``counts``: a batch's ``canonical_rows``, checked by the
+    ``X``, ``y``, ``counts``: one batch of ``canonical_rows``, checked by the
     caller to fit ``spec``; ``n``: its row count. The quadratic probe uses
     0.5*||theta - target||^2 and ignores the rows.
     """

@@ -1,9 +1,12 @@
-"""Gradient oracles: the training kernel on raw rows, and central differences.
+"""Reference oracles: the training kernel on raw rows, central differences,
+and the per-batch step loop.
 
 ``flsim.models.loss_and_grad`` takes rows already canonicalised by the
 dataset's ranks. ``batch_loss_and_grad`` ranks a batch's own rows with
 ``row_keys`` and calls it, so tests can check the kernel against
-``finite_diff_grad`` and against hand-built batches.
+``finite_diff_grad`` and against hand-built batches. ``per_batch_schedule``
+draws and canonicalises a round's minibatches one at a time, the way
+clients once did, to check ``flsim.engine.round_schedule`` against.
 """
 import numpy as np
 
@@ -15,7 +18,7 @@ def batch_loss_and_grad(spec, theta, X, y):
     """(loss, gradient vector) of ``spec`` at ``theta`` on the rows ``X``, ``y``."""
     theta = np.asarray(theta, dtype=np.float64)
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
-    sel, counts = canonical_rows(row_keys(X, y))
+    sel, counts, _ = canonical_rows(row_keys(X, y), [0])
     return loss_and_grad(spec, theta, X[sel], y[sel], counts, float(len(y)))
 
 
@@ -39,3 +42,26 @@ def block(spec, theta, name):
     """The named block of a flat parameter vector, as a view in its shape."""
     sl, shape = spec.slices[name]
     return theta[sl].reshape(shape)
+
+
+def per_batch_schedule(shards, streams, ranks, local_epochs, batch_size):
+    """Per client, its steps' (rows, counts, n), each batch canonicalised alone.
+
+    Each epoch draws a permutation of the shard from the client's stream; a
+    batch's rows sorted stably by rank keep the first row of each run of
+    equal ranks, weighted by the run's length; ``n`` is the batch's size.
+    """
+    clients = []
+    for shard, rng in zip(shards, streams):
+        steps = []
+        for _ in range(local_epochs):
+            order = rng.permutation(len(shard))
+            for start in range(0, len(shard), batch_size):
+                drawn = shard[order[start : start + batch_size]]
+                by_rank = np.argsort(ranks[drawn], kind="stable")
+                _, first, counts = np.unique(
+                    ranks[drawn][by_rank], return_index=True, return_counts=True
+                )
+                steps.append((drawn[by_rank[first]], counts.astype(np.float64), float(len(drawn))))
+        clients.append(steps)
+    return clients

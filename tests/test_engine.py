@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mlp_config, probe_config, small_task, trajectory
 from flsim import engine
@@ -13,13 +15,14 @@ from flsim.engine import (
     derive_stream,
     init_client_states,
     init_server_state,
+    round_schedule,
     run_round,
     run_training,
     sample_clients,
 )
 from flsim.errors import ConfigError, DivergenceError
 from flsim.models import init_params
-from oracle import batch_loss_and_grad
+from oracle import batch_loss_and_grad, per_batch_schedule
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -275,3 +278,44 @@ class TestRunTraining:
         )
         records = run_training(cfg, train, test)
         assert records[-1].test_top1 >= pilot["fedavg_iid_final_top1_floor"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 400),
+    distinct=st.integers(1, 400),
+    shard_sizes=st.lists(st.integers(1, 300), min_size=1, max_size=5),
+    batch_size=st.integers(1, 63),
+    local_epochs=st.integers(1, 3),
+)
+def test_round_schedule_matches_per_batch_loop(
+    seed, n_rows, distinct, shard_sizes, batch_size, local_epochs
+):
+    # few distinct rows repeat within a step and across steps; shards drawn
+    # with replacement repeat row indices too
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, min(distinct, n_rows), (n_rows, 1)).astype(np.float64)
+    train = LabeledDataset(values, np.zeros(n_rows, dtype=np.int64), 1)
+    shards = [rng.choice(n_rows, size) for size in shard_sizes]
+    cfg = probe_config(local_epochs=local_epochs, batch_size=batch_size)
+
+    def streams():
+        return [derive_stream(seed, 3, cid) for cid in range(len(shards))]
+
+    scheduled, looped = streams(), streams()
+    rows, clients = round_schedule(shards, scheduled, train, cfg)
+    want = per_batch_schedule(shards, looped, train.ranks, local_epochs, batch_size)
+    assert [len(steps) for steps in clients] == [len(steps) for steps in want]
+    at = 0  # where the step's rows start in ``rows``
+    for steps, want_steps in zip(clients, want):
+        for (X, y, counts, n), (want_rows, want_counts, want_n) in zip(steps, want_steps):
+            assert np.array_equal(rows[at : at + len(X)], want_rows)
+            assert X.tobytes() == train.features[want_rows].tobytes()
+            assert np.array_equal(y, train.labels[want_rows])
+            assert np.array_equal(counts, want_counts) and n == want_n
+            at += len(X)
+    assert at == len(rows)
+    # each stream is left where local_epochs permutations leave it
+    for after_schedule, after_loop in zip(scheduled, looped):
+        assert after_schedule.integers(0, 2**63) == after_loop.integers(0, 2**63)

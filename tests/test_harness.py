@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flsim.cli import main as cli_main
-from flsim.data import MAX_SPREAD
+from flsim.data import MAX_DATA_VALUES, MAX_SPREAD
 from flsim.errors import ConfigError, ParseError
 from flsim import harness
 from flsim.harness import (
@@ -112,6 +112,11 @@ BAD_SWEEPS = [
     ("data.per_class = 30", "data.per_class = 1", "per_class >= 2"),
     ("data.per_class = 30", "data.per_class = 30\ndata.test_fraction = 2", "test_fraction < 1"),
     ("data.per_class = 30", "data.per_class = 30\ndata.spread = 1e308", r"spread <= 1e\+300"),
+    (
+        "data.per_class = 30",
+        "data.per_class = 1000000000000",
+        r"per_class x model\.num_classes x model\.input_dim <= 134217728",
+    ),
     ("seeds = 1,2", "seeds = 1,x", r"bad value 'x' \(key: seeds\) \(line 5\)"),
     ("0.1,0.001", "0.1,abc", r"bad value 'abc' \(key: grid\.fedprox\.lambda\) \(line 3\)"),
     ("rounds = 3", "rounds = 3\nbogus", r"expected 'key = value' \(line 7\)"),
@@ -275,13 +280,20 @@ class TestParse:
                 strategy = st.sampled_from(choices[key]) if kind is str else numbers[kind]
                 pairs[key] = data.draw(strategy)
         pairs["model.num_classes"] = data.draw(st.integers(2, 100))
-        # the data keys in the ranges make_dataset accepts
-        pairs["data.per_class"] = data.draw(st.integers(2, 10**6))
+        # the data keys in the ranges make_dataset accepts, with at most
+        # MAX_DATA_VALUES feature values whichever of the three take their
+        # defaults (num_classes 10, input_dim 32, per_class 240)
+        classes = max(pairs["model.num_classes"], 10)
+        pairs["model.input_dim"] = data.draw(st.integers(1, MAX_DATA_VALUES // (240 * classes)))
+        dim = max(pairs["model.input_dim"], 32)
+        pairs["data.per_class"] = data.draw(st.integers(2, MAX_DATA_VALUES // (classes * dim)))
         fraction = st.floats(0, 1, exclude_min=True, exclude_max=True)
         pairs["data.test_fraction"] = data.draw(fraction)
-        # sample_size <= n_clients, whichever of the two takes its default (10 and 100)
+        # sample_size <= n_clients, whichever of the two takes its default (10 and
+        # 100), and num_classes <= n_clients for the default partition, dirichlet:0
         pairs["sample_size"] = data.draw(st.integers(1, 100))
-        pairs["n_clients"] = data.draw(st.integers(max(pairs["sample_size"], 10), 10**6))
+        low = max(pairs["sample_size"], pairs["model.num_classes"], 10)
+        pairs["n_clients"] = data.draw(st.integers(low, 10**6))
         for key in sorted(METHODS[method].hparams):
             upper = 1.0 if key == "mu" else 1e6
             lower = 1e-300 if key == "xi" else 0.0

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import probe_config, probe_shard
 from flsim import methods
-from flsim.engine import derive_stream, init_client_states, init_server_state
+from flsim.engine import derive_stream, init_client_states, init_server_state, round_schedule
 from flsim.errors import ConfigError
 from flsim.methods import (
     METHODS,
@@ -25,7 +25,8 @@ def run_probe(method, hparams, steps=1, theta0=1.0, lr=0.1, target=(0.0,)):
     (state,) = init_client_states(cfg, theta_r)
     hp = HyperParams.for_method(method, hparams)
     rng = derive_stream(cfg.seed, 0, 0)
-    result, new_state = client_opt(0, server, probe_shard(1), np.arange(1), state, hp, cfg, rng)
+    _, (steps,) = round_schedule([np.arange(1)], [rng], probe_shard(1), cfg)
+    result, new_state = client_opt(0, server, steps, 1, state, hp, cfg)
     return result, new_state, server, cfg, hp
 
 

@@ -273,7 +273,7 @@ def test_row_keys_order_and_loss_bit_identical(spec, data, seed, scale):
     # canonical rows: each run of equal rows is its first row in batch order,
     # sign of zero included, as a stable lexsort of the batch gives it
     starts = np.flatnonzero(np.r_[True, (np.diff(keyed[order], axis=0) != 0).any(axis=1)])
-    sel, counts = canonical_rows(keys)
+    sel, counts, _ = canonical_rows(keys, [0])
     assert X[idx][sel].tobytes() == X[idx][order[starts]].tobytes()
     assert np.array_equal(y[idx][sel], y[idx][order[starts]])
     assert np.array_equal(counts, np.diff(starts, append=len(idx)))
@@ -301,6 +301,6 @@ def test_overflow_names_block_on_both_paths():
     X, y = np.zeros((2, 3)), np.array([3, 3])
     with pytest.raises(NumericalOverflowError, match="'W1'"):
         batch_loss_and_grad(MLP_TANH, theta, X, y)
-    sel, counts = canonical_rows(row_keys(X, y))
+    sel, counts, _ = canonical_rows(row_keys(X, y), [0])
     with pytest.raises(NumericalOverflowError, match="'W1'"):
         loss_and_grad(MLP_TANH, theta, X[sel], y[sel], counts, 2.0)
