@@ -13,8 +13,7 @@ IID = "iid"
 # the largest gen_blobs spread: NumPy's ziggurat sampler cannot return a standard
 # normal of magnitude 13 or more, so spread * draw + center (norm 4) stays finite
 MAX_SPREAD = 1e300
-# the most feature values (per_class x num_classes x input_dim) a run generates:
-# 2**27 float64s, 1 GiB, before the train/test split copies them
+# the most feature values (per_class x num_classes x input_dim) a run generates: 1 GiB
 MAX_DATA_VALUES = 2**27
 
 

@@ -413,7 +413,9 @@ def _cell_row(rows) -> SummaryRow:
         hparams=rows[0].hparams,
         partition=rows[0].partition,
         best_top1=float(np.mean([r.best_top1 for r in completed])) if completed else math.nan,
-        best_round=round(np.mean([r.best_round for r in completed])) if completed else -1,
+        best_round=int(round(np.mean([r.best_round for r in completed])))
+        if completed
+        else -1,
         mean_time_per_round=float(np.mean([r.mean_time_per_round for r in rows])),
         mean_grad_evals_per_round=float(np.mean([r.mean_grad_evals_per_round for r in rows])),
         status="completed" if len(completed) == len(rows) else "diverged",

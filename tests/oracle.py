@@ -5,8 +5,8 @@ and the per-batch step loop.
 dataset's ranks. ``batch_loss_and_grad`` ranks a batch's own rows with
 ``row_keys`` and calls it, so tests can check the kernel against
 ``finite_diff_grad`` and against hand-built batches. ``per_batch_schedule``
-draws and canonicalises a round's minibatches one at a time, the way
-clients once did, to check ``flsim.engine.round_schedule`` against.
+draws and canonicalises a round's minibatches one batch at a time: the
+reference ``flsim.engine.round_schedule`` is checked against.
 """
 import numpy as np
 
