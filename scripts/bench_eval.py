@@ -6,7 +6,10 @@ Prints:
   mlp 32->16->10 at batch 32 (timeit, best of ``--repeat``);
 - ``round``: what the engine pays per evaluation, everything included: one
   round of the first ``sweep_c7`` run (``engine.run_round``, timeit, best of
-  ``--repeat``) over the round's reported gradient evaluations.
+  ``--repeat``) over the round's reported gradient evaluations;
+- ``stream``: µs per client stream when a round seeds 10 and 50 sampled
+  clients' streams (``engine.client_streams``, or one ``engine.derive_stream``
+  per client where the source has no batch call; timeit, best of ``--repeat``).
 
 Then it runs each run of the ``sweep_c7`` benchmark sweep in this process on
 one shared dataset (``run_training`` only, best of ``--repeat``) and prints
@@ -16,7 +19,7 @@ wall time over reported gradient evaluations for each run, and their mean.
 
 ``--src`` names the ``src`` directory to import flsim from (default: this
 checkout's), so the same script measures both sides of a change; it calls
-only the engine's public round and training entry points.
+only the engine's public stream, round and training entry points.
 """
 from __future__ import annotations
 
@@ -51,6 +54,19 @@ def kernel_us(flsim, name, repeat, number=2000):
         m.loss_and_grad(spec, theta, X, y, counts, n)
 
     return 1e6 * min(timeit.repeat(kernel, number=number, repeat=repeat)) / number
+
+
+def stream_us(flsim, clients, repeat, number=200):
+    """µs per client stream when one round seeds ``clients`` sampled clients."""
+    eng = flsim.engine
+    ids = list(range(0, 2000, 2000 // clients))  # ascending, as run_round samples them
+
+    def streams():
+        if hasattr(eng, "client_streams"):
+            return eng.client_streams(1, 0, ids)
+        return [eng.derive_stream(1, 0, c) for c in ids]  # a source from before batching
+
+    return 1e6 * min(timeit.repeat(streams, number=number, repeat=repeat)) / number / clients
 
 
 def sweep_c7_runs(flsim, seed):
@@ -119,6 +135,10 @@ def main(argv=None) -> int:
     for name in SPECS:
         result["kernel_us"][name] = kernel = kernel_us(flsim, name, args.repeat)
         print(f"{name} batch {BATCH}: kernel {kernel:.1f} us")
+    result["stream_us"] = {}
+    for clients in (10, 50):
+        result["stream_us"][str(clients)] = us = stream_us(flsim, clients, args.repeat)
+        print(f"{clients} sampled clients: {us:.1f} us/stream")
     us, evals = round_us(flsim, args.seed, args.repeat)
     result["round_us_per_eval"] = us
     print(f"sweep_c7 seed {args.seed} round 0: {us:.1f} us/eval over {evals} evals")

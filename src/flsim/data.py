@@ -1,7 +1,7 @@
 """Synthetic datasets, train/test splitting, and client partitioning."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -22,6 +22,7 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)

@@ -29,19 +29,68 @@ _MASK = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
 
 
-def _splitmix64(x: int) -> int:
-    x = (x + _GOLD) & _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x ^ (x >> 31)
+def _stream_key(seed: int, round_idx: int, client_id):
+    """splitmix64 over seed, round, then client; ``client_id`` may be a uint64 array."""
+    x = seed & _MASK
+    for v in (round_idx, client_id):
+        x = ((x ^ ((v & _MASK) * _GOLD & _MASK)) + _GOLD) & _MASK
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        x = x ^ (x >> 31)
+    return x
 
 
 def derive_stream(seed: int, round_idx: int, client_id: int) -> np.random.Generator:
     """Independent stream per (seed, round, client); keyed, order-free."""
-    h = seed & _MASK
-    for v in (round_idx, client_id):
-        h = _splitmix64(h ^ ((v & _MASK) * _GOLD & _MASK))
-    return np.random.Generator(np.random.PCG64(h))
+    return np.random.Generator(np.random.PCG64(_stream_key(seed, round_idx, client_id)))
+
+
+def _hashes(init: int, mult: int, n: int):
+    """(xor, multiplier) columns of n SeedSequence hashes; each advances the constant."""
+    k = np.array([init * mult**i & 0xFFFFFFFF for i in range(n + 1)], np.uint32)[:, None]
+    return k[:-1], k[1:]
+
+
+# NumPy's SeedSequence with a pool of 4 uint32 words (numpy/random/bit_generator.pyx).
+# After 4 pool hashes, word s hashes into each other word d in ascending d; stage
+# s holds the pool rotated to start at word s, so takes those hashes in that order.
+_POOL_X, _POOL_M = _hashes(0x43B0D7E5, 0x931E8875, 16)
+_STAGES = [(_POOL_X[i], _POOL_M[i]) for i in (  # d: words s+1, s+2, s+3 (mod 4)
+    [4 + 3 * s + d % 4 - (d % 4 > s) for d in range(s + 1, s + 4)] for s in range(4))]
+_OUT = [c.reshape(2, 4, 1) for c in _hashes(0x8B51F9DD, 0x58F38DED, 8)]  # word j: pool word j % 4
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+
+def _hashmix(v, x, m):
+    v = (v ^ x) * m
+    return v ^ (v >> _SHIFT)
+
+
+def seed_words(keys: np.ndarray) -> np.ndarray:
+    """Row i: ``np.random.SeedSequence(keys[i]).generate_state(4, np.uint64)``; uint64 keys."""
+    pool = np.zeros((4, len(keys)), np.uint32)  # a key is 2 words; a missing word hashes as 0
+    pool[0], pool[1] = keys & 0xFFFFFFFF, keys >> 32
+    pool = _hashmix(pool, _POOL_X[:4], _POOL_M[:4])
+    for x, m in _STAGES:
+        mixed = _MIX_L * pool[1:] - _MIX_R * _hashmix(pool[0], x, m)
+        pool = np.concatenate((mixed ^ (mixed >> _SHIFT), pool[:1]))
+    return np.ascontiguousarray(_hashmix(pool, *_OUT).reshape(8, -1).T).view(np.uint64)
+
+
+class _SeedWords:  # a NumPy ISeedSequence, registered in client_streams
+    def __init__(self, words):  # a row of seed_words: the 4 uint64 words PCG64 asks for
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def client_streams(seed: int, round_idx: int, client_ids) -> list:
+    """``[derive_stream(seed, round_idx, c) for c in client_ids]``, hashed in one batch."""
+    keys = _stream_key(seed, round_idx, np.asarray(client_ids, dtype=np.int64).view(np.uint64))
+    # registered on use, so that importing flsim does not import numpy.random
+    np.random.bit_generator.ISeedSequence.register(_SeedWords)  # a no-op after the first call
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in seed_words(keys)]
 
 
 @dataclass
@@ -176,7 +225,7 @@ def run_round(
     rng = derive_stream(cfg.seed, server.round, SERVER_CHANNEL)
     sampled = sample_clients(cfg.n_clients, cfg.sample_size, rng)
     shards = [plan.assignments[cid] for cid in sampled]
-    streams = [derive_stream(cfg.seed, server.round, cid) for cid in sampled]
+    streams = client_streams(cfg.seed, server.round, sampled)
     _, schedule = round_schedule(shards, streams, train, cfg)
 
     results = []
@@ -233,7 +282,9 @@ def run_training(
         ):
             raise ConfigError(f"{name} set: {dim} features, {classes} classes don't fit the model")
     theta0 = init_params(cfg.model, derive_stream(cfg.seed, INIT_ROUND, SERVER_CHANNEL))
-    plan = build_partition(cfg, train)
+    key = (cfg.seed, cfg.partition, cfg.alpha, cfg.n_clients)  # all a plan reads of cfg
+    if (plan := train.plans.get(key)) is None:  # runs that share ``train`` share its plans
+        plan = train.plans[key] = build_partition(cfg, train)
     server = init_server_state(cfg, theta0)
     states = init_client_states(cfg, theta0)
 

@@ -11,7 +11,7 @@ rounds, its per-step direction d, and its end-of-round updates.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,7 @@ class HyperParams:
     xi: float = 1e-12  # SAM zero-gradient guard
 
     def validate(self):
-        if not np.isfinite(astuple(self)).all():
+        if not np.isfinite((self.lam, self.beta, self.mu, self.rho, self.gamma, self.xi)).all():
             raise ConfigError("hyperparameters must be finite")
         if self.lam < 0 or self.beta < 0 or self.rho < 0 or self.gamma < 0:
             raise ConfigError("lambda/beta/rho/gamma must be non-negative")

@@ -158,11 +158,6 @@ def canonical_rows(keys: np.ndarray, cuts):
     return order[first], (bounds[1:] - first).astype(np.float64), np.searchsorted(srt[first], cuts)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
 def _layers(spec: ModelSpec, vec: np.ndarray) -> list:
     """(W, b) views of a flat vector's blocks, one pair per dense layer."""
     views = iter([vec[sl].reshape(shape) for sl, shape in spec.slices.values()])
@@ -193,21 +188,24 @@ def loss_and_grad(spec: ModelSpec, theta: np.ndarray, X, y, counts, n: float):
             loss = 0.5 * float(grad @ grad)
         else:
             layers = _layers(spec, theta)
-            logits, inputs = _forward_logits(spec, layers, X)
-            logp = _log_softmax(logits)
-            rows = np.arange(len(y))
-            loss = float(counts @ (-logp[rows, y]) / n)
+            logp, inputs = _forward_logits(spec, layers, X)
+            # log-softmax in place: logits - max, then - log(sum(exp))
+            logp -= np.maximum.reduce(logp, axis=1, keepdims=True)
+            logp -= np.log(np.add.reduce(np.exp(logp), axis=1, keepdims=True))
+            at_label = np.arange(0, logp.size, logp.shape[1]) + y  # flat (row, y) indices
+            loss = float(counts @ -logp.ravel()[at_label] / n)
             G = np.exp(logp)
-            G[rows, y] -= 1.0
+            G.ravel()[at_label] -= 1.0
             G *= (counts / n)[:, None]  # per-unique-row weights; sum to 1
-            blocks = []  # gradient blocks in layout order
+            grad = np.empty(theta.shape)
+            blocks = _layers(spec, grad)  # written in place, last layer first
             for i in reversed(range(len(layers))):
-                A = inputs[i]
-                blocks[:0] = [(A.T @ G).ravel(), G.sum(axis=0)]  # W, then b
+                A, (dW, db) = inputs[i], blocks[i]
+                np.matmul(A.T, G, out=dW)
+                np.add.reduce(G, axis=0, out=db)
                 if i:  # back through the activation whose output is A
                     dact = A > 0.0 if spec.activation == "relu" else 1.0 - A**2
                     G = (G @ layers[i][0].T) * dact
-            grad = np.concatenate(blocks)
     if not math.isfinite(loss):
         raise NumericalOverflowError("loss")
     if not np.isfinite(grad).all():

@@ -1,5 +1,5 @@
 """Reference oracles: the training kernel on raw rows, central differences,
-and the per-batch step loop.
+the per-batch step loop, and the kernel's earlier formulation.
 
 ``flsim.models.loss_and_grad`` takes rows already canonicalised by the
 dataset's ranks. ``batch_loss_and_grad`` ranks a batch's own rows with
@@ -7,10 +7,15 @@ dataset's ranks. ``batch_loss_and_grad`` ranks a batch's own rows with
 ``finite_diff_grad`` and against hand-built batches. ``per_batch_schedule``
 draws and canonicalises a round's minibatches one batch at a time: the
 reference ``flsim.engine.round_schedule`` is checked against.
+``reference_loss_and_grad`` is ``flsim.models.loss_and_grad`` as written before
+its log-softmax ran in place and its gradient blocks were written into one
+vector; the kernel must match it bit for bit.
 """
+import math
+
 import numpy as np
 
-from flsim.errors import ConfigError
+from flsim.errors import ConfigError, NumericalOverflowError
 from flsim.models import canonical_rows, loss_and_grad, row_keys
 
 
@@ -65,3 +70,41 @@ def per_batch_schedule(shards, streams, ranks, local_epochs, batch_size):
                 steps.append((drawn[by_rank[first]], counts.astype(np.float64), float(len(drawn))))
         clients.append(steps)
     return clients
+
+
+def reference_loss_and_grad(spec, theta, X, y, counts, n):
+    """``flsim.models.loss_and_grad``'s earlier formulation, step by step."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "quadratic_probe":
+            grad = theta - np.asarray(spec.probe_target, dtype=np.float64)
+            loss = 0.5 * float(grad @ grad)
+        else:
+            views = iter([theta[sl].reshape(shape) for sl, shape in spec.slices.values()])
+            layers = list(zip(views, views))
+            (W, b), *above = layers
+            inputs, logits = [X], X @ W + b
+            for W, b in above:
+                inputs.append(np.maximum(logits, 0.0) if spec.activation == "relu" else np.tanh(logits))
+                logits = inputs[-1] @ W + b
+            z = logits - logits.max(axis=1, keepdims=True)
+            logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+            rows = np.arange(len(y))
+            loss = float(counts @ (-logp[rows, y]) / n)
+            G = np.exp(logp)
+            G[rows, y] -= 1.0
+            G *= (counts / n)[:, None]
+            blocks = []
+            for i in reversed(range(len(layers))):
+                A = inputs[i]
+                blocks[:0] = [(A.T @ G).ravel(), G.sum(axis=0)]
+                if i:
+                    dact = A > 0.0 if spec.activation == "relu" else 1.0 - A**2
+                    G = (G @ layers[i][0].T) * dact
+            grad = np.concatenate(blocks)
+    if not math.isfinite(loss):
+        raise NumericalOverflowError("loss")
+    if not np.isfinite(grad).all():
+        for name, (sl, _) in spec.slices.items():
+            if not np.isfinite(grad[sl]).all():
+                raise NumericalOverflowError(name)
+    return loss, grad

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mlp_config, probe_config, small_task, trajectory
@@ -50,6 +50,33 @@ class TestDeriveStream:
         srv = tuple(derive_stream(5, 0, -1).integers(0, 2**63, 4))
         for c in range(32):
             assert tuple(derive_stream(5, 0, c).integers(0, 2**63, 4)) != srv
+
+
+class TestClientStreams:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(-(2**63), 2**63 - 1),
+        round_idx=st.integers(-4, 2**40),
+        ids=st.lists(st.integers(-1, 2**40), max_size=60).map(lambda ids: ids + ids[::3]),
+    )
+    @example(seed=-(2**63), round_idx=-4, ids=[-1, -1, 0])
+    @example(seed=2**63 - 1, round_idx=-1, ids=[])
+    def test_batch_draws_as_derive_stream(self, seed, round_idx, ids):
+        streams = engine.client_streams(seed, round_idx, ids)
+        assert len(streams) == len(ids)
+        # each stream is its own generator: drawing last to first changes nothing
+        for cid, rng in reversed(list(zip(ids, streams))):
+            ref = derive_stream(seed, round_idx, cid)
+            assert np.array_equal(rng.integers(0, 2**63, 4), ref.integers(0, 2**63, 4))
+            assert np.array_equal(rng.permutation(17), ref.permutation(17))
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("h", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_seed_words_as_seed_sequence(self, h):
+        want = np.random.SeedSequence(h).generate_state(4, np.uint64)
+        words = engine.seed_words(np.array([h, 7, h], dtype=np.uint64))
+        assert words.dtype == np.uint64 and words.shape == (3, 4)
+        assert np.array_equal(words[0], want) and np.array_equal(words[2], want)
 
 
 class TestSampleClients:

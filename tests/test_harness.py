@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from flsim.cli import main as cli_main
 from flsim.data import MAX_DATA_VALUES, MAX_SPREAD
 from flsim.errors import ConfigError, ParseError
-from flsim import harness
+from flsim import engine, harness
 from flsim.harness import (
     _HPARAM_KEYS,
     _KEYS,
@@ -588,6 +588,28 @@ class TestSweep:
             run_experiment(exp, lone)
             assert strip_dt(swept / "metrics.jsonl") == strip_dt(lone / "metrics.jsonl")
             assert (swept / "config.txt").read_text() == (lone / "config.txt").read_text()
+
+    def test_one_plan_per_partition_per_seed(self, tmp_path, monkeypatch):
+        # runs of a seed share its dataset, and with it each partition plan
+        spec = parse_config(SWEEP_TEXT)
+        built = []
+        real = engine.build_partition
+        monkeypatch.setattr(
+            engine, "build_partition", lambda cfg, train: built.append(cfg) or real(cfg, train)
+        )
+        run_sweep(spec, tmp_path / "s")
+        keys = [(c.seed, c.partition, c.alpha, c.n_clients) for c in built]
+        assert sorted(keys) == sorted(
+            (seed, part, 0.0, 10) for seed in (1, 2) for part in ("iid", "dirichlet")
+        )
+        lone_rows = []
+        for exp in (exp for cell in spec.cells for exp in cell):
+            swept = tmp_path / "s" / "runs" / _run_dir(exp.run)
+            lone = tmp_path / "lone" / _run_dir(exp.run)
+            lone_rows.append(run_experiment(exp, lone)[1])  # its own dataset and plan
+            assert strip_dt(swept / "metrics.jsonl") == strip_dt(lone / "metrics.jsonl")
+        (tmp_path / "lone.csv").write_text(harness.format_rows(lone_rows))
+        assert strip_time_cols(tmp_path / "s" / "runs.csv") == strip_time_cols(tmp_path / "lone.csv")
 
     def test_diverged_cell_marked_not_omitted(self, tmp_path):
         text = SWEEP_TEXT + DIVERGE_EXTRA

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,7 +19,7 @@ from flsim.models import (
     row_keys,
     top1_accuracy,
 )
-from oracle import batch_loss_and_grad, block, finite_diff_grad
+from oracle import batch_loss_and_grad, block, finite_diff_grad, reference_loss_and_grad
 
 LINEAR = ModelSpec("linear", input_dim=4, num_classes=3)
 MLP = ModelSpec("mlp", input_dim=5, num_classes=3, hidden_dim=4, activation="relu")
@@ -304,3 +304,38 @@ def test_overflow_names_block_on_both_paths():
     sel, counts, _ = canonical_rows(row_keys(X, y), [0])
     with pytest.raises(NumericalOverflowError, match="'W1'"):
         loss_and_grad(MLP_TANH, theta, X[sel], y[sel], counts, 2.0)
+
+
+SCALES = st.sampled_from([1.0, 1e-300, 1e3, 1e160, 1e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["linear", "mlp"]),
+    activation=st.sampled_from(["relu", "tanh"]),
+    dims=st.tuples(st.integers(1, 12), st.integers(2, 8), st.integers(1, 10)),
+    rows=st.integers(1, 63),
+    seed=st.integers(0, 2**16),
+    scales=st.lists(SCALES, min_size=5, max_size=5),
+)
+@example(  # a finite loss, and the hidden layer's gradient overflows in W1 and b1
+    kind="mlp", activation="tanh", dims=(1, 3, 1), rows=1, seed=35, scales=[1e-300, 1, 1e308, 1, 1]
+)
+def test_kernel_bit_identical_to_reference(kind, activation, dims, rows, seed, scales):
+    # the kernel against its earlier formulation: the same loss and gradient
+    # bytes, or the same overflow error naming the same block. Each block and
+    # the rows get their own scale, so a loss can stay finite while gradients
+    # overflow in several blocks.
+    dim, classes, hidden = dims
+    spec = ModelSpec(kind, dim, classes, hidden if kind == "mlp" else 0, activation)
+    theta = init_params(spec, derive_stream(seed, -1, -1))
+    for (sl, _), scale in zip(spec.slices.values(), scales):
+        theta[sl] *= scale
+    rng = np.random.default_rng(seed)
+    pool = rng.standard_normal((max(1, rows // 2), dim)) * min(scales[-1], 1e300)  # finite
+    X, y = pool[rng.integers(0, len(pool), rows)], rng.integers(0, classes, rows)  # duplicates
+    sel, counts, _ = canonical_rows(row_keys(X, y), [0])
+    # canonical rows as round_schedule passes them: a slice of one gathered array
+    Xs = np.concatenate([X[:1], X[sel], X[:1]])[1:-1]
+    args = (spec, theta, Xs, y[sel], counts, float(rows))
+    assert _outcome(lambda: loss_and_grad(*args)) == _outcome(lambda: reference_loss_and_grad(*args))
