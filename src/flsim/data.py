@@ -22,7 +22,8 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # partition plans that runs on this set share (run_sweep sets a dict; see run_training)
+    plans: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)

@@ -283,8 +283,9 @@ def run_training(
             raise ConfigError(f"{name} set: {dim} features, {classes} classes don't fit the model")
     theta0 = init_params(cfg.model, derive_stream(cfg.seed, INIT_ROUND, SERVER_CHANNEL))
     key = (cfg.seed, cfg.partition, cfg.alpha, cfg.n_clients)  # all a plan reads of cfg
-    if (plan := train.plans.get(key)) is None:  # runs that share ``train`` share its plans
-        plan = train.plans[key] = build_partition(cfg, train)
+    plans = {} if train.plans is None else train.plans  # run_sweep's runs of a seed share them
+    if (plan := plans.get(key)) is None:
+        plan = plans[key] = build_partition(cfg, train)
     server = init_server_state(cfg, theta0)
     states = init_client_states(cfg, theta0)
 

@@ -429,8 +429,10 @@ def run_sweep(spec: SweepSpec, out_dir):
     print(f"sweep: {len(spec.cells)} cells x {seeds} seeds = {len(spec.cells) * seeds} runs")
     cell_rows = [[None] * seeds for _ in spec.cells]
     for s in range(seeds):  # seed-major: one dataset alive at a time
-        # cells differ only in method, hparams and partition: one dataset a seed
+        # cells differ only in method, hparams and partition: one dataset a seed,
+        # and its partition plans built once, kept by run_training in ``plans``
         data = make_dataset(spec.cells[0][s])
+        data[0].plans = {}
         for cell, rows in zip(spec.cells, cell_rows):
             out = os.path.join(out_dir, "runs", _run_dir(cell[s].run))
             rows[s] = run_experiment(cell[s], out, data)[1]
