@@ -3,10 +3,16 @@
 Prints:
 
 - ``kernel``: one ``flsim.models.loss_and_grad`` call for linear 32->10 and
-  mlp 32->16->10 at batch 32 (timeit, best of ``--repeat``);
+  mlp 32->16->10 at batch 32 (timeit, best of ``--repeat``), on a step built
+  once by the source's own ``flsim.models.batch_steps``, as a round builds it;
 - ``round``: what the engine pays per evaluation, everything included: one
   round of the first ``sweep_c7`` run (``engine.run_round``, timeit, best of
   ``--repeat``) over the round's reported gradient evaluations;
+- ``plan``: µs per round plan, the sampling, client streams and step
+  schedule of round 0 of the first ``sweep_c7`` run (``engine.plan_round``, or
+  the same calls where the source builds the plan inside ``run_round``;
+  timeit, best of ``--repeat``), and the plans one ``sweep_c7`` sweep builds
+  (its ``engine.round_schedule`` calls): the per-sweep scheduling overhead;
 - ``stream``: µs per client stream when a round seeds 10 and 50 sampled
   clients' streams (``engine.client_streams``, or one ``engine.derive_stream``
   per client where the source has no batch call; timeit, best of ``--repeat``).
@@ -24,9 +30,12 @@ only the engine's public stream, round and training entry points.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
+import tempfile
 import time
 import timeit
 
@@ -49,9 +58,13 @@ def kernel_us(flsim, name, repeat, number=2000):
     X = rng.standard_normal((BATCH, spec.input_dim))
     y = rng.integers(0, spec.num_classes, BATCH)
     counts, n = np.ones(BATCH), float(BATCH)  # distinct float rows: each its own run
+    if hasattr(m, "batch_steps"):
+        args = m.batch_steps(spec, X, y, counts, [0, BATCH], [BATCH])
+    else:  # a source from before steps carried their batch constants
+        args = (X, y, counts, n)
 
     def kernel():
-        m.loss_and_grad(spec, theta, X, y, counts, n)
+        m.loss_and_grad(spec, theta, *args)
 
     return 1e6 * min(timeit.repeat(kernel, number=number, repeat=repeat)) / number
 
@@ -69,12 +82,17 @@ def stream_us(flsim, clients, repeat, number=200):
     return 1e6 * min(timeit.repeat(streams, number=number, repeat=repeat)) / number / clients
 
 
-def sweep_c7_runs(flsim, seed):
-    """The sweep_c7 benchmark's runs for ``seed``, in sweep order."""
+def sweep_c7_text(seed) -> str:
+    """The sweep_c7 benchmark's config for ``seed``."""
     sys.path.insert(0, ROOT)
     from perfbench.workloads import SweepC7
 
-    spec = flsim.harness.parse_config(SweepC7.config_text(seed))
+    return SweepC7.config_text(seed)
+
+
+def sweep_c7_runs(flsim, seed):
+    """The sweep_c7 benchmark's runs for ``seed``, in sweep order."""
+    spec = flsim.harness.parse_config(sweep_c7_text(seed))
     return [exp for cell in spec.cells for exp in cell]
 
 
@@ -96,6 +114,39 @@ def round_us(flsim, seed, repeat, number=50):
 
     best = min(timeit.repeat(one_round, number=number, repeat=repeat)) / number
     return 1e6 * best / evals, evals
+
+
+def plan_us(flsim, seed, repeat, number=50):
+    """µs per round plan: round 0 of the first sweep_c7 run."""
+    eng = flsim.engine
+    cfg = (exp := sweep_c7_runs(flsim, seed)[0]).run
+    train, _ = flsim.harness.make_dataset(exp)
+    plan = eng.build_partition(cfg, train)
+
+    def build():
+        if hasattr(eng, "plan_round"):
+            return eng.plan_round(plan, train, cfg, 0)
+        rng = eng.derive_stream(cfg.seed, 0, eng.SERVER_CHANNEL)  # as run_round builds it
+        sampled = eng.sample_clients(cfg.n_clients, cfg.sample_size, rng)
+        shards = [plan.assignments[c] for c in sampled]
+        return eng.round_schedule(shards, eng.client_streams(cfg.seed, 0, sampled), train, cfg)
+
+    build()  # the first also ranks the dataset's rows, once
+    return 1e6 * min(timeit.repeat(build, number=number, repeat=repeat)) / number
+
+
+def plans_per_sweep(flsim, seed) -> int:
+    """Round plans one sweep_c7 sweep builds: its ``round_schedule`` calls."""
+    eng, calls = flsim.engine, []
+    real = eng.round_schedule
+    eng.round_schedule = lambda *a: calls.append(a) or real(*a)
+    try:
+        spec = flsim.harness.parse_config(sweep_c7_text(seed))
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            flsim.harness.run_sweep(spec, out)
+    finally:
+        eng.round_schedule = real
+    return len(calls)
 
 
 def sweep_us(flsim, seed, repeat):
@@ -139,6 +190,9 @@ def main(argv=None) -> int:
     for clients in (10, 50):
         result["stream_us"][str(clients)] = us = stream_us(flsim, clients, args.repeat)
         print(f"{clients} sampled clients: {us:.1f} us/stream")
+    result["plan_us"] = us = plan_us(flsim, args.seed, args.repeat)
+    result["plans_per_sweep"] = plans = plans_per_sweep(flsim, args.seed)
+    print(f"sweep_c7 seed {args.seed} round plan: {us:.1f} us, {plans} plans per sweep")
     us, evals = round_us(flsim, args.seed, args.repeat)
     result["round_us_per_eval"] = us
     print(f"sweep_c7 seed {args.seed} round 0: {us:.1f} us/eval over {evals} evals")

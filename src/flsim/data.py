@@ -1,7 +1,7 @@
 """Synthetic datasets, train/test splitting, and client partitioning."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -22,8 +22,6 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    # partition plans that runs on this set share (run_sweep sets a dict; see run_training)
-    plans: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)

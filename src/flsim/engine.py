@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import methods as _m
 from .data import IID, LabeledDataset, PartitionPlan, partition_dirichlet, partition_iid
 from .errors import ConfigError, DivergenceError, NumericalOverflowError
-from .models import ModelSpec, ParamVector, canonical_rows, init_params, top1_accuracy
+from .models import ModelSpec, ParamVector, batch_steps, canonical_rows, init_params, top1_accuracy
 
 # reserved stream channels (client_id slot for server-side draws,
 # round slot for pre-training setup draws)
@@ -190,9 +191,9 @@ def round_schedule(shards, streams, train: LabeledDataset, cfg: RunConfig):
 
     Client by client, draws ``cfg.local_epochs`` permutations of its shard from
     its stream and cuts each into batches of ``cfg.batch_size``. Returns (rows,
-    clients): ``clients[i]`` lists client i's steps as ``(X, y, counts, n)``, a
-    batch's canonical rows of ``train``, their weights and its row count;
-    ``rows`` index every step's ``X`` into ``train``, step after step.
+    clients): ``clients[i]`` lists client i's steps, each a ``models.Step`` of
+    a batch's canonical rows of ``train``; ``rows`` index every step's ``X``
+    into ``train``, step after step.
     """
     drawn, sizes, ends = [], [], [0]  # sizes: per step; ends: steps after each client
     for shard, rng in zip(shards, streams):
@@ -206,10 +207,33 @@ def round_schedule(shards, streams, train: LabeledDataset, cfg: RunConfig):
     # index array of 512 GiB that np.concatenate above fails to allocate first.
     keys = np.repeat(np.arange(len(sizes)) * size, sizes) + train.ranks[drawn]
     sel, counts, starts = canonical_rows(keys, np.arange(len(sizes) + 1) * size)
-    rows, starts = drawn[sel], starts.tolist()
+    rows = drawn[sel]
     X, y = train.features[rows], train.labels[rows]
-    steps = [(X[a:b], y[a:b], counts[a:b], float(n)) for a, b, n in zip(starts, starts[1:], sizes)]
+    steps = batch_steps(cfg.model, X, y, counts, starts.tolist(), sizes)
     return rows, [steps[a:b] for a, b in zip(ends, ends[1:])]
+
+
+class RoundPlan(NamedTuple):
+    """What a round trains on; the same for every run with one ``plan_key``."""
+
+    sampled: list  # client ids, ascending
+    shards: list  # their rows of train
+    schedule: list  # their steps (``round_schedule``)
+
+
+def plan_key(cfg: RunConfig) -> tuple:
+    """All a round plan reads of a run's config: runs with one key share plans."""
+    return (cfg.seed, cfg.partition, cfg.alpha, cfg.n_clients, cfg.sample_size,
+            cfg.local_epochs, cfg.batch_size, cfg.model)
+
+
+def plan_round(plan: PartitionPlan, train: LabeledDataset, cfg: RunConfig, round_idx: int):
+    """Round ``round_idx``'s client sample, and the steps its clients take."""
+    rng = derive_stream(cfg.seed, round_idx, SERVER_CHANNEL)
+    sampled = sample_clients(cfg.n_clients, cfg.sample_size, rng)
+    shards = [plan.assignments[cid] for cid in sampled]
+    streams = client_streams(cfg.seed, round_idx, sampled)
+    return RoundPlan(sampled, shards, round_schedule(shards, streams, train, cfg)[1])
 
 
 def run_round(
@@ -218,19 +242,21 @@ def run_round(
     plan: PartitionPlan,
     train: LabeledDataset,
     cfg: RunConfig,
+    rplan: RoundPlan | None = None,
 ):
-    """One communication round; returns (server', states', RoundMetrics)."""
+    """One communication round; returns (server', states', RoundMetrics).
+
+    ``rplan`` is ``plan_round`` of this round, built here if not given; its
+    time counts in the round's ``wall_time_seconds`` only when built here.
+    """
     t0 = time.perf_counter()
     hp = cfg.hyperparams()
-    rng = derive_stream(cfg.seed, server.round, SERVER_CHANNEL)
-    sampled = sample_clients(cfg.n_clients, cfg.sample_size, rng)
-    shards = [plan.assignments[cid] for cid in sampled]
-    streams = client_streams(cfg.seed, server.round, sampled)
-    _, schedule = round_schedule(shards, streams, train, cfg)
+    if rplan is None:
+        rplan = plan_round(plan, train, cfg, server.round)
 
     results = []
     new_states = list(states)
-    for cid, shard, steps in zip(sampled, shards, schedule):  # ascending id
+    for cid, shard, steps in zip(*rplan):  # ascending id
         if len(shard) == 0:
             raise ConfigError(f"client {cid} has an empty shard")
         try:
@@ -252,7 +278,7 @@ def run_round(
 
     metrics = RoundMetrics(
         round=server.round,
-        sampled_clients=sampled,
+        sampled_clients=rplan.sampled,
         mean_train_loss=float(np.mean([r.mean_loss for r in results])),
         update_norm=update_norm,
         grad_evals=int(sum(r.grad_evals for r in results)),
@@ -261,45 +287,83 @@ def run_round(
     return new_server, new_states, metrics
 
 
+@dataclass
+class _Run:
+    """One run of a lockstep group, between rounds."""
+
+    cfg: RunConfig
+    server: ServerState
+    states: list
+    records: list = field(default_factory=list)
+    error: DivergenceError | None = None
+
+
+def train_lockstep(cfgs: list, train: LabeledDataset, test: LabeledDataset, on_round=None) -> list:
+    """Train runs that share one ``plan_key`` side by side, round by round.
+
+    Checks once per run that ``train`` and ``test`` fit its model. Each round's
+    plan is built once and given to every live run's ``run_round``; a run's
+    ``wall_time_seconds`` is its own ``run_round`` plus an equal share of the
+    plan's build time. Evaluates test accuracy every ``eval_every`` rounds and
+    at the final round, and calls ``on_round`` after each run's round. Returns,
+    per run, its RoundMetrics list, or the DivergenceError that stopped it
+    with the completed metrics prefix attached; a diverged run leaves the group.
+    """
+    if len({plan_key(cfg) for cfg in cfgs}) != 1:
+        raise ConfigError("runs in lockstep must share one round plan key")
+    runs = []
+    for cfg in cfgs:
+        cfg.validate()
+        for name, data in (("train", train), ("test", test)):
+            dim, classes = data.features.shape[1], data.num_classes
+            if cfg.model.kind != "quadratic_probe" and (  # the probe reads no rows
+                dim != cfg.model.input_dim or classes > cfg.model.num_classes
+            ):
+                what = f"{dim} features, {classes} classes"
+                raise ConfigError(f"{name} set: {what} don't fit the model")
+        theta0 = init_params(cfg.model, derive_stream(cfg.seed, INIT_ROUND, SERVER_CHANNEL))
+        runs.append(_Run(cfg, init_server_state(cfg, theta0), init_client_states(cfg, theta0)))
+    plan = build_partition(cfgs[0], train)
+
+    for r in range(max(cfg.rounds for cfg in cfgs)):
+        live = [run for run in runs if run.error is None and r < run.cfg.rounds]
+        if not live:
+            break
+        t0 = time.perf_counter()
+        rplan = plan_round(plan, train, live[0].cfg, r)  # the only plan alive
+        share = (time.perf_counter() - t0) / len(live)
+        for run in live:
+            cfg = run.cfg
+            try:
+                run.server, run.states, metrics = run_round(
+                    run.server, run.states, plan, train, cfg, rplan
+                )
+            except DivergenceError as exc:
+                exc.metrics, run.error = run.records, exc
+                continue
+            metrics.wall_time_seconds += share
+            if r % cfg.eval_every == 0 or r == cfg.rounds - 1:
+                theta = run.server.global_params.values
+                metrics.test_top1 = top1_accuracy(cfg.model, theta, test.features, test.labels)
+            run.records.append(metrics)
+            if on_round is not None:
+                on_round(run.server, run.states, metrics)
+        rplan = None  # freed before the next round's is built
+    return [run.records if run.error is None else run.error for run in runs]
+
+
 def run_training(
     cfg: RunConfig,
     train: LabeledDataset,
     test: LabeledDataset,
     on_round=None,
 ) -> list:
-    """Full training loop; returns the list of RoundMetrics.
+    """Full training loop, ``train_lockstep`` of one run; returns its RoundMetrics.
 
-    Checks once that ``train`` and ``test`` fit ``cfg.model``. Evaluates test
-    accuracy every ``eval_every`` rounds and at the final round. On
-    divergence, raises DivergenceError with the completed metrics prefix
+    On divergence, raises DivergenceError with the completed metrics prefix
     attached.
     """
-    cfg.validate()
-    for name, data in (("train", train), ("test", test)):
-        dim, classes = data.features.shape[1], data.num_classes
-        if cfg.model.kind != "quadratic_probe" and (  # the probe reads no rows
-            dim != cfg.model.input_dim or classes > cfg.model.num_classes
-        ):
-            raise ConfigError(f"{name} set: {dim} features, {classes} classes don't fit the model")
-    theta0 = init_params(cfg.model, derive_stream(cfg.seed, INIT_ROUND, SERVER_CHANNEL))
-    key = (cfg.seed, cfg.partition, cfg.alpha, cfg.n_clients)  # all a plan reads of cfg
-    plans = {} if train.plans is None else train.plans  # run_sweep's runs of a seed share them
-    if (plan := plans.get(key)) is None:
-        plan = plans[key] = build_partition(cfg, train)
-    server = init_server_state(cfg, theta0)
-    states = init_client_states(cfg, theta0)
-
-    records = []
-    for r in range(cfg.rounds):
-        try:
-            server, states, metrics = run_round(server, states, plan, train, cfg)
-        except DivergenceError as exc:
-            exc.metrics = records
-            raise
-        if r % cfg.eval_every == 0 or r == cfg.rounds - 1:
-            theta = server.global_params.values
-            metrics.test_top1 = top1_accuracy(cfg.model, theta, test.features, test.labels)
-        records.append(metrics)
-        if on_round is not None:
-            on_round(server, states, metrics)
-    return records
+    (out,) = train_lockstep([cfg], train, test, on_round)
+    if isinstance(out, DivergenceError):
+        raise out
+    return out

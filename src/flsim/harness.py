@@ -22,7 +22,9 @@ from .engine import (
     SPLIT_ROUND,
     RunConfig,
     derive_stream,
+    plan_key,
     run_training,
+    train_lockstep,
 )
 from .errors import ConfigError, DivergenceError, ParseError
 from .methods import METHOD_NAMES, METHODS
@@ -347,21 +349,10 @@ def _check_readback(exp: ExperimentConfig):
         raise ConfigError(f"config.txt would not read back the config ({what})")
 
 
-def run_experiment(exp: ExperimentConfig, out_dir, data=None):
-    """Run one experiment; write metrics.jsonl, config.txt, summary.csv.
-
-    Returns the metrics path and the row ``summarize`` reads back from the
-    run directory; divergence is recorded in that row, not raised. ``data``
-    is ``make_dataset(exp)`` if the caller holds it already. A config that
-    config.txt cannot hold is a ConfigError before training; ``out_dir`` is
-    made after training, so no ConfigError leaves a directory behind.
-    """
-    _check_readback(exp)
-    train, test = make_dataset(exp) if data is None else data
-    try:
-        rounds = run_training(exp.run, train, test)
-    except DivergenceError as exc:
-        rounds = exc.metrics
+def _write_run(exp: ExperimentConfig, out_dir, rounds):
+    """Write a run's metrics.jsonl, config.txt and summary.csv; ``rounds`` are
+    its RoundMetrics, a diverged run's completed prefix. Returns the metrics
+    path and the row ``summarize`` reads back from the run directory."""
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     with open(metrics_path, "w") as fh:
@@ -373,6 +364,22 @@ def run_experiment(exp: ExperimentConfig, out_dir, data=None):
     (row,) = summarize([metrics_path])
     _write_rows(os.path.join(out_dir, "summary.csv"), [row])
     return metrics_path, row
+
+
+def run_experiment(exp: ExperimentConfig, out_dir):
+    """Run one experiment; write metrics.jsonl, config.txt, summary.csv.
+
+    Returns the metrics path and the row ``summarize`` reads back from the
+    run directory; divergence is recorded in that row, not raised. A config
+    that config.txt cannot hold is a ConfigError before training; ``out_dir``
+    is made after training, so no ConfigError leaves a directory behind.
+    """
+    _check_readback(exp)
+    try:
+        rounds = run_training(exp.run, *make_dataset(exp))
+    except DivergenceError as exc:
+        rounds = exc.metrics
+    return _write_run(exp, out_dir, rounds)
 
 
 def _fmt(x) -> str:
@@ -423,19 +430,33 @@ def _cell_row(rows) -> SummaryRow:
 
 
 def run_sweep(spec: SweepSpec, out_dir):
-    """Run every (cell, seed) of the sweep and write runs.csv + sweep.csv."""
+    """Run every (cell, seed) of the sweep and write runs.csv + sweep.csv.
+
+    Every run's config is checked to read back before any training. A seed's
+    runs share one dataset, and those with one ``engine.plan_key`` train in
+    lockstep on one plan a round (``engine.train_lockstep``). Each run
+    directory is written as ``run_experiment`` writes it.
+    """
+    for cell in spec.cells:
+        for exp in cell:
+            _check_readback(exp)
     os.makedirs(out_dir, exist_ok=True)
     seeds = len(spec.cells[0])
     print(f"sweep: {len(spec.cells)} cells x {seeds} seeds = {len(spec.cells) * seeds} runs")
     cell_rows = [[None] * seeds for _ in spec.cells]
     for s in range(seeds):  # seed-major: one dataset alive at a time
-        # cells differ only in method, hparams and partition: one dataset a seed,
-        # and its partition plans built once, kept by run_training in ``plans``
+        # cells differ only in method, hparams and partition: one dataset a
+        # seed, and one lockstep group per partition
         data = make_dataset(spec.cells[0][s])
-        data[0].plans = {}
+        groups = {}
         for cell, rows in zip(spec.cells, cell_rows):
-            out = os.path.join(out_dir, "runs", _run_dir(cell[s].run))
-            rows[s] = run_experiment(cell[s], out, data)[1]
+            groups.setdefault(plan_key(cell[s].run), []).append((cell[s], rows))
+        for group in groups.values():
+            outcomes = train_lockstep([exp.run for exp, _ in group], *data)
+            for (exp, rows), out in zip(group, outcomes):
+                rounds = out.metrics if isinstance(out, DivergenceError) else out
+                run_out = os.path.join(out_dir, "runs", _run_dir(exp.run))
+                rows[s] = _write_run(exp, run_out, rounds)[1]
     run_rows = [row for rows in cell_rows for row in rows]
     sweep_rows = [_cell_row(rows) for rows in cell_rows]
     _write_rows(os.path.join(out_dir, "runs.csv"), run_rows)

@@ -11,6 +11,7 @@ rounds, its per-step direction d, and its end-of-round updates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -190,7 +191,7 @@ def client_opt(cid, server, steps, num_samples, state, hp, cfg):
     """Client ``cid``'s local round from the broadcast ``server.global_params``.
 
     ``steps`` is the client's part of ``engine.round_schedule``: one
-    ``(X, y, counts, n)`` batch of canonical rows per local step, in order;
+    ``models.Step`` per local step, in order;
     ``num_samples`` is its shard's row count, and ``state`` maps the method's
     client-state names to vectors. Returns (ClientResult, new state).
     """
@@ -200,14 +201,15 @@ def client_opt(cid, server, steps, num_samples, state, hp, cfg):
     shift = m.perturb_shift(c) if m.perturb_shift is not None else None
     eps = None
     losses = []
-    for X, y, counts, n in steps:
-        loss, g = loss_and_grad(cfg.model, theta, X, y, counts, n)
+    for step in steps:
+        loss, g = loss_and_grad(cfg.model, theta, step)
         if m.sam:
             # the gradient at theta + rho * raw/||raw||, raw the plain
-            # gradient plus any shift; two evaluations even at rho=0
+            # gradient plus any shift; two evaluations even at rho=0.
+            # ||raw|| as np.linalg.norm takes it for a vector, without its dispatch
             raw = g if shift is None else g + shift
-            eps = hp.rho * raw / (np.linalg.norm(raw) + hp.xi)
-            g = loss_and_grad(cfg.model, theta + eps, X, y, counts, n)[1]
+            eps = hp.rho * raw / (math.sqrt(raw.dot(raw)) + hp.xi)
+            g = loss_and_grad(cfg.model, theta + eps, step)[1]
         theta = theta - cfg.client_lr * m.direction(c, g, theta)
         losses.append(loss)
     new_state, aux = m.client_finish(c, theta, len(losses), eps)

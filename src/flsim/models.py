@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +71,13 @@ class ModelSpec:
     def slices(self) -> dict:
         """``layout_for(self)``, computed once per spec."""
         return layout_for(self)
+
+    @cached_property
+    def layer_offsets(self) -> tuple:
+        """Per dense layer, ``(start, stop, stop, shape)``: ``W`` is ``[start:stop]``
+        of the flat vector in ``shape``, then ``b`` runs to the second stop."""
+        blocks = iter(self.slices.values())  # the probe's one block makes no layer
+        return tuple((w.start, w.stop, b.stop, W) for (w, W), (b, _) in zip(blocks, blocks))
 
 
 def layout_for(spec: ModelSpec) -> dict:
@@ -158,10 +166,42 @@ def canonical_rows(keys: np.ndarray, cuts):
     return order[first], (bounds[1:] - first).astype(np.float64), np.searchsorted(srt[first], cuts)
 
 
+class Step(NamedTuple):
+    """One local step's batch, as the kernel reads it (``batch_steps``)."""
+
+    X: np.ndarray  # the batch's canonical rows (``canonical_rows``)
+    counts: np.ndarray  # their weights
+    n: float  # the batch's row count
+    at: np.ndarray | None  # flat (row, label) indices of a (rows, classes) array
+    onehot: np.ndarray | None  # the labels, one-hot
+    w: np.ndarray | None  # the column counts / n; the probe has no label constants
+
+
+def batch_steps(spec: ModelSpec, X, y, counts, starts, sizes) -> list:
+    """The ``Step`` of each batch whose canonical rows are gathered back to back.
+
+    Batch j is rows ``starts[j]:starts[j + 1]`` of ``X``, ``y`` and ``counts``,
+    drawn from ``sizes[j]`` rows. Its label constants depend on the batch, not
+    on the parameters, so they are computed here once, for every batch at once,
+    and each step holds slices of them.
+    """
+    cuts = list(zip(zip(starts, starts[1:]), sizes))
+    if spec.kind == "quadratic_probe":  # reads no rows and needs no constants
+        return [Step(X[a:b], counts[a:b], float(n), None, None, None) for (a, b), n in cuts]
+    classes, lens = spec.num_classes, np.diff(starts)
+    flat = np.arange(len(y)) * classes + y
+    onehot = np.zeros((len(y), classes))
+    onehot.ravel()[flat] = 1.0
+    at = flat - np.repeat(np.asarray(starts[:-1]) * classes, lens)  # from its batch's first row
+    w = (counts / np.repeat(np.asarray(sizes, dtype=np.float64), lens))[:, None]
+    return [
+        Step(X[a:b], counts[a:b], float(n), at[a:b], onehot[a:b], w[a:b]) for (a, b), n in cuts
+    ]
+
+
 def _layers(spec: ModelSpec, vec: np.ndarray) -> list:
     """(W, b) views of a flat vector's blocks, one pair per dense layer."""
-    views = iter([vec[sl].reshape(shape) for sl, shape in spec.slices.values()])
-    return list(zip(views, views))
+    return [(vec[a:m].reshape(shape), vec[m:e]) for a, m, e, shape in spec.layer_offsets]
 
 
 def _forward_logits(spec: ModelSpec, layers: list, X: np.ndarray):
@@ -174,13 +214,14 @@ def _forward_logits(spec: ModelSpec, layers: list, X: np.ndarray):
     return Z, inputs
 
 
-def loss_and_grad(spec: ModelSpec, theta: np.ndarray, X, y, counts, n: float):
+def loss_and_grad(spec: ModelSpec, theta: np.ndarray, step: Step):
     """Mean cross-entropy (natural log) and its exact analytic gradient vector.
 
-    ``X``, ``y``, ``counts``: one batch of ``canonical_rows``, checked by the
-    caller to fit ``spec``; ``n``: its row count. The quadratic probe uses
-    0.5*||theta - target||^2 and ignores the rows.
+    ``step``: one batch from ``batch_steps``, its rows checked by the caller to
+    fit ``spec``. The quadratic probe uses 0.5*||theta - target||^2 and
+    ignores the rows.
     """
+    X, counts, n, at, onehot, w = step
     # overflow surfaces as a typed error, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.kind == "quadratic_probe":
@@ -192,11 +233,10 @@ def loss_and_grad(spec: ModelSpec, theta: np.ndarray, X, y, counts, n: float):
             # log-softmax in place: logits - max, then - log(sum(exp))
             logp -= np.maximum.reduce(logp, axis=1, keepdims=True)
             logp -= np.log(np.add.reduce(np.exp(logp), axis=1, keepdims=True))
-            at_label = np.arange(0, logp.size, logp.shape[1]) + y  # flat (row, y) indices
-            loss = float(counts @ -logp.ravel()[at_label] / n)
+            loss = float(counts @ -logp.ravel()[at] / n)
             G = np.exp(logp)
-            G.ravel()[at_label] -= 1.0
-            G *= (counts / n)[:, None]  # per-unique-row weights; sum to 1
+            G -= onehot
+            G *= w  # per-unique-row weights; sum to 1
             grad = np.empty(theta.shape)
             blocks = _layers(spec, grad)  # written in place, last layer first
             for i in reversed(range(len(layers))):
@@ -206,9 +246,10 @@ def loss_and_grad(spec: ModelSpec, theta: np.ndarray, X, y, counts, n: float):
                 if i:  # back through the activation whose output is A
                     dact = A > 0.0 if spec.activation == "relu" else 1.0 - A**2
                     G = (G @ layers[i][0].T) * dact
+        total = np.add.reduce(grad)
     if not math.isfinite(loss):
         raise NumericalOverflowError("loss")
-    if not np.isfinite(grad).all():
+    if not math.isfinite(total):  # a finite sum proves every entry finite
         for name, (sl, _) in spec.slices.items():
             if not np.isfinite(grad[sl]).all():
                 raise NumericalOverflowError(name)

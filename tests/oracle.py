@@ -1,22 +1,30 @@
 """Reference oracles: the training kernel on raw rows, central differences,
 the per-batch step loop, and the kernel's earlier formulation.
 
-``flsim.models.loss_and_grad`` takes rows already canonicalised by the
-dataset's ranks. ``batch_loss_and_grad`` ranks a batch's own rows with
-``row_keys`` and calls it, so tests can check the kernel against
+``flsim.models.loss_and_grad`` takes a step of rows already canonicalised by
+the dataset's ranks. ``batch_loss_and_grad`` ranks a batch's own rows with
+``row_keys``, builds the step with ``flsim.models.batch_steps`` (``one_step``)
+and calls it, so tests can check the kernel against
 ``finite_diff_grad`` and against hand-built batches. ``per_batch_schedule``
 draws and canonicalises a round's minibatches one batch at a time: the
 reference ``flsim.engine.round_schedule`` is checked against.
 ``reference_loss_and_grad`` is ``flsim.models.loss_and_grad`` as written before
-its log-softmax ran in place and its gradient blocks were written into one
-vector; the kernel must match it bit for bit.
+its log-softmax ran in place, its gradient blocks were written into one vector
+and its batch constants came with the step; the kernel must match it bit for
+bit.
 """
 import math
 
 import numpy as np
 
 from flsim.errors import ConfigError, NumericalOverflowError
-from flsim.models import canonical_rows, loss_and_grad, row_keys
+from flsim.models import batch_steps, canonical_rows, loss_and_grad, row_keys
+
+
+def one_step(spec, X, y, counts, n):
+    """The kernel's ``Step`` for one batch of canonical rows, from the engine's builder."""
+    (step,) = batch_steps(spec, X, y, counts, [0, len(y)], [n])
+    return step
 
 
 def batch_loss_and_grad(spec, theta, X, y):
@@ -24,7 +32,7 @@ def batch_loss_and_grad(spec, theta, X, y):
     theta = np.asarray(theta, dtype=np.float64)
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
     sel, counts, _ = canonical_rows(row_keys(X, y), [0])
-    return loss_and_grad(spec, theta, X[sel], y[sel], counts, float(len(y)))
+    return loss_and_grad(spec, theta, one_step(spec, X[sel], y[sel], counts, len(y)))
 
 
 def finite_diff_grad(spec, theta, X, y, epsilon):

@@ -21,7 +21,7 @@ from flsim.engine import (
     sample_clients,
 )
 from flsim.errors import ConfigError, DivergenceError
-from flsim.models import init_params
+from flsim.models import ModelSpec, init_params
 from oracle import batch_loss_and_grad, per_batch_schedule
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -323,9 +323,11 @@ def test_round_schedule_matches_per_batch_loop(
     # with replacement repeat row indices too
     rng = np.random.default_rng(seed)
     values = rng.integers(0, min(distinct, n_rows), (n_rows, 1)).astype(np.float64)
-    train = LabeledDataset(values, np.zeros(n_rows, dtype=np.int64), 1)
+    labels = np.unique(rng.integers(0, 3, n_rows), return_inverse=True)[1]  # no class missing
+    train = LabeledDataset(values, labels, int(labels.max()) + 1)
     shards = [rng.choice(n_rows, size) for size in shard_sizes]
-    cfg = probe_config(local_epochs=local_epochs, batch_size=batch_size)
+    model = ModelSpec("linear", input_dim=1, num_classes=3)
+    cfg = probe_config(model=model, local_epochs=local_epochs, batch_size=batch_size)
 
     def streams():
         return [derive_stream(seed, 3, cid) for cid in range(len(shards))]
@@ -336,12 +338,16 @@ def test_round_schedule_matches_per_batch_loop(
     assert [len(steps) for steps in clients] == [len(steps) for steps in want]
     at = 0  # where the step's rows start in ``rows``
     for steps, want_steps in zip(clients, want):
-        for (X, y, counts, n), (want_rows, want_counts, want_n) in zip(steps, want_steps):
-            assert np.array_equal(rows[at : at + len(X)], want_rows)
-            assert X.tobytes() == train.features[want_rows].tobytes()
-            assert np.array_equal(y, train.labels[want_rows])
-            assert np.array_equal(counts, want_counts) and n == want_n
-            at += len(X)
+        for step, (want_rows, want_counts, want_n) in zip(steps, want_steps):
+            assert np.array_equal(rows[at : at + len(step.X)], want_rows)
+            assert step.X.tobytes() == train.features[want_rows].tobytes()
+            assert np.array_equal(step.counts, want_counts) and step.n == want_n
+            # the batch constants, one row per canonical row
+            y = train.labels[want_rows]
+            assert np.array_equal(step.onehot, np.eye(3)[y])
+            assert np.array_equal(step.at, np.arange(len(y)) * 3 + y)
+            assert step.w.tobytes() == (want_counts / want_n)[:, None].tobytes()
+            at += len(step.X)
     assert at == len(rows)
     # each stream is left where local_epochs permutations leave it
     for after_schedule, after_loop in zip(scheduled, looped):

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
 import re
 import sys
 import tempfile
@@ -611,11 +614,129 @@ class TestSweep:
         (tmp_path / "lone.csv").write_text(harness.format_rows(lone_rows))
         assert strip_time_cols(tmp_path / "s" / "runs.csv") == strip_time_cols(tmp_path / "lone.csv")
 
+    def test_one_round_plan_per_group_per_round(self, tmp_path, monkeypatch):
+        # a seed's runs with one partition form a lockstep group, and the group
+        # samples, seeds streams and schedules once a round for all its runs
+        spec = parse_config(SWEEP_TEXT.replace("dirichlet:0\n", "dirichlet:0.3\n"))
+        schedules, streams = [], []
+        real_schedule, real_streams = engine.round_schedule, engine.client_streams
+
+        def schedule(shards, rngs, train, cfg):
+            schedules.append((cfg.seed, cfg.partition, cfg.alpha))
+            return real_schedule(shards, rngs, train, cfg)
+
+        def client_streams(seed, round_idx, ids):
+            streams.append((seed, round_idx))
+            return real_streams(seed, round_idx, ids)
+
+        monkeypatch.setattr(engine, "round_schedule", schedule)
+        monkeypatch.setattr(engine, "client_streams", client_streams)
+        run_sweep(spec, tmp_path / "s")
+        parts = [("iid", 0.0), ("dirichlet", 0.3)]
+        groups = [(seed, part, alpha) for seed in (1, 2) for part, alpha in parts]
+        assert sorted(schedules) == sorted(groups * 3)  # 3 rounds
+        assert sorted(streams) == sorted((seed, r) for seed, _, _ in groups for r in range(3))
+        monkeypatch.undo()
+        assert_sweep_equals_lone_runs(spec, tmp_path / "s", tmp_path / "lone")
+
     def test_diverged_cell_marked_not_omitted(self, tmp_path):
         text = SWEEP_TEXT + DIVERGE_EXTRA
         rows, _ = run_sweep(parse_config(text), tmp_path / "s")
         assert len(rows) == 6
         assert all(r.status == "diverged" for r in rows)
+
+
+def assert_sweep_equals_lone_runs(spec, swept, lone):
+    """Every file of the sweep in ``swept`` equals each run alone through
+    run_experiment, written under ``lone``, apart from wall times."""
+    cell_rows = []
+    for cell in spec.cells:
+        cell_rows.append([])
+        for exp in cell:
+            name = _run_dir(exp.run)
+            cell_rows[-1].append(run_experiment(exp, lone / name)[1])  # own dataset and plan
+            run, alone = swept / "runs" / name, lone / name
+            assert strip_dt(run / "metrics.jsonl") == strip_dt(alone / "metrics.jsonl")
+            assert (run / "config.txt").read_bytes() == (alone / "config.txt").read_bytes()
+            assert strip_time_cols(run / "summary.csv") == strip_time_cols(alone / "summary.csv")
+    (lone / "runs.csv").write_text(harness.format_rows([r for rows in cell_rows for r in rows]))
+    sweep_rows = [harness._cell_row(rows) for rows in cell_rows]
+    (lone / "sweep.csv").write_text(harness.format_rows(sweep_rows, with_seed=False))
+    for name in ("runs.csv", "sweep.csv"):
+        assert strip_time_cols(swept / name) == strip_time_cols(lone / name)
+
+
+# fedprox at lambda 1e50 on this mlp diverges in round 3 of 6 (seed 1), so the
+# sweep's fedavg cell trains on alone once fedprox has left the group
+MID_RUN_DIVERGE_SWEEP = """
+methods = fedavg,fedprox
+grid.fedprox.lambda = 1e50
+seeds = 1
+rounds = 6
+n_clients = 10
+sample_size = 4
+data.per_class = 30
+eval_every = 1
+model.kind = mlp
+model.hidden_dim = 8
+"""
+
+
+@st.composite
+def lockstep_sweeps(draw):
+    """A small sweep over methods, grid points, partitions and seeds; fedprox's
+    grid may hold lambda = 1e50, which diverges mid-run on this mlp."""
+    def some(items, most):
+        return draw(st.lists(st.sampled_from(items), min_size=1, max_size=most, unique=True))
+
+    methods = some(["fedavg", "fedprox", "fedsam", "feddyn", "fedcm"], 3)
+    lines = [f"methods = {','.join(methods)}"]
+    if "fedprox" in methods:
+        lines.append(f"grid.fedprox.lambda = {','.join(some(['0.01', '1e30', '1e50'], 2))}")
+    parts = some(["iid", "dirichlet:0.3", "dirichlet:0"], 2)
+    seeds = draw(st.lists(st.integers(0, 9), min_size=1, max_size=2, unique=True))
+    lines += [f"partitions = {','.join(parts)}", f"seeds = {','.join(map(str, seeds))}"]
+    lines.append(f"rounds = {draw(st.integers(1, 6))}")
+    lines.append(f"eval_every = {draw(st.integers(1, 3))}")
+    lines += ["n_clients = 10", "sample_size = 4", "data.per_class = 30"]
+    lines += ["model.kind = mlp", "model.hidden_dim = 8"]
+    return "\n".join(lines) + "\n"
+
+
+class TestLockstep:
+    def test_mid_run_divergence_leaves_the_group(self, tmp_path):
+        spec = parse_config(MID_RUN_DIVERGE_SWEEP)
+        _, rows = run_sweep(spec, tmp_path / "s")
+        assert [(r.method, r.status, r.best_round) for r in rows] == [
+            ("fedavg", "completed", rows[0].best_round),
+            ("fedprox", "diverged", 3),
+        ]
+        assert_sweep_equals_lone_runs(spec, tmp_path / "s", tmp_path / "lone")
+
+    @settings(max_examples=40, deadline=None)
+    @given(text=lockstep_sweeps())
+    @example(text=MID_RUN_DIVERGE_SWEEP)
+    def test_sweep_equals_each_run_alone(self, text):
+        spec = parse_config(text)
+        with tempfile.TemporaryDirectory() as tmp:
+            swept = os.path.join(tmp, "s")
+            with contextlib.redirect_stdout(io.StringIO()):
+                run_sweep(spec, swept)
+            lone = pathlib.Path(tmp) / "lone"
+            assert_sweep_equals_lone_runs(spec, pathlib.Path(swept), lone)
+
+    def test_dt_is_own_round_plus_plan_share(self, monkeypatch):
+        # each run's dt: its own run_round, plus an equal share of the plan
+        spec = parse_config(SWEEP_TEXT)
+        cfgs = [cell[0].run for cell in spec.cells if cell[0].run.partition == "iid"]
+        data = make_dataset(spec.base)
+        ticks = iter(range(1000))
+        monkeypatch.setattr(engine.time, "perf_counter", lambda: float(next(ticks)))
+        outcomes = engine.train_lockstep(cfgs, *data)
+        assert len(outcomes) == 3
+        # per round: two ticks around the plan (1 s over 3 runs), two in each run_round
+        for records in outcomes:
+            assert [m.wall_time_seconds for m in records] == [1.0 + 1.0 / 3] * 3
 
 
 def write_metrics(path, series):

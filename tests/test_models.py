@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from flsim.errors import ConfigError, NumericalOverflowError, UnsupportedOperati
 from flsim.models import (
     ModelSpec,
     ParamVector,
+    batch_steps,
     canonical_rows,
     init_params,
     layout_for,
@@ -19,7 +21,13 @@ from flsim.models import (
     row_keys,
     top1_accuracy,
 )
-from oracle import batch_loss_and_grad, block, finite_diff_grad, reference_loss_and_grad
+from oracle import (
+    batch_loss_and_grad,
+    block,
+    finite_diff_grad,
+    one_step,
+    reference_loss_and_grad,
+)
 
 LINEAR = ModelSpec("linear", input_dim=4, num_classes=3)
 MLP = ModelSpec("mlp", input_dim=5, num_classes=3, hidden_dim=4, activation="relu")
@@ -287,7 +295,7 @@ def test_row_keys_order_and_loss_bit_identical(spec, data, seed, scale):
     theta *= scale
     rows = idx[sel]
     direct = _outcome(
-        lambda: loss_and_grad(spec, theta, X[rows], y[rows], counts, float(len(idx)))
+        lambda: loss_and_grad(spec, theta, one_step(spec, X[rows], y[rows], counts, len(idx)))
     )
     adapted = _outcome(lambda: batch_loss_and_grad(spec, theta, X[idx], y[idx]))
     assert direct == adapted
@@ -303,39 +311,116 @@ def test_overflow_names_block_on_both_paths():
         batch_loss_and_grad(MLP_TANH, theta, X, y)
     sel, counts, _ = canonical_rows(row_keys(X, y), [0])
     with pytest.raises(NumericalOverflowError, match="'W1'"):
-        loss_and_grad(MLP_TANH, theta, X[sel], y[sel], counts, 2.0)
+        loss_and_grad(MLP_TANH, theta, one_step(MLP_TANH, X[sel], y[sel], counts, 2))
 
 
 SCALES = st.sampled_from([1.0, 1e-300, 1e3, 1e160, 1e308])
+SPECS = st.builds(
+    lambda kind, activation, dims: ModelSpec(
+        kind, dims[0], dims[1], dims[2] if kind == "mlp" else 0, activation
+    ),
+    st.sampled_from(["linear", "mlp"]),
+    st.sampled_from(["relu", "tanh"]),
+    st.tuples(st.integers(1, 12), st.integers(2, 8), st.integers(1, 10)),
+)
+
+
+def gathered_batches(spec, rows, seed, row_scale, batches):
+    """Batches drawn with duplicate rows and canonicalised, each as (X, y,
+    counts, n), and their ``Step``s built as ``round_schedule`` builds them:
+    from the batches' rows gathered back to back, constants for all at once."""
+    rng = np.random.default_rng(seed)
+    pool = rng.standard_normal((max(1, rows // 2), spec.input_dim)) * min(row_scale, 1e300)
+    out = []
+    for n in [rows, *rng.integers(1, 64, batches - 1)]:
+        X, y = pool[rng.integers(0, len(pool), n)], rng.integers(0, spec.num_classes, n)
+        sel, counts, _ = canonical_rows(row_keys(X, y), [0])
+        out.append((X[sel], y[sel], counts, int(n)))
+    X, y, counts, n = zip(*out)
+    starts = np.cumsum([0, *map(len, y)]).tolist()
+    steps = batch_steps(spec, *map(np.concatenate, (X, y, counts)), starts, n)
+    return out, steps
+
+
+def scaled_params(spec, seed, scales):
+    theta = init_params(spec, derive_stream(seed, -1, -1))
+    for (sl, _), scale in zip(spec.slices.values(), scales):
+        theta[sl] *= scale
+    return theta
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    kind=st.sampled_from(["linear", "mlp"]),
-    activation=st.sampled_from(["relu", "tanh"]),
-    dims=st.tuples(st.integers(1, 12), st.integers(2, 8), st.integers(1, 10)),
+    spec=SPECS,
     rows=st.integers(1, 63),
     seed=st.integers(0, 2**16),
     scales=st.lists(SCALES, min_size=5, max_size=5),
+    batches=st.integers(1, 4),
 )
 @example(  # a finite loss, and the hidden layer's gradient overflows in W1 and b1
-    kind="mlp", activation="tanh", dims=(1, 3, 1), rows=1, seed=35, scales=[1e-300, 1, 1e308, 1, 1]
+    spec=ModelSpec("mlp", 1, 3, 1, "tanh"), rows=1, seed=35, scales=[1e-300, 1, 1e308, 1, 1],
+    batches=1,
 )
-def test_kernel_bit_identical_to_reference(kind, activation, dims, rows, seed, scales):
-    # the kernel against its earlier formulation: the same loss and gradient
-    # bytes, or the same overflow error naming the same block. Each block and
-    # the rows get their own scale, so a loss can stay finite while gradients
-    # overflow in several blocks.
-    dim, classes, hidden = dims
-    spec = ModelSpec(kind, dim, classes, hidden if kind == "mlp" else 0, activation)
-    theta = init_params(spec, derive_stream(seed, -1, -1))
-    for (sl, _), scale in zip(spec.slices.values(), scales):
-        theta[sl] *= scale
-    rng = np.random.default_rng(seed)
-    pool = rng.standard_normal((max(1, rows // 2), dim)) * min(scales[-1], 1e300)  # finite
-    X, y = pool[rng.integers(0, len(pool), rows)], rng.integers(0, classes, rows)  # duplicates
-    sel, counts, _ = canonical_rows(row_keys(X, y), [0])
-    # canonical rows as round_schedule passes them: a slice of one gathered array
-    Xs = np.concatenate([X[:1], X[sel], X[:1]])[1:-1]
-    args = (spec, theta, Xs, y[sel], counts, float(rows))
-    assert _outcome(lambda: loss_and_grad(*args)) == _outcome(lambda: reference_loss_and_grad(*args))
+def test_kernel_bit_identical_to_reference(spec, rows, seed, scales, batches):
+    # the kernel on steps from the engine's builder against its earlier
+    # formulation on each batch alone: the same loss and gradient bytes, or
+    # the same overflow error naming the same block. Each block and the rows
+    # get their own scale, so a loss can stay finite while gradients overflow
+    # in several blocks.
+    theta = scaled_params(spec, seed, scales)
+    batches, steps = gathered_batches(spec, rows, seed, scales[-1], batches)
+    assert len(steps) == len(batches)
+    for step, (X, y, counts, n) in zip(steps, batches):
+        want = _outcome(lambda: reference_loss_and_grad(spec, theta, X, y, counts, float(n)))
+        assert _outcome(lambda: loss_and_grad(spec, theta, step)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=SPECS,
+    rows=st.integers(1, 63),
+    seed=st.integers(0, 2**16),
+    exponents=st.lists(st.integers(-300, 308), min_size=5, max_size=5),
+)
+@example(  # a finite loss, and the hidden layer's gradient overflows in W1 and b1
+    spec=ModelSpec("mlp", 1, 3, 1, "tanh"), rows=1, seed=35, exponents=[-300, 0, 308, 0, 0]
+)
+def test_finiteness_check_never_passes_non_finite(spec, rows, seed, exponents):
+    # the kernel checks the gradient's sum, and scans the blocks only when the
+    # sum is not finite: whatever it returns is finite everywhere, and what it
+    # rejects the reference's full scan rejects with the same block
+    scales = [10.0**e for e in exponents]
+    theta = scaled_params(spec, seed, scales)
+    (batch,), (step,) = gathered_batches(spec, rows, seed, scales[-1], 1)
+    try:
+        loss, grad = loss_and_grad(spec, theta, step)
+    except NumericalOverflowError as exc:
+        with pytest.raises(NumericalOverflowError) as ref:
+            reference_loss_and_grad(spec, theta, *batch[:3], float(batch[3]))
+        assert str(exc) == str(ref.value)
+    else:
+        assert math.isfinite(loss) and np.isfinite(grad).all()
+
+
+def test_finite_gradient_whose_sum_overflows_returns():
+    # every entry is finite, but W1's four entries of 1e308 sum past the float
+    # maximum: the scan after the sum finds no block, so the kernel returns
+    spec = ModelSpec("mlp", input_dim=2, num_classes=2, hidden_dim=2)
+    theta = np.zeros(param_count(spec))
+    block(spec, theta, "W1")[:] = 0.1
+    block(spec, theta, "W2")[:] = [[-1.0, 1.0], [-1.0, 1.0]]
+    X, y = np.full((1, 2), 5e307), np.array([0])
+    loss, grad = batch_loss_and_grad(spec, theta, X, y)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(grad).all() and not math.isfinite(np.add.reduce(grad))
+    want = reference_loss_and_grad(spec, theta, X, y, np.ones(1), 1.0)
+    assert _outcome(lambda: (loss, grad)) == _outcome(lambda: want)
+
+
+def test_layer_offsets_match_layout():
+    for spec in (LINEAR, MLP, MLP_TANH):
+        blocks = list(spec.slices.values())
+        pairs = zip(blocks[::2], blocks[1::2])
+        want = [(w.start, w.stop, b.stop, shape) for (w, shape), (b, _) in pairs]
+        assert list(spec.layer_offsets) == want and blocks[-1][0].stop == param_count(spec)
+    assert PROBE3.layer_offsets == ()
