@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -213,14 +213,6 @@ def round_schedule(shards, streams, train: LabeledDataset, cfg: RunConfig):
     return rows, [steps[a:b] for a, b in zip(ends, ends[1:])]
 
 
-class RoundPlan(NamedTuple):
-    """What a round trains on; the same for every run with one ``plan_key``."""
-
-    sampled: list  # client ids, ascending
-    shards: list  # their rows of train
-    schedule: list  # their steps (``round_schedule``)
-
-
 def plan_key(cfg: RunConfig) -> tuple:
     """All a round plan reads of a run's config: runs with one key share plans."""
     return (cfg.seed, cfg.partition, cfg.alpha, cfg.n_clients, cfg.sample_size,
@@ -228,12 +220,13 @@ def plan_key(cfg: RunConfig) -> tuple:
 
 
 def plan_round(plan: PartitionPlan, train: LabeledDataset, cfg: RunConfig, round_idx: int):
-    """Round ``round_idx``'s client sample, and the steps its clients take."""
+    """Round ``round_idx``'s plan, the same for every run with one ``plan_key``:
+    (sampled client ids in ascending order, their shards, their steps)."""
     rng = derive_stream(cfg.seed, round_idx, SERVER_CHANNEL)
     sampled = sample_clients(cfg.n_clients, cfg.sample_size, rng)
     shards = [plan.assignments[cid] for cid in sampled]
     streams = client_streams(cfg.seed, round_idx, sampled)
-    return RoundPlan(sampled, shards, round_schedule(shards, streams, train, cfg)[1])
+    return sampled, shards, round_schedule(shards, streams, train, cfg)[1]
 
 
 def run_round(
@@ -242,7 +235,7 @@ def run_round(
     plan: PartitionPlan,
     train: LabeledDataset,
     cfg: RunConfig,
-    rplan: RoundPlan | None = None,
+    rplan: tuple | None = None,
 ):
     """One communication round; returns (server', states', RoundMetrics).
 
@@ -251,12 +244,11 @@ def run_round(
     """
     t0 = time.perf_counter()
     hp = cfg.hyperparams()
-    if rplan is None:
-        rplan = plan_round(plan, train, cfg, server.round)
+    sampled, shards, schedule = rplan or plan_round(plan, train, cfg, server.round)
 
     results = []
     new_states = list(states)
-    for cid, shard, steps in zip(*rplan):  # ascending id
+    for cid, shard, steps in zip(sampled, shards, schedule):  # ascending id
         if len(shard) == 0:
             raise ConfigError(f"client {cid} has an empty shard")
         try:
@@ -278,7 +270,7 @@ def run_round(
 
     metrics = RoundMetrics(
         round=server.round,
-        sampled_clients=rplan.sampled,
+        sampled_clients=sampled,
         mean_train_loss=float(np.mean([r.mean_loss for r in results])),
         update_norm=update_norm,
         grad_evals=int(sum(r.grad_evals for r in results)),
@@ -287,21 +279,10 @@ def run_round(
     return new_server, new_states, metrics
 
 
-@dataclass
-class _Run:
-    """One run of a lockstep group, between rounds."""
-
-    cfg: RunConfig
-    server: ServerState
-    states: list
-    records: list = field(default_factory=list)
-    error: DivergenceError | None = None
-
-
 def train_lockstep(cfgs: list, train: LabeledDataset, test: LabeledDataset, on_round=None) -> list:
     """Train runs that share one ``plan_key`` side by side, round by round.
 
-    Checks once per run that ``train`` and ``test`` fit its model. Each round's
+    Checks once that ``train`` and ``test`` fit the runs' model. Each round's
     plan is built once and given to every live run's ``run_round``; a run's
     ``wall_time_seconds`` is its own ``run_round`` plus an equal share of the
     plan's build time. Evaluates test accuracy every ``eval_every`` rounds and
@@ -311,18 +292,20 @@ def train_lockstep(cfgs: list, train: LabeledDataset, test: LabeledDataset, on_r
     """
     if len({plan_key(cfg) for cfg in cfgs}) != 1:
         raise ConfigError("runs in lockstep must share one round plan key")
-    runs = []
     for cfg in cfgs:
         cfg.validate()
-        for name, data in (("train", train), ("test", test)):
-            dim, classes = data.features.shape[1], data.num_classes
-            if cfg.model.kind != "quadratic_probe" and (  # the probe reads no rows
-                dim != cfg.model.input_dim or classes > cfg.model.num_classes
-            ):
-                what = f"{dim} features, {classes} classes"
-                raise ConfigError(f"{name} set: {what} don't fit the model")
-        theta0 = init_params(cfg.model, derive_stream(cfg.seed, INIT_ROUND, SERVER_CHANNEL))
-        runs.append(_Run(cfg, init_server_state(cfg, theta0), init_client_states(cfg, theta0)))
+    model = cfgs[0].model  # one plan key, one model
+    for name, data in (("train", train), ("test", test)):
+        dim, classes = data.features.shape[1], data.num_classes
+        if model.kind != "quadratic_probe" and (  # the probe reads no rows
+            dim != model.input_dim or classes > model.num_classes
+        ):
+            raise ConfigError(f"{name} set: {dim} features, {classes} classes don't fit the model")
+    runs = []
+    for cfg in cfgs:
+        theta0 = init_params(model, derive_stream(cfg.seed, INIT_ROUND, SERVER_CHANNEL))
+        server, states = init_server_state(cfg, theta0), init_client_states(cfg, theta0)
+        runs.append(SimpleNamespace(cfg=cfg, server=server, states=states, records=[], error=None))
     plan = build_partition(cfgs[0], train)
 
     for r in range(max(cfg.rounds for cfg in cfgs)):
