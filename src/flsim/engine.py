@@ -304,8 +304,10 @@ def train_lockstep(cfgs: list, train: LabeledDataset, test: LabeledDataset, on_r
     runs = []
     for cfg in cfgs:
         theta0 = init_params(model, derive_stream(cfg.seed, INIT_ROUND, SERVER_CHANNEL))
-        server, states = init_server_state(cfg, theta0), init_client_states(cfg, theta0)
-        runs.append(SimpleNamespace(cfg=cfg, server=server, states=states, records=[], error=None))
+        runs.append(SimpleNamespace(  # held by the run alone, so a round frees its old states
+            cfg=cfg, server=init_server_state(cfg, theta0), states=init_client_states(cfg, theta0),
+            records=[], error=None,
+        ))
     plan = build_partition(cfgs[0], train)
 
     for r in range(max(cfg.rounds for cfg in cfgs)):
