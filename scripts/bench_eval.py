@@ -4,18 +4,17 @@ Prints:
 
 - ``kernel``: one ``flsim.models.loss_and_grad`` call for linear 32->10 and
   mlp 32->16->10 at batch 32 (timeit, best of ``--repeat``), on a step built
-  once by the source's own ``flsim.models.batch_steps``, as a round builds it;
-- ``round``: what the engine pays per evaluation, everything included: one
-  round of the first ``sweep_c7`` run (``engine.run_round``, timeit, best of
-  ``--repeat``) over the round's reported gradient evaluations;
+  once by ``flsim.models.batch_steps``, as a round builds it;
+- ``round``: what the engine pays per evaluation, everything included: round
+  0 of the first ``sweep_c7`` run, its plan and the round itself
+  (``engine.plan_round`` then ``engine.run_round``, timeit, best of
+  ``--repeat``), over the round's reported gradient evaluations;
 - ``plan``: µs per round plan, the sampling, client streams and step
-  schedule of round 0 of the first ``sweep_c7`` run (``engine.plan_round``, or
-  the same calls where the source builds the plan inside ``run_round``;
+  schedule of round 0 of the first ``sweep_c7`` run (``engine.plan_round``,
   timeit, best of ``--repeat``), and the plans one ``sweep_c7`` sweep builds
   (its ``engine.round_schedule`` calls): the per-sweep scheduling overhead;
 - ``stream``: µs per client stream when a round seeds 10 and 50 sampled
-  clients' streams (``engine.client_streams``, or one ``engine.derive_stream``
-  per client where the source has no batch call; timeit, best of ``--repeat``).
+  clients' streams (``engine.client_streams``, timeit, best of ``--repeat``).
 
 Then it runs each run of the ``sweep_c7`` benchmark sweep in this process on
 one shared dataset (``run_training`` only, best of ``--repeat``) and prints
@@ -25,7 +24,9 @@ wall time over reported gradient evaluations for each run, and their mean.
 
 ``--src`` names the ``src`` directory to import flsim from (default: this
 checkout's), so the same script measures both sides of a change; it calls
-only the engine's public stream, round and training entry points.
+only the engine's public stream, plan, round and training entry points. A
+tree whose ``run_round`` builds its own plan is timed with that tree's own
+copy of this script.
 """
 from __future__ import annotations
 
@@ -57,14 +58,11 @@ def kernel_us(flsim, name, repeat, number=2000):
     rng = np.random.default_rng(0)
     X = rng.standard_normal((BATCH, spec.input_dim))
     y = rng.integers(0, spec.num_classes, BATCH)
-    counts, n = np.ones(BATCH), float(BATCH)  # distinct float rows: each its own run
-    if hasattr(m, "batch_steps"):
-        args = m.batch_steps(spec, X, y, counts, [0, BATCH], [BATCH])
-    else:  # a source from before steps carried their batch constants
-        args = (X, y, counts, n)
+    counts = np.ones(BATCH)  # distinct float rows: each its own run
+    (step,) = m.batch_steps(spec, X, y, counts, [0, BATCH], [BATCH])
 
     def kernel():
-        m.loss_and_grad(spec, theta, *args)
+        m.loss_and_grad(spec, theta, step)
 
     return 1e6 * min(timeit.repeat(kernel, number=number, repeat=repeat)) / number
 
@@ -75,9 +73,7 @@ def stream_us(flsim, clients, repeat, number=200):
     ids = list(range(0, 2000, 2000 // clients))  # ascending, as run_round samples them
 
     def streams():
-        if hasattr(eng, "client_streams"):
-            return eng.client_streams(1, 0, ids)
-        return [eng.derive_stream(1, 0, c) for c in ids]  # a source from before batching
+        return eng.client_streams(1, 0, ids)
 
     return 1e6 * min(timeit.repeat(streams, number=number, repeat=repeat)) / number / clients
 
@@ -106,11 +102,11 @@ def round_us(flsim, seed, repeat, number=50):
     stream = eng.derive_stream(cfg.seed, eng.INIT_ROUND, eng.SERVER_CHANNEL)
     theta0 = flsim.models.init_params(cfg.model, stream)
     server, states = eng.init_server_state(cfg, theta0), eng.init_client_states(cfg, theta0)
-    # the same round each call; the first also ranks the dataset's rows, once
-    evals = eng.run_round(server, states, plan, train, cfg)[2].grad_evals
 
     def one_round():
-        eng.run_round(server, states, plan, train, cfg)
+        return eng.run_round(server, states, eng.plan_round(plan, train, cfg, 0), cfg)
+
+    evals = one_round()[2].grad_evals  # the same round each call; the first also ranks rows
 
     best = min(timeit.repeat(one_round, number=number, repeat=repeat)) / number
     return 1e6 * best / evals, evals
@@ -124,12 +120,7 @@ def plan_us(flsim, seed, repeat, number=50):
     plan = eng.build_partition(cfg, train)
 
     def build():
-        if hasattr(eng, "plan_round"):
-            return eng.plan_round(plan, train, cfg, 0)
-        rng = eng.derive_stream(cfg.seed, 0, eng.SERVER_CHANNEL)  # as run_round builds it
-        sampled = eng.sample_clients(cfg.n_clients, cfg.sample_size, rng)
-        shards = [plan.assignments[c] for c in sampled]
-        return eng.round_schedule(shards, eng.client_streams(cfg.seed, 0, sampled), train, cfg)
+        return eng.plan_round(plan, train, cfg, 0)
 
     build()  # the first also ranks the dataset's rows, once
     return 1e6 * min(timeit.repeat(build, number=number, repeat=repeat)) / number

@@ -150,8 +150,7 @@ class ServerState:
 def init_server_state(cfg: RunConfig, theta0: np.ndarray) -> ServerState:
     """Round 0: ``theta0`` and the method's server-state vectors, all zero."""
     keys = _m.METHODS[cfg.method].server_state
-    params = ParamVector(theta0, cfg.model.slices)
-    return ServerState(0, params, {k: np.zeros_like(params.values) for k in keys})
+    return ServerState(0, ParamVector(theta0), {k: np.zeros_like(theta0) for k in keys})
 
 
 def init_client_states(cfg: RunConfig, theta0: np.ndarray) -> list:
@@ -229,22 +228,12 @@ def plan_round(plan: PartitionPlan, train: LabeledDataset, cfg: RunConfig, round
     return sampled, shards, round_schedule(shards, streams, train, cfg)[1]
 
 
-def run_round(
-    server: ServerState,
-    states: list,
-    plan: PartitionPlan,
-    train: LabeledDataset,
-    cfg: RunConfig,
-    rplan: tuple | None = None,
-):
-    """One communication round; returns (server', states', RoundMetrics).
-
-    ``rplan`` is ``plan_round`` of this round, built here if not given; its
-    time counts in the round's ``wall_time_seconds`` only when built here.
-    """
+def run_round(server: ServerState, states: list, rplan: tuple, cfg: RunConfig):
+    """One communication round on ``rplan``, this round's ``plan_round``;
+    returns (server', states', RoundMetrics)."""
     t0 = time.perf_counter()
     hp = cfg.hyperparams()
-    sampled, shards, schedule = rplan or plan_round(plan, train, cfg, server.round)
+    sampled, shards, schedule = rplan
 
     results = []
     new_states = list(states)
@@ -297,9 +286,7 @@ def train_lockstep(cfgs: list, train: LabeledDataset, test: LabeledDataset, on_r
     model = cfgs[0].model  # one plan key, one model
     for name, data in (("train", train), ("test", test)):
         dim, classes = data.features.shape[1], data.num_classes
-        if model.kind != "quadratic_probe" and (  # the probe reads no rows
-            dim != model.input_dim or classes > model.num_classes
-        ):
+        if dim != model.input_dim or classes > model.num_classes:
             raise ConfigError(f"{name} set: {dim} features, {classes} classes don't fit the model")
     runs = []
     for cfg in cfgs:
@@ -320,9 +307,7 @@ def train_lockstep(cfgs: list, train: LabeledDataset, test: LabeledDataset, on_r
         for run in live:
             cfg = run.cfg
             try:
-                run.server, run.states, metrics = run_round(
-                    run.server, run.states, plan, train, cfg, rplan
-                )
+                run.server, run.states, metrics = run_round(run.server, run.states, rplan, cfg)
             except DivergenceError as exc:
                 exc.metrics, run.error = run.records, exc
                 continue

@@ -243,5 +243,5 @@ def server_opt(server, results, hp, cfg):
     ordered = sorted(results, key=lambda r: r.client_id)
     theta_new = mean_params(ordered, weighted=cfg.weighted_avg)
     state = METHODS[cfg.method].server_finish(server, ordered, theta_new, hp, cfg)
-    global_params = ParamVector(theta_new, server.global_params.layout)
+    global_params = ParamVector(theta_new)
     return replace(server, round=server.round + 1, global_params=global_params, state=state)

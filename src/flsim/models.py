@@ -23,22 +23,10 @@ ACTIVATIONS = ("relu", "tanh")
 
 @dataclass
 class ParamVector:
-    """Flat float64 parameters plus the layout of their blocks (``layout_for``).
-
-    The type of ``ServerState.global_params`` only; everything else in the
-    package passes the plain vector.
-    """
+    """Flat float64 parameters in ``.values``, the type of ``ServerState.global_params``
+    only; everything else in the package passes the plain vector."""
 
     values: np.ndarray
-    layout: dict
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        total = next(reversed(self.layout.values()))[0].stop  # blocks are back to back
-        if self.values.shape != (total,):
-            raise ConfigError(
-                f"values length {self.values.shape} does not match layout size {total}"
-            )
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from flsim.engine import (
     derive_stream,
     init_client_states,
     init_server_state,
+    plan_round,
     run_round,
 )
 from flsim.models import ModelSpec, init_params
@@ -53,8 +54,8 @@ def trajectory(cfg, train):
     server = init_server_state(cfg, theta0)
     states = init_client_states(cfg, theta0)
     out = []
-    for _ in range(cfg.rounds):
-        server, states, _m = run_round(server, states, plan, train, cfg)
+    for r in range(cfg.rounds):
+        server, states, _m = run_round(server, states, plan_round(plan, train, cfg, r), cfg)
         out.append(server.global_params.values.copy())
     return out
 

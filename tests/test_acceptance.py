@@ -17,6 +17,7 @@ from flsim.engine import (
     derive_stream,
     init_client_states,
     init_server_state,
+    plan_round,
     run_round,
     run_training,
 )
@@ -218,8 +219,9 @@ def test_criterion_6_server_state_audit():
         plan = build_partition(cfg, train)
         server = init_server_state(cfg, theta0)
         states = init_client_states(cfg, theta0)
-        for _ in range(cfg.rounds):
-            server, states, _m = run_round(server, states, plan, train, cfg)
+        for r in range(cfg.rounds):
+            rplan = plan_round(plan, train, cfg, r)
+            server, states, _m = run_round(server, states, rplan, cfg)
         touched = []
         for name in ("momentum", "global_control", "global_perturb"):
             v = server.state.get(name)

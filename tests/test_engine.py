@@ -1,13 +1,16 @@
 import copy
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mlp_config, probe_config, small_task, trajectory
+import flsim
+from conftest import MLP_SPEC, mlp_config, probe_config, small_task, trajectory
 from flsim import engine
 from flsim.data import LabeledDataset, PartitionPlan
 from flsim.engine import (
@@ -15,6 +18,7 @@ from flsim.engine import (
     derive_stream,
     init_client_states,
     init_server_state,
+    plan_round,
     round_schedule,
     run_round,
     run_training,
@@ -25,6 +29,16 @@ from flsim.models import ModelSpec, init_params
 from oracle import batch_loss_and_grad, per_batch_schedule
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+METHOD_HPARAMS = [
+    ("fedavg", {}),
+    ("fedprox", {"lambda": 0.1}),
+    ("feddyn", {"beta": 0.1}),
+    ("fedcm", {"mu": 0.5}),
+    ("fedsam", {"rho": 0.1}),
+    ("fedgamma", {"rho": 0.1}),
+    ("fedspeed", {"rho": 0.1}),
+    ("fedsmoo", {"rho": 0.1, "beta": 0.1}),
+]
 
 
 class TestDeriveStream:
@@ -78,6 +92,13 @@ class TestClientStreams:
         assert words.dtype == np.uint64 and words.shape == (3, 4)
         assert np.array_equal(words[0], want) and np.array_equal(words[2], want)
 
+    def test_import_leaves_numpy_random_unloaded(self):
+        # why client_streams registers _SeedWords on use: importing flsim stays cheap
+        code = "import sys, flsim; sys.exit('numpy.random' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(flsim.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
 
 class TestSampleClients:
     def test_exhaustive(self):
@@ -106,24 +127,12 @@ def setup_run(cfg, train):
 
 
 class TestRunRound:
-    @pytest.mark.parametrize(
-        "method,hp",
-        [
-            ("fedavg", {}),
-            ("fedprox", {"lambda": 0.1}),
-            ("feddyn", {"beta": 0.1}),
-            ("fedcm", {"mu": 0.5}),
-            ("fedsam", {"rho": 0.1}),
-            ("fedgamma", {"rho": 0.1}),
-            ("fedspeed", {"rho": 0.1}),
-            ("fedsmoo", {"rho": 0.1, "beta": 0.1}),
-        ],
-    )
+    @pytest.mark.parametrize("method,hp", METHOD_HPARAMS)
     def test_zero_lr_fixed_point(self, method, hp):
         train, _ = small_task()
         cfg = mlp_config(method, client_lr=0.0, client_hparams=hp)
         server, states, plan = setup_run(cfg, train)
-        new_server, _, _ = run_round(server, states, plan, train, cfg)
+        new_server, _, _ = run_round(server, states, plan_round(plan, train, cfg, 0), cfg)
         assert np.array_equal(new_server.global_params.values, server.global_params.values)
 
     def test_state_isolation(self):
@@ -131,7 +140,7 @@ class TestRunRound:
         cfg = mlp_config("feddyn", client_hparams={"beta": 0.1})
         server, states, plan = setup_run(cfg, train)
         before = copy.deepcopy(states)
-        _, after, metrics = run_round(server, states, plan, train, cfg)
+        _, after, metrics = run_round(server, states, plan_round(plan, train, cfg, 0), cfg)
         sampled = set(metrics.sampled_clients)
         for cid in range(cfg.n_clients):
             if cid not in sampled:
@@ -144,7 +153,8 @@ class TestRunRound:
         server, states, plan = setup_run(cfg, train)
         for r in range(cfg.rounds):
             assert server.round == r
-            server, states, metrics = run_round(server, states, plan, train, cfg)
+            rplan = plan_round(plan, train, cfg, r)
+            server, states, metrics = run_round(server, states, rplan, cfg)
             assert len(metrics.sampled_clients) == cfg.sample_size
             assert len(set(metrics.sampled_clients)) == cfg.sample_size
 
@@ -160,7 +170,7 @@ class TestRunRound:
         theta0 = init_params(cfg.model, derive_stream(cfg.seed, -1, -1))
         server = init_server_state(cfg, theta0)
         states = init_client_states(cfg, theta0)
-        new_server, _, _ = run_round(server, states, plan, data, cfg)
+        new_server, _, _ = run_round(server, states, plan_round(plan, data, cfg, 0), cfg)
         # replicate one client's single full-batch step
         _, g = batch_loss_and_grad(cfg.model, theta0, rows, labels)
         expected = theta0 - cfg.client_lr * g
@@ -219,16 +229,28 @@ class TestRunConfig:
 
 
 class TestRunTraining:
-    def test_single_round_equals_run_round(self):
+    @pytest.mark.parametrize(
+        "model", [ModelSpec("linear", input_dim=8, num_classes=5), MLP_SPEC], ids=["linear", "mlp"]
+    )
+    @pytest.mark.parametrize("method,hp", METHOD_HPARAMS)
+    def test_single_round_equals_run_round(self, method, hp, model):
+        # the loop adds only evaluation and the plan's time share to each round
         train, test = small_task()
-        cfg = mlp_config("fedavg", rounds=1)
-        records = run_training(cfg, train, test)
-        assert len(records) == 1
+        cfg = mlp_config(method, model=model, rounds=4, client_hparams=hp)
+        servers = []
+        records = run_training(cfg, train, test, on_round=lambda s, *_: servers.append(s))
+        assert len(records) == cfg.rounds
         server, states, plan = setup_run(cfg, train)
-        _, _, metrics = run_round(server, states, plan, train, cfg)
-        assert records[0].sampled_clients == metrics.sampled_clients
-        assert records[0].mean_train_loss == metrics.mean_train_loss
-        assert records[0].update_norm == metrics.update_norm
+        for r, record in enumerate(records):
+            rplan = plan_round(plan, train, cfg, r)
+            server, states, metrics = run_round(server, states, rplan, cfg)
+            assert record.round == metrics.round == r
+            assert record.sampled_clients == metrics.sampled_clients
+            assert record.mean_train_loss == metrics.mean_train_loss
+            assert record.update_norm == metrics.update_norm
+            assert record.grad_evals == metrics.grad_evals
+        final = servers[-1].global_params.values
+        assert final.tobytes() == server.global_params.values.tobytes()
 
     def test_rerun_identical(self):
         train, test = small_task()
@@ -251,6 +273,14 @@ class TestRunTraining:
         monkeypatch.setattr(engine, "run_round", lambda *a: rounds.append(a))
         with pytest.raises(ConfigError, match=["train", "test"][which]):
             run_training(mlp_config("fedavg"), *data)
+        assert rounds == []
+
+    def test_probe_run_rejected_before_round_0(self, monkeypatch):
+        # no dataset fits the probe, and top1_accuracy cannot evaluate it
+        rounds = []
+        monkeypatch.setattr(engine, "run_round", lambda *a: rounds.append(a))
+        with pytest.raises(ConfigError, match="train set"):
+            run_training(probe_config(), *small_task())
         assert rounds == []
 
     def test_eval_schedule(self):

@@ -11,7 +11,6 @@ from flsim.engine import derive_stream
 from flsim.errors import ConfigError, NumericalOverflowError, UnsupportedOperationError
 from flsim.models import (
     ModelSpec,
-    ParamVector,
     batch_steps,
     canonical_rows,
     init_params,
@@ -228,12 +227,6 @@ def test_finite_diff_rejects_bad_epsilon():
     theta = init_params(LINEAR, derive_stream(0, -1, -1))
     with pytest.raises(ConfigError):
         finite_diff_grad(LINEAR, theta, *random_batch(LINEAR, 4, 0), 0.0)
-
-
-def test_layout_mismatch_rejected():
-    theta = init_params(LINEAR, derive_stream(0, -1, -1))
-    with pytest.raises(ConfigError):
-        ParamVector(theta[:-1], layout_for(LINEAR))
 
 
 # few distinct values, so duplicate rows, ties in leading columns and
