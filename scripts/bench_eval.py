@@ -10,10 +10,13 @@ Prints:
   (``engine.plan_round`` then ``engine.run_round``, timeit, best of
   ``--repeat``), over the round's reported gradient evaluations;
 - ``plan``: µs per round plan, the sampling, client streams and step
-  schedule of round 0 of the first ``sweep_c7`` run (``engine.plan_round``,
-  timeit, best of ``--repeat``), and the plans one ``sweep_c7`` sweep builds
-  (its ``engine.round_schedule`` calls): the per-sweep scheduling overhead;
-- ``stream``: µs per client stream when a round seeds 10 and 50 sampled
+  schedule (``engine.plan_round``, timeit, best of ``--repeat``): of round 0
+  of the first ``sweep_c7`` run, and the mean over rounds 0-9 of the
+  ``mlp_fedsmoo_skew`` and ``cross_device`` runs, each with the share of
+  sampled clients whose shard fits one batch (those draw no stream); and the
+  plans one ``sweep_c7`` sweep builds (its ``engine.round_schedule`` calls):
+  the per-sweep scheduling overhead;
+- ``stream``: µs per client stream when a round seeds 2, 10 and 50 sampled
   clients' streams (``engine.client_streams``, timeit, best of ``--repeat``).
 
 Then it runs each run of the ``sweep_c7`` benchmark sweep in this process on
@@ -44,6 +47,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BATCH = 32
+PLAN_ROUNDS = 10  # rounds a lone run's plan line averages over
 SPECS = {
     "linear": dict(kind="linear", input_dim=32, num_classes=10),
     "mlp": dict(kind="mlp", input_dim=32, num_classes=10, hidden_dim=16),
@@ -78,12 +82,17 @@ def stream_us(flsim, clients, repeat, number=200):
     return 1e6 * min(timeit.repeat(streams, number=number, repeat=repeat)) / number / clients
 
 
+def workload_text(name, seed) -> str:
+    """The config of the benchmark workload ``name`` for ``seed``."""
+    sys.path.insert(0, ROOT)
+    from perfbench.workloads import WORKLOADS
+
+    return WORKLOADS[name].config_text(seed)
+
+
 def sweep_c7_text(seed) -> str:
     """The sweep_c7 benchmark's config for ``seed``."""
-    sys.path.insert(0, ROOT)
-    from perfbench.workloads import SweepC7
-
-    return SweepC7.config_text(seed)
+    return workload_text("sweep_c7", seed)
 
 
 def sweep_c7_runs(flsim, seed):
@@ -112,18 +121,20 @@ def round_us(flsim, seed, repeat, number=50):
     return 1e6 * best / evals, evals
 
 
-def plan_us(flsim, seed, repeat, number=50):
-    """µs per round plan: round 0 of the first sweep_c7 run."""
-    eng = flsim.engine
-    cfg = (exp := sweep_c7_runs(flsim, seed)[0]).run
+def plan_us(flsim, exp, repeat, rounds, number=50):
+    """(µs per round plan, share of sampled clients whose shard fits one
+    batch), over rounds 0 to ``rounds - 1`` of the run ``exp``."""
+    eng, cfg = flsim.engine, exp.run
     train, _ = flsim.harness.make_dataset(exp)
     plan = eng.build_partition(cfg, train)
 
     def build():
-        return eng.plan_round(plan, train, cfg, 0)
+        return [eng.plan_round(plan, train, cfg, r) for r in range(rounds)]
 
-    build()  # the first also ranks the dataset's rows, once
-    return 1e6 * min(timeit.repeat(build, number=number, repeat=repeat)) / number
+    shards = [shard for _, round_shards, _ in build() for shard in round_shards]  # also ranks rows
+    share = sum(len(shard) <= cfg.batch_size for shard in shards) / len(shards)
+    best = min(timeit.repeat(build, number=max(1, number // rounds), repeat=repeat))
+    return 1e6 * best / (max(1, number // rounds) * rounds), share
 
 
 def plans_per_sweep(flsim, seed) -> int:
@@ -178,12 +189,19 @@ def main(argv=None) -> int:
         result["kernel_us"][name] = kernel = kernel_us(flsim, name, args.repeat)
         print(f"{name} batch {BATCH}: kernel {kernel:.1f} us")
     result["stream_us"] = {}
-    for clients in (10, 50):
+    for clients in (2, 10, 50):
         result["stream_us"][str(clients)] = us = stream_us(flsim, clients, args.repeat)
         print(f"{clients} sampled clients: {us:.1f} us/stream")
-    result["plan_us"] = us = plan_us(flsim, args.seed, args.repeat)
+    result["plan_us"] = us = plan_us(flsim, sweep_c7_runs(flsim, args.seed)[0], args.repeat, 1)[0]
     result["plans_per_sweep"] = plans = plans_per_sweep(flsim, args.seed)
     print(f"sweep_c7 seed {args.seed} round plan: {us:.1f} us, {plans} plans per sweep")
+    result["plan"] = {}
+    for name in ("mlp_fedsmoo_skew", "cross_device"):
+        exp = flsim.harness.parse_config(workload_text(name, args.seed))
+        us, share = plan_us(flsim, exp, args.repeat, PLAN_ROUNDS)
+        result["plan"][name] = {"us": us, "one_batch_share": share}
+        print(f"{name} seed {args.seed} round plan: {us:.1f} us over rounds 0-{PLAN_ROUNDS - 1}, "
+              f"{100 * share:.1f}% of sampled clients fit one batch")
     us, evals = round_us(flsim, args.seed, args.repeat)
     result["round_us_per_eval"] = us
     print(f"sweep_c7 seed {args.seed} round 0: {us:.1f} us/eval over {evals} evals")

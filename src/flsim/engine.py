@@ -27,17 +27,18 @@ DATA_ROUND = -3
 SPLIT_ROUND = -4
 
 _MASK = (1 << 64) - 1
-_GOLD = 0x9E3779B97F4A7C15
+_SPLITMIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31)
 
 
-def _stream_key(seed: int, round_idx: int, client_id):
-    """splitmix64 over seed, round, then client; ``client_id`` may be a uint64 array."""
+def _stream_key(seed: int, *words: int) -> int:
+    """splitmix64 over seed, then each word: the round, then the client."""
+    gold, mul1, mul2, sh1, sh2, sh3 = _SPLITMIX
     x = seed & _MASK
-    for v in (round_idx, client_id):
-        x = ((x ^ ((v & _MASK) * _GOLD & _MASK)) + _GOLD) & _MASK
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-        x = x ^ (x >> 31)
+    for v in words:
+        x = ((x ^ ((v & _MASK) * gold & _MASK)) + gold) & _MASK
+        x = ((x ^ (x >> sh1)) * mul1) & _MASK
+        x = ((x ^ (x >> sh2)) * mul2) & _MASK
+        x = x ^ (x >> sh3)
     return x
 
 
@@ -59,7 +60,9 @@ _POOL_X, _POOL_M = _hashes(0x43B0D7E5, 0x931E8875, 16)
 _STAGES = [(_POOL_X[i], _POOL_M[i]) for i in (  # d: words s+1, s+2, s+3 (mod 4)
     [4 + 3 * s + d % 4 - (d % 4 > s) for d in range(s + 1, s + 4)] for s in range(4))]
 _OUT = [c.reshape(2, 4, 1) for c in _hashes(0x8B51F9DD, 0x58F38DED, 8)]  # word j: pool word j % 4
-_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+# 0-d arrays, which a ufunc takes faster than NumPy scalars; uint64 arrays wrap, unmasked
+_GOLD, _MUL1, _MUL2, _SH1, _SH2, _SH3, _HIGH = (np.array(c, np.uint64) for c in (*_SPLITMIX, 32))
+_MIX_L, _MIX_R, _SHIFT = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
 
 
 def _hashmix(v, x, m):
@@ -70,7 +73,7 @@ def _hashmix(v, x, m):
 def seed_words(keys: np.ndarray) -> np.ndarray:
     """Row i: ``np.random.SeedSequence(keys[i]).generate_state(4, np.uint64)``; uint64 keys."""
     pool = np.zeros((4, len(keys)), np.uint32)  # a key is 2 words; a missing word hashes as 0
-    pool[0], pool[1] = keys & 0xFFFFFFFF, keys >> 32
+    pool[0], pool[1] = keys, keys >> _HIGH  # the cast to uint32 keeps the low word
     pool = _hashmix(pool, _POOL_X[:4], _POOL_M[:4])
     for x, m in _STAGES:
         mixed = _MIX_L * pool[1:] - _MIX_R * _hashmix(pool[0], x, m)
@@ -88,9 +91,13 @@ class _SeedWords:  # a NumPy ISeedSequence, registered in client_streams
 
 def client_streams(seed: int, round_idx: int, client_ids) -> list:
     """``[derive_stream(seed, round_idx, c) for c in client_ids]``, hashed in one batch."""
-    keys = _stream_key(seed, round_idx, np.asarray(client_ids, dtype=np.int64).view(np.uint64))
+    ids = np.asarray(client_ids, dtype=np.int64).view(np.uint64)
+    x = (np.uint64(_stream_key(seed, round_idx)) ^ ids * _GOLD) + _GOLD  # the client step
+    x = (x ^ (x >> _SH1)) * _MUL1
+    x = (x ^ (x >> _SH2)) * _MUL2
     # registered on use, so that importing flsim does not import numpy.random
     np.random.bit_generator.ISeedSequence.register(_SeedWords)  # a no-op after the first call
+    keys = x ^ (x >> _SH3)
     return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in seed_words(keys)]
 
 
@@ -188,17 +195,24 @@ def build_partition(cfg: RunConfig, train: LabeledDataset) -> PartitionPlan:
 def round_schedule(shards, streams, train: LabeledDataset, cfg: RunConfig):
     """Every sampled client's local steps, canonicalised in one sort.
 
-    Client by client, draws ``cfg.local_epochs`` permutations of its shard from
-    its stream and cuts each into batches of ``cfg.batch_size``. Returns (rows,
-    clients): ``clients[i]`` lists client i's steps, each a ``models.Step`` of
-    a batch's canonical rows of ``train``; ``rows`` index every step's ``X``
-    into ``train``, step after step.
+    A shard of more than one batch takes the next of ``streams``, draws
+    ``cfg.local_epochs`` permutations from it and cuts each into batches of
+    ``cfg.batch_size``. A shard of one batch is that batch in shard order, its
+    step taken every epoch: canonical rows do not depend on order. Returns
+    (rows, clients): ``clients[i]`` lists client i's steps, each a ``models.Step``
+    of a batch's canonical rows of ``train``; ``rows`` index each distinct step's ``X``.
     """
+    streams, epochs = iter(streams), cfg.local_epochs
     drawn, sizes, ends = [], [], [0]  # sizes: per step; ends: steps after each client
-    for shard, rng in zip(shards, streams):
-        full, rest = divmod(len(shard), cfg.batch_size)
-        drawn += [shard[rng.permutation(len(shard))] for _ in range(cfg.local_epochs)]
-        sizes += ([cfg.batch_size] * full + [rest] * (rest > 0)) * cfg.local_epochs
+    for shard in shards:
+        if len(shard) <= cfg.batch_size:  # one batch: the only kind of client with one step
+            drawn.append(shard)
+            sizes.append(len(shard))
+        else:
+            full, rest = divmod(len(shard), cfg.batch_size)
+            rng = next(streams)
+            drawn += [shard[rng.permutation(len(shard))] for _ in range(epochs)]
+            sizes += ([cfg.batch_size] * full + [rest] * (rest > 0)) * epochs
         ends.append(len(sizes))
     drawn, size = np.concatenate(drawn), len(train)
     # A key is below len(sizes) * size <= len(drawn) * size. MAX_DATA_VALUES
@@ -209,7 +223,7 @@ def round_schedule(shards, streams, train: LabeledDataset, cfg: RunConfig):
     rows = drawn[sel]
     X, y = train.features[rows], train.labels[rows]
     steps = batch_steps(cfg.model, X, y, counts, starts.tolist(), sizes)
-    return rows, [steps[a:b] for a, b in zip(ends, ends[1:])]
+    return rows, [steps[a:b] * (epochs if b - a == 1 else 1) for a, b in zip(ends, ends[1:])]
 
 
 def plan_key(cfg: RunConfig) -> tuple:
@@ -219,12 +233,15 @@ def plan_key(cfg: RunConfig) -> tuple:
 
 
 def plan_round(plan: PartitionPlan, train: LabeledDataset, cfg: RunConfig, round_idx: int):
-    """Round ``round_idx``'s plan, the same for every run with one ``plan_key``:
-    (sampled client ids in ascending order, their shards, their steps)."""
+    """Round ``round_idx``'s plan, the same for every run with one ``plan_key``: (sampled
+    client ids in ascending order, their shards, their steps); an empty shard is a ConfigError."""
     rng = derive_stream(cfg.seed, round_idx, SERVER_CHANNEL)
     sampled = sample_clients(cfg.n_clients, cfg.sample_size, rng)
     shards = [plan.assignments[cid] for cid in sampled]
-    streams = client_streams(cfg.seed, round_idx, sampled)
+    if empty := [cid for cid, shard in zip(sampled, shards) if len(shard) == 0]:
+        raise ConfigError(f"client {empty[0]} has an empty shard")  # before any client trains
+    drawing = [cid for cid, shard in zip(sampled, shards) if len(shard) > cfg.batch_size]
+    streams = client_streams(cfg.seed, round_idx, drawing)
     return sampled, shards, round_schedule(shards, streams, train, cfg)[1]
 
 
@@ -238,8 +255,6 @@ def run_round(server: ServerState, states: list, rplan: tuple, cfg: RunConfig):
     results = []
     new_states = list(states)
     for cid, shard, steps in zip(sampled, shards, schedule):  # ascending id
-        if len(shard) == 0:
-            raise ConfigError(f"client {cid} has an empty shard")
         try:
             result, new_states[cid] = _m.client_opt(
                 cid, server, steps, len(shard), states[cid], hp, cfg

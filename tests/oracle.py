@@ -6,8 +6,9 @@ the dataset's ranks. ``batch_loss_and_grad`` ranks a batch's own rows with
 ``row_keys``, builds the step with ``flsim.models.batch_steps`` (``one_step``)
 and calls it, so tests can check the kernel against
 ``finite_diff_grad`` and against hand-built batches. ``per_batch_schedule``
-draws and canonicalises a round's minibatches one batch at a time: the
-reference ``flsim.engine.round_schedule`` is checked against.
+draws and canonicalises a round's minibatches one batch at a time
+(``canonical_batch``): the reference ``flsim.engine.round_schedule`` is
+checked against.
 ``reference_loss_and_grad`` is ``flsim.models.loss_and_grad`` as written before
 its log-softmax ran in place, its gradient blocks were written into one vector
 and its batch constants came with the step; the kernel must match it bit for
@@ -60,24 +61,31 @@ def block(spec, theta, name):
 def per_batch_schedule(shards, streams, ranks, local_epochs, batch_size):
     """Per client, its steps' (rows, counts, n), each batch canonicalised alone.
 
-    Each epoch draws a permutation of the shard from the client's stream; a
-    batch's rows sorted stably by rank keep the first row of each run of
-    equal ranks, weighted by the run's length; ``n`` is the batch's size.
+    A shard of one batch is that batch in shard order, the same step every
+    epoch, and reads no stream. Every other shard takes the next of
+    ``streams``, and each epoch draws a permutation of the shard from it. A
+    batch's rows sorted stably by rank keep the first row of each run of equal
+    ranks, weighted by the run's length; ``n`` is the batch's size.
     """
-    clients = []
-    for shard, rng in zip(shards, streams):
-        steps = []
+    streams, clients = iter(streams), []
+    for shard in shards:
+        if len(shard) <= batch_size:
+            clients.append([canonical_batch(shard, ranks)] * local_epochs)
+            continue
+        rng, steps = next(streams), []
         for _ in range(local_epochs):
             order = rng.permutation(len(shard))
             for start in range(0, len(shard), batch_size):
-                drawn = shard[order[start : start + batch_size]]
-                by_rank = np.argsort(ranks[drawn], kind="stable")
-                _, first, counts = np.unique(
-                    ranks[drawn][by_rank], return_index=True, return_counts=True
-                )
-                steps.append((drawn[by_rank[first]], counts.astype(np.float64), float(len(drawn))))
+                steps.append(canonical_batch(shard[order[start : start + batch_size]], ranks))
         clients.append(steps)
     return clients
+
+
+def canonical_batch(drawn, ranks):
+    """(rows, counts, n) of one batch of row indices, in the order drawn."""
+    by_rank = np.argsort(ranks[drawn], kind="stable")
+    _, first, counts = np.unique(ranks[drawn][by_rank], return_index=True, return_counts=True)
+    return drawn[by_rank[first]], counts.astype(np.float64), float(len(drawn))
 
 
 def reference_loss_and_grad(spec, theta, X, y, counts, n):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import flsim
 from conftest import MLP_SPEC, mlp_config, probe_config, small_task, trajectory
-from flsim import engine
+from flsim import engine, methods
 from flsim.data import LabeledDataset, PartitionPlan
 from flsim.engine import (
     build_partition,
@@ -25,8 +25,8 @@ from flsim.engine import (
     sample_clients,
 )
 from flsim.errors import ConfigError, DivergenceError
-from flsim.models import ModelSpec, init_params
-from oracle import batch_loss_and_grad, per_batch_schedule
+from flsim.models import ModelSpec, canonical_rows, init_params
+from oracle import batch_loss_and_grad, one_step, per_batch_schedule
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 METHOD_HPARAMS = [
@@ -283,6 +283,18 @@ class TestRunTraining:
             run_training(probe_config(), *small_task())
         assert rounds == []
 
+    def test_empty_shard_rejected_before_any_client_trains(self, monkeypatch):
+        # a built partition has no empty shard (PartitionPlan.validate); a
+        # hand-built one fails in the round's plan, before client 0 trains
+        train, test = small_task()
+        plan = PartitionPlan([np.arange(len(train)), np.arange(0)])
+        monkeypatch.setattr(engine, "build_partition", lambda cfg, train: plan)
+        calls, real = [], methods.client_opt
+        monkeypatch.setattr(methods, "client_opt", lambda *a: calls.append(a) or real(*a))
+        with pytest.raises(ConfigError, match="client 1 has an empty shard"):
+            run_training(mlp_config("fedavg", n_clients=2, sample_size=2), train, test)
+        assert calls == []
+
     def test_eval_schedule(self):
         train, test = small_task()
         cfg = mlp_config("fedavg", rounds=7, eval_every=3)
@@ -346,11 +358,13 @@ class TestRunTraining:
     batch_size=st.integers(1, 63),
     local_epochs=st.integers(1, 3),
 )
+@example(seed=0, n_rows=6, distinct=2, shard_sizes=[4, 9, 1, 5], batch_size=4, local_epochs=3)
 def test_round_schedule_matches_per_batch_loop(
     seed, n_rows, distinct, shard_sizes, batch_size, local_epochs
 ):
     # few distinct rows repeat within a step and across steps; shards drawn
-    # with replacement repeat row indices too
+    # with replacement repeat row indices too. A shard of one batch takes no
+    # stream; every other shard takes the next one.
     rng = np.random.default_rng(seed)
     values = rng.integers(0, min(distinct, n_rows), (n_rows, 1)).astype(np.float64)
     labels = np.unique(rng.integers(0, 3, n_rows), return_inverse=True)[1]  # no class missing
@@ -358,17 +372,23 @@ def test_round_schedule_matches_per_batch_loop(
     shards = [rng.choice(n_rows, size) for size in shard_sizes]
     model = ModelSpec("linear", input_dim=1, num_classes=3)
     cfg = probe_config(model=model, local_epochs=local_epochs, batch_size=batch_size)
+    drawn = [cid for cid, shard in enumerate(shards) if len(shard) > batch_size]
 
     def streams():
-        return [derive_stream(seed, 3, cid) for cid in range(len(shards))]
+        return [derive_stream(seed, 3, cid) for cid in drawn]
 
     scheduled, looped = streams(), streams()
     rows, clients = round_schedule(shards, scheduled, train, cfg)
     want = per_batch_schedule(shards, looped, train.ranks, local_epochs, batch_size)
     assert [len(steps) for steps in clients] == [len(steps) for steps in want]
-    at = 0  # where the step's rows start in ``rows``
-    for steps, want_steps in zip(clients, want):
+    at, seen = 0, set()  # where the step's rows start in ``rows``; the steps so far
+    for shard, steps, want_steps in zip(shards, clients, want):
+        if len(shard) <= batch_size:  # one step, taken every epoch, listed once in rows
+            assert all(step is steps[0] for step in steps)
+            steps, want_steps = steps[:1], want_steps[:1]
         for step, (want_rows, want_counts, want_n) in zip(steps, want_steps):
+            assert id(step) not in seen  # no step is shared between clients
+            seen.add(id(step))
             assert np.array_equal(rows[at : at + len(step.X)], want_rows)
             assert step.X.tobytes() == train.features[want_rows].tobytes()
             assert np.array_equal(step.counts, want_counts) and step.n == want_n
@@ -379,6 +399,53 @@ def test_round_schedule_matches_per_batch_loop(
             assert step.w.tobytes() == (want_counts / want_n)[:, None].tobytes()
             at += len(step.X)
     assert at == len(rows)
-    # each stream is left where local_epochs permutations leave it
+    # each drawn stream is left where local_epochs permutations leave it
     for after_schedule, after_loop in zip(scheduled, looped):
         assert after_schedule.integers(0, 2**63) == after_loop.integers(0, 2**63)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    n_rows=st.integers(1, 40),
+    size=st.integers(1, 40),
+    local_epochs=st.integers(1, 4),
+    signed_zeros=st.booleans(),
+)
+@example(seed=0, dim=1, n_rows=4, size=8, local_epochs=2, signed_zeros=True)
+def test_one_batch_step_equals_drawn_path(seed, dim, n_rows, size, local_epochs, signed_zeros):
+    # a one-batch shard's step, built from the shard in its own order, against
+    # the step each epoch built from a permutation drawn from the client's
+    # stream (the schedule before one-batch shards skipped their streams). The
+    # rows come from a few values, so a batch repeats rows; with signed zeros,
+    # rows can compare equal and differ in bytes.
+    rng = np.random.default_rng(seed)
+    pool = np.array([0.0, 1.0, -2.5] + [-0.0] * signed_zeros)
+    values = pool[rng.integers(0, len(pool), (n_rows, dim))]
+    labels = np.unique(rng.integers(0, 2, n_rows), return_inverse=True)[1]  # no class missing
+    train = LabeledDataset(values, labels, int(labels.max()) + 1)
+    shard = rng.choice(n_rows, size)
+    cfg = probe_config(
+        model=ModelSpec("linear", input_dim=dim, num_classes=2),
+        local_epochs=local_epochs,
+        batch_size=size + int(rng.integers(0, 3)),
+    )
+    _, (steps,) = round_schedule([shard], [], train, cfg)
+    assert len(steps) == local_epochs
+    # rows of one rank differ in bytes only by the sign of a zero
+    ranks = train.ranks[shard]
+    rows_by_bytes = {(r, train.features[i].tobytes()) for r, i in zip(ranks, shard)}
+    exact = len(set(ranks)) == len(rows_by_bytes)
+    assert exact or signed_zeros
+    stream = derive_stream(seed, 5, 7)
+    for step in steps:
+        drawn = shard[stream.permutation(size)]
+        sel, counts, _ = canonical_rows(train.ranks[drawn], [0])
+        rows = drawn[sel]
+        want = one_step(cfg.model, train.features[rows], train.labels[rows], counts, size)
+        assert np.array_equal(step.X, want.X)  # as values: -0.0 == 0.0
+        if exact:
+            assert step.X.tobytes() == want.X.tobytes()
+        for got, ref in zip(step[1:], want[1:]):  # counts, n, at, onehot, w
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
