@@ -90,14 +90,9 @@ def workload_text(name, seed) -> str:
     return WORKLOADS[name].config_text(seed)
 
 
-def sweep_c7_text(seed) -> str:
-    """The sweep_c7 benchmark's config for ``seed``."""
-    return workload_text("sweep_c7", seed)
-
-
 def sweep_c7_runs(flsim, seed):
     """The sweep_c7 benchmark's runs for ``seed``, in sweep order."""
-    spec = flsim.harness.parse_config(sweep_c7_text(seed))
+    spec = flsim.harness.parse_config(workload_text("sweep_c7", seed))
     return [exp for cell in spec.cells for exp in cell]
 
 
@@ -133,8 +128,8 @@ def plan_us(flsim, exp, repeat, rounds, number=50):
 
     shards = [shard for _, round_shards, _ in build() for shard in round_shards]  # also ranks rows
     share = sum(len(shard) <= cfg.batch_size for shard in shards) / len(shards)
-    best = min(timeit.repeat(build, number=max(1, number // rounds), repeat=repeat))
-    return 1e6 * best / (max(1, number // rounds) * rounds), share
+    calls = max(1, number // rounds)
+    return 1e6 * min(timeit.repeat(build, number=calls, repeat=repeat)) / (calls * rounds), share
 
 
 def plans_per_sweep(flsim, seed) -> int:
@@ -143,7 +138,7 @@ def plans_per_sweep(flsim, seed) -> int:
     real = eng.round_schedule
     eng.round_schedule = lambda *a: calls.append(a) or real(*a)
     try:
-        spec = flsim.harness.parse_config(sweep_c7_text(seed))
+        spec = flsim.harness.parse_config(workload_text("sweep_c7", seed))
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
             flsim.harness.run_sweep(spec, out)
     finally:

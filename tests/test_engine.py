@@ -25,8 +25,8 @@ from flsim.engine import (
     sample_clients,
 )
 from flsim.errors import ConfigError, DivergenceError
-from flsim.models import ModelSpec, canonical_rows, init_params
-from oracle import batch_loss_and_grad, one_step, per_batch_schedule
+from flsim.models import ModelSpec, init_params
+from oracle import batch_loss_and_grad, canonical_batch, one_step, per_batch_schedule
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 METHOD_HPARAMS = [
@@ -440,10 +440,8 @@ def test_one_batch_step_equals_drawn_path(seed, dim, n_rows, size, local_epochs,
     assert exact or signed_zeros
     stream = derive_stream(seed, 5, 7)
     for step in steps:
-        drawn = shard[stream.permutation(size)]
-        sel, counts, _ = canonical_rows(train.ranks[drawn], [0])
-        rows = drawn[sel]
-        want = one_step(cfg.model, train.features[rows], train.labels[rows], counts, size)
+        rows, counts, n = canonical_batch(shard[stream.permutation(size)], train.ranks)
+        want = one_step(cfg.model, train.features[rows], train.labels[rows], counts, n)
         assert np.array_equal(step.X, want.X)  # as values: -0.0 == 0.0
         if exact:
             assert step.X.tobytes() == want.X.tobytes()
