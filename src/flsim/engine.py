@@ -92,12 +92,12 @@ class _SeedWords:  # a NumPy ISeedSequence, registered in client_streams
 def client_streams(seed: int, round_idx: int, client_ids) -> list:
     """``[derive_stream(seed, round_idx, c) for c in client_ids]``, hashed in one batch."""
     ids = np.asarray(client_ids, dtype=np.int64).view(np.uint64)
-    x = (np.uint64(_stream_key(seed, round_idx)) ^ ids * _GOLD) + _GOLD  # the client step
+    x = (np.uint64(_stream_key(seed, round_idx)) ^ ids * _GOLD) + _GOLD  # _stream_key's last step
     x = (x ^ (x >> _SH1)) * _MUL1
     x = (x ^ (x >> _SH2)) * _MUL2
+    keys = x ^ (x >> _SH3)
     # registered on use, so that importing flsim does not import numpy.random
     np.random.bit_generator.ISeedSequence.register(_SeedWords)  # a no-op after the first call
-    keys = x ^ (x >> _SH3)
     return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in seed_words(keys)]
 
 
