@@ -91,6 +91,8 @@ class _SeedWords:  # a NumPy ISeedSequence, registered in client_streams
 
 def client_streams(seed: int, round_idx: int, client_ids) -> list:
     """``[derive_stream(seed, round_idx, c) for c in client_ids]``, hashed in one batch."""
+    if len(client_ids) == 0:
+        return []
     ids = np.asarray(client_ids, dtype=np.int64).view(np.uint64)
     x = (np.uint64(_stream_key(seed, round_idx)) ^ ids * _GOLD) + _GOLD  # _stream_key's last step
     x = (x ^ (x >> _SH1)) * _MUL1
@@ -275,7 +277,7 @@ def run_round(server: ServerState, states: list, rplan: tuple, cfg: RunConfig):
     metrics = RoundMetrics(
         round=server.round,
         sampled_clients=sampled,
-        mean_train_loss=float(np.mean([r.mean_loss for r in results])),
+        mean_train_loss=float(np.add.reduce([r.mean_loss for r in results]) / len(results)),
         update_norm=update_norm,
         grad_evals=int(sum(r.grad_evals for r in results)),
         wall_time_seconds=time.perf_counter() - t0,

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .models import ParamVector, loss_and_grad
+from .models import ParamVector, layer_views, loss_and_grad
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def _fedsmoo_client(c, theta_f, steps, eps):
 
 
 def _fedsmoo_perturb(server, results, theta_new, hp, cfg):
-    m_bar = np.mean([r.aux for r in results], axis=0)
+    m_bar = np.add.reduce([r.aux for r in results], axis=0) / len(results)
     return {"global_perturb": hp.rho * m_bar / (np.linalg.norm(m_bar) + hp.xi)}
 
 
@@ -196,21 +196,25 @@ def client_opt(cid, server, steps, num_samples, state, hp, cfg):
     client-state names to vectors. Returns (ClientResult, new state).
     """
     m = METHODS[cfg.method]
-    theta = server.global_params.values
-    c = ClientRound(cfg, hp, server, theta, state)
+    c = ClientRound(cfg, hp, server, server.global_params.values, state)
+    theta = c.theta_r.copy()  # the client's own buffer, stepped in place
+    layers = layer_views(cfg.model, theta)  # views that follow every step
+    if m.sam:  # theta + eps, written into a second buffer each step
+        pert = np.empty_like(theta)
+        pert_layers = layer_views(cfg.model, pert)
     shift = m.perturb_shift(c) if m.perturb_shift is not None else None
     eps = None
     losses = []
     for step in steps:
-        loss, g = loss_and_grad(cfg.model, theta, step)
+        loss, g = loss_and_grad(cfg.model, theta, step, layers)
         if m.sam:
             # the gradient at theta + rho * raw/||raw||, raw the plain
             # gradient plus any shift; two evaluations even at rho=0.
             # ||raw|| as np.linalg.norm takes it for a vector, without its dispatch
             raw = g if shift is None else g + shift
             eps = hp.rho * raw / (math.sqrt(raw.dot(raw)) + hp.xi)
-            g = loss_and_grad(cfg.model, theta + eps, step)[1]
-        theta = theta - cfg.client_lr * m.direction(c, g, theta)
+            g = loss_and_grad(cfg.model, np.add(theta, eps, out=pert), step, pert_layers)[1]
+        np.subtract(theta, cfg.client_lr * m.direction(c, g, theta), out=theta)
         losses.append(loss)
     new_state, aux = m.client_finish(c, theta, len(losses), eps)
     result = ClientResult(
@@ -231,7 +235,7 @@ def mean_params(results, weighted: bool = False) -> np.ndarray:
     if weighted:
         w = np.array([r.num_samples for r in results], dtype=np.float64)
         return (w[:, None] * stack).sum(axis=0) / w.sum()
-    return stack.mean(axis=0)
+    return np.add.reduce(stack, axis=0) / len(stack)  # np.mean's sum, without its dispatch
 
 
 def server_opt(server, results, hp, cfg):

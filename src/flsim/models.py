@@ -187,27 +187,30 @@ def batch_steps(spec: ModelSpec, X, y, counts, starts, sizes) -> list:
     ]
 
 
-def _layers(spec: ModelSpec, vec: np.ndarray) -> list:
+def layer_views(spec: ModelSpec, vec: np.ndarray) -> list:
     """(W, b) views of a flat vector's blocks, one pair per dense layer."""
     return [(vec[a:m].reshape(shape), vec[m:e]) for a, m, e, shape in spec.layer_offsets]
 
 
 def _forward_logits(spec: ModelSpec, layers: list, X: np.ndarray):
     """Logits and each layer's input: ``X``, then each hidden layer's output."""
-    (W, b), *above = layers
-    inputs, Z = [X], X @ W + b
-    for W, b in above:
-        inputs.append(np.maximum(Z, 0.0) if spec.activation == "relu" else np.tanh(Z))
-        Z = inputs[-1] @ W + b
+    inputs, Z = [], X
+    for W, b in layers:
+        if inputs:
+            Z = np.maximum(Z, 0.0) if spec.activation == "relu" else np.tanh(Z)
+        inputs.append(Z)
+        Z = Z @ W
+        Z += b
     return Z, inputs
 
 
-def loss_and_grad(spec: ModelSpec, theta: np.ndarray, step: Step):
+def loss_and_grad(spec: ModelSpec, theta: np.ndarray, step: Step, layers=None):
     """Mean cross-entropy (natural log) and its exact analytic gradient vector.
 
     ``step``: one batch from ``batch_steps``, its rows checked by the caller to
-    fit ``spec``. The quadratic probe uses 0.5*||theta - target||^2 and
-    ignores the rows.
+    fit ``spec``. ``layers``: ``layer_views(spec, theta)``, which a caller that
+    evaluates one buffer many times builds once. The quadratic probe uses
+    0.5*||theta - target||^2 and ignores the rows.
     """
     X, counts, n, at, onehot, w = step
     # overflow surfaces as a typed error, not a numpy warning
@@ -216,7 +219,7 @@ def loss_and_grad(spec: ModelSpec, theta: np.ndarray, step: Step):
             grad = theta - np.asarray(spec.probe_target, dtype=np.float64)
             loss = 0.5 * float(grad @ grad)
         else:
-            layers = _layers(spec, theta)
+            layers = layer_views(spec, theta) if layers is None else layers
             logp, inputs = _forward_logits(spec, layers, X)
             # log-softmax in place: logits - max, then - log(sum(exp))
             logp -= np.maximum.reduce(logp, axis=1, keepdims=True)
@@ -225,19 +228,18 @@ def loss_and_grad(spec: ModelSpec, theta: np.ndarray, step: Step):
             G = np.exp(logp)
             G -= onehot
             G *= w  # per-unique-row weights; sum to 1
-            grad = np.empty(theta.shape)
-            blocks = _layers(spec, grad)  # written in place, last layer first
+            blocks = []  # in layout order, built last layer first
             for i in reversed(range(len(layers))):
-                A, (dW, db) = inputs[i], blocks[i]
-                np.matmul(A.T, G, out=dW)
-                np.add.reduce(G, axis=0, out=db)
+                A = inputs[i]
+                blocks[:0] = (A.T @ G).ravel(), np.add.reduce(G, axis=0)
                 if i:  # back through the activation whose output is A
                     dact = A > 0.0 if spec.activation == "relu" else 1.0 - A**2
                     G = (G @ layers[i][0].T) * dact
-        total = np.add.reduce(grad)
+            grad = np.concatenate(blocks)
+        total = grad.dot(grad)
     if not math.isfinite(loss):
         raise NumericalOverflowError("loss")
-    if not math.isfinite(total):  # a finite sum proves every entry finite
+    if not math.isfinite(total):  # a finite sum of squares proves every entry finite
         for name, (sl, _) in spec.slices.items():
             if not np.isfinite(grad[sl]).all():
                 raise NumericalOverflowError(name)
@@ -253,5 +255,5 @@ def top1_accuracy(spec: ModelSpec, theta: np.ndarray, X, y) -> float:
     if spec.kind == "quadratic_probe":
         raise UnsupportedOperationError("top1_accuracy undefined for quadratic_probe")
     with np.errstate(over="ignore", invalid="ignore"):  # a huge model still gets a score
-        logits, _ = _forward_logits(spec, _layers(spec, theta), X)
+        logits, _ = _forward_logits(spec, layer_views(spec, theta), X)
     return float(np.mean(np.argmax(logits, axis=1) == y))
