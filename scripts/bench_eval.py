@@ -4,7 +4,8 @@ Prints:
 
 - ``kernel``: one ``flsim.models.loss_and_grad`` call for linear 32->10 and
   mlp 32->16->10 at batch 32 (timeit, best of ``--repeat``), on a step built
-  once by ``flsim.models.batch_steps``, as a round builds it;
+  once by ``flsim.models.batch_steps``, as a round builds it, and on layer
+  views of the parameters built once, as ``client_opt`` builds them;
 - ``round``: what the engine pays per evaluation, everything included: round
   0 of the first ``sweep_c7`` run, its plan and the round itself
   (``engine.plan_round`` then ``engine.run_round``, timeit, best of
@@ -24,12 +25,20 @@ one shared dataset (``run_training`` only, best of ``--repeat``) and prints
 wall time over reported gradient evaluations for each run, and their mean.
 
     python3 scripts/bench_eval.py [--src DIR] [--seed N] [--repeat K] [--json]
+    python3 scripts/bench_eval.py [--src DIR] --against DIR [--pairs N] [--repeat K] [--json]
 
 ``--src`` names the ``src`` directory to import flsim from (default: this
 checkout's), so the same script measures both sides of a change; it calls
 only the engine's public stream, plan, round and training entry points. A
 tree whose ``run_round`` builds its own plan is timed with that tree's own
-copy of this script.
+copy of this script, and a tree without ``models.layer_views`` has its
+kernel timed without views, as its ``client_opt`` calls it.
+
+``--against DIR`` prints only the ``kernel`` line, in ``--pairs`` pairs (default
+10): each pair times ``--src`` and ``DIR`` in two fresh processes, the side that
+goes first alternating, so the machine's drift between runs moves both sides
+of a pair alike. It prints each pair's ratio (``--src`` over ``DIR``; below 1
+is faster) and the median ratio.
 """
 from __future__ import annotations
 
@@ -38,6 +47,8 @@ import contextlib
 import io
 import json
 import os
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -64,11 +75,43 @@ def kernel_us(flsim, name, repeat, number=2000):
     y = rng.integers(0, spec.num_classes, BATCH)
     counts = np.ones(BATCH)  # distinct float rows: each its own run
     (step,) = m.batch_steps(spec, X, y, counts, [0, BATCH], [BATCH])
+    views = getattr(m, "layer_views", None)  # absent in a tree from before caller-built views
+    args = (spec, theta, step) + ((views(spec, theta),) if views else ())
 
     def kernel():
-        m.loss_and_grad(spec, theta, step)
+        m.loss_and_grad(*args)
 
     return 1e6 * min(timeit.repeat(kernel, number=number, repeat=repeat)) / number
+
+
+def kernel_line(src, repeat) -> dict:
+    """Spec name -> ``kernel_us`` for the flsim in ``src``, timed in a new interpreter."""
+    code = (
+        "import json, sys; sys.path[:0] = sys.argv[1:3]; import bench_eval, flsim.engine; "
+        "print(json.dumps({n: bench_eval.kernel_us(flsim, n, int(sys.argv[3])) "
+        "for n in bench_eval.SPECS}))"
+    )
+    here, src = os.path.dirname(os.path.abspath(__file__)), os.path.abspath(src)
+    cmd = [sys.executable, "-c", code, here, src, str(repeat)]
+    return json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
+
+
+def kernel_pairs(src, against, pairs, repeat) -> dict:
+    """Spec name -> per-pair ratios of ``src``'s kernel line over ``against``'s."""
+    ratios = {name: [] for name in SPECS}
+    for i in range(pairs):
+        lines = [None, None]
+        for side in (0, 1) if i % 2 == 0 else (1, 0):  # which goes first alternates
+            lines[side] = kernel_line((src, against)[side], repeat)
+        ours, theirs = lines
+        for name in SPECS:
+            ratios[name].append(ours[name] / theirs[name])
+            print(f"pair {i + 1} {name}: {ours[name]:.1f} us against {theirs[name]:.1f} us, "
+                  f"ratio {ratios[name][-1]:.3f}")
+    for name, r in ratios.items():
+        print(f"{name} batch {BATCH}: median ratio {statistics.median(r):.3f} over {pairs} pairs, "
+              f"--src faster in {sum(x < 1 for x in r)}")
+    return ratios
 
 
 def stream_us(flsim, clients, repeat, number=200):
@@ -169,9 +212,16 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--json", action="store_true", help="also print one JSON line")
+    ap.add_argument("--against", help="time only the kernel line, against this src directory")
+    ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
-    if args.repeat < 1:
-        ap.error("--repeat must be at least 1")
+    if args.repeat < 1 or args.pairs < 1:
+        ap.error("--repeat and --pairs must be at least 1")
+    if args.against is not None:
+        ratios = kernel_pairs(args.src, args.against, args.pairs, args.repeat)
+        if args.json:
+            print(json.dumps({"kernel_ratio": ratios}, separators=(",", ":")))
+        return 0
 
     sys.path.insert(0, os.path.abspath(args.src))
     import flsim

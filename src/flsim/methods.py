@@ -193,7 +193,8 @@ def client_opt(cid, server, steps, num_samples, state, hp, cfg):
     ``steps`` is the client's part of ``engine.round_schedule``: one
     ``models.Step`` per local step, in order;
     ``num_samples`` is its shard's row count, and ``state`` maps the method's
-    client-state names to vectors. Returns (ClientResult, new state).
+    client-state names to vectors. Steps a copy of the broadcast vector in
+    place and writes nothing it is given. Returns (ClientResult, new state).
     """
     m = METHODS[cfg.method]
     c = ClientRound(cfg, hp, server, server.global_params.values, state)

@@ -200,7 +200,7 @@ def _forward_logits(spec: ModelSpec, layers: list, X: np.ndarray):
             Z = np.maximum(Z, 0.0) if spec.activation == "relu" else np.tanh(Z)
         inputs.append(Z)
         Z = Z @ W
-        Z += b
+        Z += b  # in place: the product is a new array
     return Z, inputs
 
 

@@ -12,13 +12,16 @@ checked against.
 ``reference_loss_and_grad`` is ``flsim.models.loss_and_grad`` as written before
 its log-softmax ran in place, its gradient blocks were written into one vector
 and its batch constants came with the step; the kernel must match it bit for
-bit.
+bit. ``reference_client_opt`` is ``flsim.methods.client_opt`` as written
+before it stepped one buffer in place: every step and every SAM perturbed
+point is a new vector, and the kernel builds its layer views on each call.
 """
 import math
 
 import numpy as np
 
 from flsim.errors import ConfigError, NumericalOverflowError
+from flsim.methods import METHODS, ClientResult, ClientRound
 from flsim.models import batch_steps, canonical_rows, loss_and_grad, row_keys
 
 
@@ -124,3 +127,24 @@ def reference_loss_and_grad(spec, theta, X, y, counts, n):
             if not np.isfinite(grad[sl]).all():
                 raise NumericalOverflowError(name)
     return loss, grad
+
+
+def reference_client_opt(cid, server, steps, num_samples, state, hp, cfg):
+    """``flsim.methods.client_opt``'s earlier, functional loop."""
+    m = METHODS[cfg.method]
+    theta = server.global_params.values
+    c = ClientRound(cfg, hp, server, theta, state)
+    shift = m.perturb_shift(c) if m.perturb_shift is not None else None
+    eps, losses = None, []
+    for step in steps:
+        loss, g = loss_and_grad(cfg.model, theta, step)
+        if m.sam:
+            raw = g if shift is None else g + shift
+            eps = hp.rho * raw / (math.sqrt(raw.dot(raw)) + hp.xi)
+            g = loss_and_grad(cfg.model, theta + eps, step)[1]
+        theta = theta - cfg.client_lr * m.direction(c, g, theta)
+        losses.append(loss)
+    new_state, aux = m.client_finish(c, theta, len(losses), eps)
+    mean_loss = float(np.add.reduce(losses) / len(losses))
+    evals = len(losses) * (2 if m.sam else 1)
+    return ClientResult(cid, theta, len(losses), mean_loss, evals, num_samples, aux), new_state

@@ -92,6 +92,11 @@ class TestClientStreams:
         assert words.dtype == np.uint64 and words.shape == (3, 4)
         assert np.array_equal(words[0], want) and np.array_equal(words[2], want)
 
+    def test_no_ids_hash_nothing(self, monkeypatch):
+        # a round whose sampled clients all fit one batch draws no stream
+        monkeypatch.setattr(engine, "seed_words", lambda keys: pytest.fail("hashed no keys"))
+        assert engine.client_streams(1, 0, []) == []
+
     def test_import_leaves_numpy_random_unloaded(self):
         # why client_streams registers _SeedWords on use: importing flsim stays cheap
         code = "import sys, flsim; sys.exit('numpy.random' in sys.modules)"

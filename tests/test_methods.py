@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import probe_config, probe_shard
+from conftest import SCALES, SPECS, gathered_batches, probe_config, probe_shard, scaled_params
 from flsim import methods
-from flsim.engine import derive_stream, init_client_states, init_server_state, round_schedule
-from flsim.errors import ConfigError
+from flsim.engine import (
+    RunConfig,
+    derive_stream,
+    init_client_states,
+    init_server_state,
+    round_schedule,
+    run_round,
+)
+from flsim.errors import ConfigError, NumericalOverflowError
 from flsim.methods import (
     METHODS,
     SAM_FAMILY,
@@ -14,7 +24,8 @@ from flsim.methods import (
     mean_params,
     server_opt,
 )
-from flsim.models import param_count
+from flsim.models import ModelSpec, batch_steps, param_count
+from oracle import reference_client_opt
 
 
 def run_probe(method, hparams, steps=1, theta0=1.0, lr=0.1, target=(0.0,)):
@@ -260,3 +271,128 @@ def test_round_passes_arrays_and_declared_server_state(method):
     assert set(new_server.state) == set(METHODS[method].server_state)
     for vec in new_server.state.values():
         assert type(vec) is np.ndarray and vec.dtype == np.float64 and vec.shape == (size,)
+
+
+# legal values of each hyperparameter, from zero to large enough to overflow
+HPARAM_VALUES = {
+    "lambda": st.sampled_from([0.0, 0.01, 1.0, 1e3, 1e200]),
+    "beta": st.sampled_from([0.0, 0.01, 1.0, 1e3, 1e200]),
+    "mu": st.floats(0.0, 1.0),
+    "rho": st.sampled_from([0.0, 1e-3, 0.05, 1.0, 1e200]),
+    "gamma": st.sampled_from([0.0, 0.1, 1.0, 1e200]),
+    "xi": st.sampled_from([1e-12, 1e-3, 1.0]),
+}
+PROBES = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6).map(
+    lambda target: ModelSpec("quadratic_probe", probe_target=tuple(target))
+)
+
+
+@st.composite
+def client_rounds(draw, method):
+    """client_opt's arguments for ``method``: any model, random broadcast and
+    state vectors at random scales, random hyperparameters, rate and steps."""
+    spec = draw(st.one_of(SPECS, PROBES))
+    seed, scales = draw(st.integers(0, 2**16)), draw(st.lists(SCALES, min_size=6, max_size=6))
+    rng = np.random.default_rng(seed)
+    if spec.kind == "quadratic_probe":
+        k = draw(st.integers(1, 3))  # steps of one row each; the probe reads none
+        X, y, counts = np.zeros((k, 0)), np.zeros(k, int), np.ones(k)
+        pool = batch_steps(spec, X, y, counts, range(k + 1), [1] * k)
+        theta_r = rng.standard_normal(param_count(spec)) * min(scales[0], 1e300)
+    else:
+        rows, batches = draw(st.integers(1, 40)), draw(st.integers(1, 3))
+        pool = gathered_batches(spec, rows, seed, scales[4], batches)[1]
+        theta_r = scaled_params(spec, seed, scales)
+    steps = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    hparams = {key: draw(HPARAM_VALUES[key]) for key in sorted(METHODS[method].hparams)}
+    lr = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 1e160]))
+    cfg = RunConfig(method, spec, client_lr=lr, client_hparams=hparams)
+    server = init_server_state(cfg, theta_r)
+    size, state_scale = len(theta_r), min(scales[5], 1e300)  # a normal draw stays finite
+    server.state = {k: rng.standard_normal(size) * state_scale for k in server.state}
+    state = {k: rng.standard_normal(size) * state_scale for k in METHODS[method].client_state}
+    return 3, server, steps, 7, state, cfg.hyperparams(), cfg
+
+
+def _bytes(v):
+    return None if v is None else np.asarray(v).tobytes()
+
+
+def _round_outcome(fn):
+    """The bytes of everything ``fn()``'s client round returns, or its overflow error's text."""
+    try:
+        result, state = fn()
+    except NumericalOverflowError as exc:
+        return str(exc)
+    return (
+        _bytes(result.final_params), _bytes(result.aux), {k: _bytes(v) for k, v in state.items()},
+        _bytes(result.mean_loss), result.client_id, result.steps_taken, result.grad_evals,
+        result.num_samples,
+    )
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_client_opt_bit_identical_to_functional_loop(method, data):
+    # stepping one buffer in place, on views built once, gives the bytes of the
+    # loop that made a new vector every step, or the same overflow error
+    args = data.draw(client_rounds(method))
+    with np.errstate(all="ignore"):  # both sides overflow alike
+        want = _round_outcome(lambda: reference_client_opt(*args))
+        assert _round_outcome(lambda: client_opt(*args)) == want
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_client_opt_leaves_broadcast_and_state_unchanged(method, data):
+    args = data.draw(client_rounds(method))
+    _, server, _, _, state, _, _ = args
+    inputs = [server.global_params.values, *server.state.values(), *state.values()]
+    before = [v.tobytes() for v in inputs]
+    with np.errstate(all="ignore"):
+        try:
+            result, _ = client_opt(*args)
+        except NumericalOverflowError:
+            result = None
+    assert [v.tobytes() for v in inputs] == before
+    if result is not None:  # the stepped buffer is the client's own
+        assert not any(np.shares_memory(result.final_params, v) for v in inputs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stack=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 64), st.integers(1, 6)),
+        elements=st.floats(-1e6, 1e6),
+        fill=st.nothing(),  # every entry drawn, so the order of the sum shows
+    ),
+    specials=st.lists(
+        st.tuples(st.integers(0, 63), st.integers(0, 5), st.sampled_from([np.inf, -np.inf, np.nan])),
+        max_size=3,
+    ),
+)
+def test_per_round_means_are_np_mean_bytes(stack, specials):
+    # mean_params, fedsmoo's mean perturbation and run_round's mean train loss
+    # reduce as np.mean does, for any count of rows, inf and nan included
+    (n, size), hp = stack.shape, HyperParams.for_method("fedsmoo", {"rho": 0.5})
+    for i, j, value in specials:
+        stack[i % n, j % size] = value
+    results = [ClientResult(i, row, 1, float(row[0]), 1, 1, aux=row) for i, row in enumerate(stack)]
+    cfg = probe_config(target=(0.0,) * size, n_clients=n, sample_size=n)
+    server = init_server_state(cfg, np.zeros(size))
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as mp:
+        want = np.mean(stack, axis=0)
+        assert _bytes(mean_params(results)) == _bytes(want)
+        perturb = methods._fedsmoo_perturb(server, results, None, hp, cfg)["global_perturb"]
+        assert _bytes(perturb) == _bytes(hp.rho * want / (np.linalg.norm(want) + hp.xi))
+        # each client reports its row's first entry as its loss and keeps theta
+        mp.setattr(methods, "client_opt", lambda cid, server, *_: (
+            ClientResult(cid, server.global_params.values, 1, results[cid].mean_loss, 1, 1), {}
+        ))
+        rplan = list(range(n)), [np.arange(1)] * n, [[]] * n
+        metrics = run_round(server, [{}] * n, rplan, cfg)[2]
+        want_loss = np.mean([r.mean_loss for r in results])
+    assert _bytes(metrics.mean_train_loss) == _bytes(want_loss)

@@ -7,13 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import SCALES, SPECS, gathered_batches, scaled_params
 from flsim.engine import derive_stream
 from flsim.errors import ConfigError, NumericalOverflowError, UnsupportedOperationError
 from flsim.models import (
     ModelSpec,
-    batch_steps,
     canonical_rows,
     init_params,
+    layer_views,
     layout_for,
     loss_and_grad,
     param_count,
@@ -307,41 +308,6 @@ def test_overflow_names_block_on_both_paths():
         loss_and_grad(MLP_TANH, theta, one_step(MLP_TANH, X[sel], y[sel], counts, 2))
 
 
-SCALES = st.sampled_from([1.0, 1e-300, 1e3, 1e160, 1e308])
-SPECS = st.builds(
-    lambda kind, activation, dims: ModelSpec(
-        kind, dims[0], dims[1], dims[2] if kind == "mlp" else 0, activation
-    ),
-    st.sampled_from(["linear", "mlp"]),
-    st.sampled_from(["relu", "tanh"]),
-    st.tuples(st.integers(1, 12), st.integers(2, 8), st.integers(1, 10)),
-)
-
-
-def gathered_batches(spec, rows, seed, row_scale, batches):
-    """Batches drawn with duplicate rows and canonicalised, each as (X, y,
-    counts, n), and their ``Step``s built as ``round_schedule`` builds them:
-    from the batches' rows gathered back to back, constants for all at once."""
-    rng = np.random.default_rng(seed)
-    pool = rng.standard_normal((max(1, rows // 2), spec.input_dim)) * min(row_scale, 1e300)
-    out = []
-    for n in [rows, *rng.integers(1, 64, batches - 1)]:
-        X, y = pool[rng.integers(0, len(pool), n)], rng.integers(0, spec.num_classes, n)
-        sel, counts, _ = canonical_rows(row_keys(X, y), [0])
-        out.append((X[sel], y[sel], counts, int(n)))
-    X, y, counts, n = zip(*out)
-    starts = np.cumsum([0, *map(len, y)]).tolist()
-    steps = batch_steps(spec, *map(np.concatenate, (X, y, counts)), starts, n)
-    return out, steps
-
-
-def scaled_params(spec, seed, scales):
-    theta = init_params(spec, derive_stream(seed, -1, -1))
-    for (sl, _), scale in zip(spec.slices.values(), scales):
-        theta[sl] *= scale
-    return theta
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     spec=SPECS,
@@ -359,13 +325,16 @@ def test_kernel_bit_identical_to_reference(spec, rows, seed, scales, batches):
     # formulation on each batch alone: the same loss and gradient bytes, or
     # the same overflow error naming the same block. Each block and the rows
     # get their own scale, so a loss can stay finite while gradients overflow
-    # in several blocks.
+    # in several blocks. Each step is also evaluated on views built once, as
+    # client_opt builds them for its buffer.
     theta = scaled_params(spec, seed, scales)
+    layers = layer_views(spec, theta)
     batches, steps = gathered_batches(spec, rows, seed, scales[-1], batches)
     assert len(steps) == len(batches)
     for step, (X, y, counts, n) in zip(steps, batches):
         want = _outcome(lambda: reference_loss_and_grad(spec, theta, X, y, counts, float(n)))
         assert _outcome(lambda: loss_and_grad(spec, theta, step)) == want
+        assert _outcome(lambda: loss_and_grad(spec, theta, step, layers)) == want
 
 
 @settings(max_examples=200, deadline=None)
