@@ -30,14 +30,14 @@ wall time over reported gradient evaluations for each run, and their mean.
 ``--src`` names the ``src`` directory to import flsim from (default: this
 checkout's), so the same script measures both sides of a change; it calls
 only the engine's public stream, plan, round and training entry points. A
-tree whose ``run_round`` builds its own plan is timed with that tree's own
-copy of this script, and a tree without ``models.layer_views`` has its
-kernel timed without views, as its ``client_opt`` calls it.
+tree whose ``run_round`` builds its own plan, or whose ``client_opt`` builds no
+layer views, is timed with that tree's own copy of this script.
 
 ``--against DIR`` prints only the ``kernel`` line, in ``--pairs`` pairs (default
-10): each pair times ``--src`` and ``DIR`` in two fresh processes, the side that
-goes first alternating, so the machine's drift between runs moves both sides
-of a pair alike. It prints each pair's ratio (``--src`` over ``DIR``; below 1
+10): each pair times ``--src`` and ``DIR`` in two fresh processes, each with the
+``kernel_us`` of the ``scripts`` directory beside it, the side that goes first
+alternating, so the machine's drift between runs moves both sides of a pair
+alike. It prints each pair's ratio (``--src`` over ``DIR``; below 1
 is faster) and the median ratio.
 """
 from __future__ import annotations
@@ -75,25 +75,25 @@ def kernel_us(flsim, name, repeat, number=2000):
     y = rng.integers(0, spec.num_classes, BATCH)
     counts = np.ones(BATCH)  # distinct float rows: each its own run
     (step,) = m.batch_steps(spec, X, y, counts, [0, BATCH], [BATCH])
-    views = getattr(m, "layer_views", None)  # absent in a tree from before caller-built views
-    args = (spec, theta, step) + ((views(spec, theta),) if views else ())
+    layers = m.layer_views(spec, theta)
 
     def kernel():
-        m.loss_and_grad(*args)
+        m.loss_and_grad(spec, theta, step, layers)
 
     return 1e6 * min(timeit.repeat(kernel, number=number, repeat=repeat)) / number
 
 
 def kernel_line(src, repeat) -> dict:
-    """Spec name -> ``kernel_us`` for the flsim in ``src``, timed in a new interpreter."""
+    """Spec name -> ``kernel_us`` for the flsim in ``src``, timed in a new
+    interpreter by the copy of this script beside ``src``."""
     code = (
         "import json, sys; sys.path[:0] = sys.argv[1:3]; import bench_eval, flsim.engine; "
         "print(json.dumps({n: bench_eval.kernel_us(flsim, n, int(sys.argv[3])) "
         "for n in bench_eval.SPECS}))"
     )
-    here, src = os.path.dirname(os.path.abspath(__file__)), os.path.abspath(src)
-    cmd = [sys.executable, "-c", code, here, src, str(repeat)]
-    return json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)
+    src = os.path.abspath(src)
+    cmd = [sys.executable, "-c", code, os.path.join(src, os.pardir, "scripts"), src, str(repeat)]
+    return json.loads(subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True).stdout)
 
 
 def kernel_pairs(src, against, pairs, repeat) -> dict:
