@@ -256,18 +256,20 @@ def run_round(server: ServerState, states: list, rplan: tuple, cfg: RunConfig):
 
     results = []
     new_states = list(states)
-    for cid, shard, steps in zip(sampled, shards, schedule):  # ascending id
-        try:
-            result, new_states[cid] = _m.client_opt(
-                cid, server, steps, len(shard), states[cid], hp, cfg
-            )
-        except NumericalOverflowError as exc:
-            raise DivergenceError(cfg.method, server.round) from exc
-        results.append(result)
-
-    new_server = _m.server_opt(server, results, hp, cfg)
-    # non-finite parameters, and finite ones too far apart, give a non-finite norm
+    # overflow in a client's steps or the fold warns of nothing: the kernel raises on the
+    # non-finite parameters it leaves, or the norm below is not finite
     with np.errstate(over="ignore", invalid="ignore"):
+        for cid, shard, steps in zip(sampled, shards, schedule):  # ascending id
+            try:
+                result, new_states[cid] = _m.client_opt(
+                    cid, server, steps, len(shard), states[cid], hp, cfg
+                )
+            except NumericalOverflowError as exc:
+                raise DivergenceError(cfg.method, server.round) from exc
+            results.append(result)
+
+        new_server = _m.server_opt(server, results, hp, cfg)
+        # non-finite parameters, and finite ones too far apart, give a non-finite norm
         update_norm = float(
             np.linalg.norm(new_server.global_params.values - server.global_params.values)
         )

@@ -184,7 +184,6 @@ METHODS = {
 }
 
 METHOD_NAMES = tuple(METHODS)
-SAM_FAMILY = frozenset(name for name, m in METHODS.items() if m.sam)
 
 
 def client_opt(cid, server, steps, num_samples, state, hp, cfg):

@@ -57,41 +57,29 @@ class ModelSpec:
 
     @cached_property
     def slices(self) -> dict:
-        """``layout_for(self)``, computed once per spec."""
-        return layout_for(self)
+        """Block name -> (slice of the flat vector, shape), blocks back to back.
 
-    @cached_property
-    def layer_offsets(self) -> tuple:
-        """Per dense layer, ``(start, stop, stop, shape)``: ``W`` is ``[start:stop]``
-        of the flat vector in ``shape``, then ``b`` runs to the second stop."""
-        blocks = iter(self.slices.values())  # the probe's one block makes no layer
-        return tuple((w.start, w.stop, b.stop, W) for (w, W), (b, _) in zip(blocks, blocks))
-
-
-def layout_for(spec: ModelSpec) -> dict:
-    """Block name -> (slice of the flat vector, shape), blocks back to back.
-
-    ``linear`` and ``mlp`` are stacks of dense layers, each a weight ``W``
-    (fan-in x fan-out) then a bias ``b``; with more than one layer the names
-    carry the layer number (``W1``, ``b1``, ``W2``, ...). The layout is a
-    pure function of the spec.
-    """
-    spec.validate()
-    if spec.kind == "quadratic_probe":
-        shapes = {"theta": (len(spec.probe_target),)}
-    else:
-        hidden = [spec.hidden_dim] if spec.kind == "mlp" else []
-        widths = [spec.input_dim, *hidden, spec.num_classes]
-        shapes = {}
-        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-            tag = str(i + 1) if len(widths) > 2 else ""
-            shapes["W" + tag] = (fan_in, fan_out)
-            shapes["b" + tag] = (fan_out,)
-    layout, off = {}, 0
-    for name, shape in shapes.items():
-        layout[name] = (slice(off, off + math.prod(shape)), shape)
-        off = layout[name][0].stop
-    return layout
+        ``linear`` and ``mlp`` are stacks of dense layers, each a weight ``W``
+        (fan-in x fan-out) then a bias ``b``; with more than one layer the names
+        carry the layer number (``W1``, ``b1``, ``W2``, ...). The layout is a
+        pure function of the spec, computed once per spec.
+        """
+        self.validate()
+        if self.kind == "quadratic_probe":
+            shapes = {"theta": (len(self.probe_target),)}
+        else:
+            hidden = [self.hidden_dim] if self.kind == "mlp" else []
+            widths = [self.input_dim, *hidden, self.num_classes]
+            shapes = {}
+            for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+                tag = str(i + 1) if len(widths) > 2 else ""
+                shapes["W" + tag] = (fan_in, fan_out)
+                shapes["b" + tag] = (fan_out,)
+        layout, off = {}, 0
+        for name, shape in shapes.items():
+            layout[name] = (slice(off, off + math.prod(shape)), shape)
+            off = layout[name][0].stop
+        return layout
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -189,7 +177,8 @@ def batch_steps(spec: ModelSpec, X, y, counts, starts, sizes) -> list:
 
 def layer_views(spec: ModelSpec, vec: np.ndarray) -> list:
     """(W, b) views of a flat vector's blocks, one pair per dense layer."""
-    return [(vec[a:m].reshape(shape), vec[m:e]) for a, m, e, shape in spec.layer_offsets]
+    blocks = iter(spec.slices.values())  # the probe's one block makes no layer
+    return [(vec[w].reshape(shape), vec[b]) for (w, shape), (b, _) in zip(blocks, blocks)]
 
 
 def _forward_logits(spec: ModelSpec, layers: list, X: np.ndarray):
@@ -204,7 +193,7 @@ def _forward_logits(spec: ModelSpec, layers: list, X: np.ndarray):
     return Z, inputs
 
 
-def loss_and_grad(spec: ModelSpec, theta: np.ndarray, step: Step, layers=None):
+def loss_and_grad(spec: ModelSpec, theta: np.ndarray, step: Step, layers: list):
     """Mean cross-entropy (natural log) and its exact analytic gradient vector.
 
     ``step``: one batch from ``batch_steps``, its rows checked by the caller to
@@ -219,7 +208,6 @@ def loss_and_grad(spec: ModelSpec, theta: np.ndarray, step: Step, layers=None):
             grad = theta - np.asarray(spec.probe_target, dtype=np.float64)
             loss = 0.5 * float(grad @ grad)
         else:
-            layers = layer_views(spec, theta) if layers is None else layers
             logp, inputs = _forward_logits(spec, layers, X)
             # log-softmax in place: logits - max, then - log(sum(exp))
             logp -= np.maximum.reduce(logp, axis=1, keepdims=True)

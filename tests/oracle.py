@@ -14,7 +14,7 @@ its log-softmax ran in place, its gradient blocks were written into one vector
 and its batch constants came with the step; the kernel must match it bit for
 bit. ``reference_client_opt`` is ``flsim.methods.client_opt`` as written
 before it stepped one buffer in place: every step and every SAM perturbed
-point is a new vector, and the kernel builds its layer views on each call.
+point is a new vector, with layer views built for each kernel call.
 """
 import math
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from flsim.errors import ConfigError, NumericalOverflowError
 from flsim.methods import METHODS, ClientResult, ClientRound
-from flsim.models import batch_steps, canonical_rows, loss_and_grad, row_keys
+from flsim.models import batch_steps, canonical_rows, layer_views, loss_and_grad, row_keys
 
 
 def one_step(spec, X, y, counts, n):
@@ -36,7 +36,8 @@ def batch_loss_and_grad(spec, theta, X, y):
     theta = np.asarray(theta, dtype=np.float64)
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.int64)
     sel, counts, _ = canonical_rows(row_keys(X, y), [0])
-    return loss_and_grad(spec, theta, one_step(spec, X[sel], y[sel], counts, len(y)))
+    step = one_step(spec, X[sel], y[sel], counts, len(y))
+    return loss_and_grad(spec, theta, step, layer_views(spec, theta))
 
 
 def finite_diff_grad(spec, theta, X, y, epsilon):
@@ -137,11 +138,12 @@ def reference_client_opt(cid, server, steps, num_samples, state, hp, cfg):
     shift = m.perturb_shift(c) if m.perturb_shift is not None else None
     eps, losses = None, []
     for step in steps:
-        loss, g = loss_and_grad(cfg.model, theta, step)
+        loss, g = loss_and_grad(cfg.model, theta, step, layer_views(cfg.model, theta))
         if m.sam:
             raw = g if shift is None else g + shift
             eps = hp.rho * raw / (math.sqrt(raw.dot(raw)) + hp.xi)
-            g = loss_and_grad(cfg.model, theta + eps, step)[1]
+            pert = theta + eps
+            g = loss_and_grad(cfg.model, pert, step, layer_views(cfg.model, pert))[1]
         theta = theta - cfg.client_lr * m.direction(c, g, theta)
         losses.append(loss)
     new_state, aux = m.client_finish(c, theta, len(losses), eps)

@@ -99,10 +99,26 @@ class TestClientStreams:
 
     def test_import_leaves_numpy_random_unloaded(self):
         # why client_streams registers _SeedWords on use: importing flsim stays cheap
-        code = "import sys, flsim; sys.exit('numpy.random' in sys.modules)"
-        src = os.path.dirname(os.path.dirname(os.path.abspath(flsim.__file__)))
-        env = {**os.environ, "PYTHONPATH": src}
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        assert "numpy.random" not in modules_loaded_by("import flsim")
+
+
+def modules_loaded_by(statement):
+    """The modules a fresh interpreter has loaded after ``statement``."""
+    code = f"import sys; {statement}; print(*sys.modules)"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(flsim.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.split())
+
+
+def test_bare_import_loads_the_modules_a_run_loads():
+    # the API is the modules, reached from a bare import; and that import costs
+    # what `flsim run` pays before it reads its config, which perfbench times
+    names = "flsim.harness.run_sweep, flsim.engine.run_training, flsim.models.loss_and_grad"
+    bare = modules_loaded_by(f"import flsim; {names}, flsim.__version__")
+    cli = modules_loaded_by("import flsim.cli") - {"flsim.cli"}
+    assert {m for m in bare if m.startswith("flsim.")} == {m for m in cli if m.startswith("flsim.")}
 
 
 class TestSampleClients:

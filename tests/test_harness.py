@@ -167,6 +167,34 @@ def mixed_type_changes(draw):
     return method, changes
 
 
+# a float key's values: zero, and powers of ten from far below one to near the maximum
+MAGNITUDES = st.one_of(st.just("0"), st.integers(-300, 308).map(lambda e: f"1e{e}"))
+
+
+@st.composite
+def small_run_documents(draw):
+    """A run document of a few small rounds, its rate, hyperparameters and
+    data spread anywhere from zero to past overflow."""
+    method = draw(st.sampled_from(METHOD_NAMES))
+    small = st.integers(1, 4)
+    doc = {"method": method, "rounds": draw(small), "seed": draw(st.integers(0, 2**16))}
+    doc["n_clients"] = draw(small)
+    doc["sample_size"] = draw(st.integers(1, doc["n_clients"]))
+    doc.update({k: draw(small) for k in ("local_epochs", "eval_every")})
+    doc["batch_size"] = draw(st.integers(1, 8))
+    doc["client_lr"] = draw(MAGNITUDES)
+    doc.update({k: draw(MAGNITUDES) for k in sorted(METHODS[method].hparams)})
+    doc["partition"] = draw(st.sampled_from(["iid", "dirichlet"]))
+    doc["alpha"] = draw(MAGNITUDES)
+    doc["model.kind"] = draw(st.sampled_from(["linear", "mlp"]))
+    doc["model.activation"] = draw(st.sampled_from(["relu", "tanh"]))
+    doc.update({k: draw(small) for k in ("model.input_dim", "model.hidden_dim")})
+    doc["model.num_classes"] = draw(st.integers(2, 4))
+    doc["data.per_class"] = draw(st.integers(2, 8))
+    doc["data.spread"] = draw(MAGNITUDES)
+    return "".join(f"{k} = {v}\n" for k, v in doc.items())
+
+
 def mixed_base(method):
     """A small run of ``method`` with every hyperparameter it takes set."""
     values = {"lambda": 0.01, "beta": 0.01, "mu": 0.5, "rho": 0.05, "gamma": 0.1, "xi": 1e-12}
@@ -458,16 +486,40 @@ class TestRunExperiment:
         assert row.best_round == 0  # failure round
 
 
-    @pytest.mark.parametrize("lr", ["1e29", "1e45", "1e81"])
-    def test_overflowing_update_is_divergence(self, tmp_path, lr):
-        text = RUN_TEXT.replace("eval_every = 2", "eval_every = 1")
-        exp = parse_config(text + LATE_DIVERGE_EXTRA.replace("1e45", lr))
+    @pytest.mark.parametrize(
+        "text",
+        [
+            *(pytest.param(RUN_TEXT + LATE_DIVERGE_EXTRA.replace("1e45", lr), id=lr)
+              for lr in ["1e29", "1e45", "1e81", "1e300"]),
+            # the SAM norm's sum of squares overflows on a finite gradient
+            pytest.param(
+                RUN_TEXT.replace("method = fedprox\nlambda = 0.01", "method = fedsam\nrho = 0.05")
+                + LATE_DIVERGE_EXTRA.replace("1e45", "10") + "data.spread = 1e100\n",
+                id="fedsam",
+            ),
+        ],
+    )
+    def test_overflowing_update_is_divergence(self, tmp_path, text):
+        exp = parse_config(text.replace("eval_every = 2", "eval_every = 1"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning either
             path, row = run_experiment(exp, tmp_path / "r")
         assert row.status == "diverged"
         for line in open(path):
             json.loads(line, parse_constant=reject_constant)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=small_run_documents())
+    def test_small_run_completes_diverges_or_is_config_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning escapes as an exception
+            out = os.path.join(tmp, "r")
+            try:
+                _, row = run_experiment(parse_config(text), out)
+            except ConfigError:
+                assert not os.path.exists(out)
+                return
+        assert row.status in ("completed", "diverged")
 
     @settings(max_examples=120, deadline=None)
     @given(case=mixed_type_changes())

@@ -17,7 +17,6 @@ from flsim.engine import (
 from flsim.errors import ConfigError, NumericalOverflowError
 from flsim.methods import (
     METHODS,
-    SAM_FAMILY,
     ClientResult,
     HyperParams,
     client_opt,

@@ -15,7 +15,6 @@ from flsim.models import (
     canonical_rows,
     init_params,
     layer_views,
-    layout_for,
     loss_and_grad,
     param_count,
     row_keys,
@@ -58,13 +57,12 @@ def test_param_counts():
         PROBE3: [("theta", (3,))],
     }
     for spec, expected in shapes.items():
-        layout = layout_for(spec)
+        layout = spec.slices
         assert [(name, shape) for name, (_, shape) in layout.items()] == expected
         stops = np.cumsum([np.prod(shape, dtype=int) for _, shape in expected])
         assert [(sl.start, sl.stop) for sl, _ in layout.values()] == list(
             zip([0, *stops[:-1]], stops)
         )
-        assert spec.slices == layout
 
 
 def test_probe_zero_init():
@@ -288,9 +286,8 @@ def test_row_keys_order_and_loss_bit_identical(spec, data, seed, scale):
         theta += 1.0  # the probe starts at zero
     theta *= scale
     rows = idx[sel]
-    direct = _outcome(
-        lambda: loss_and_grad(spec, theta, one_step(spec, X[rows], y[rows], counts, len(idx)))
-    )
+    step = one_step(spec, X[rows], y[rows], counts, len(idx))
+    direct = _outcome(lambda: loss_and_grad(spec, theta, step, layer_views(spec, theta)))
     adapted = _outcome(lambda: batch_loss_and_grad(spec, theta, X[idx], y[idx]))
     assert direct == adapted
 
@@ -304,8 +301,9 @@ def test_overflow_names_block_on_both_paths():
     with pytest.raises(NumericalOverflowError, match="'W1'"):
         batch_loss_and_grad(MLP_TANH, theta, X, y)
     sel, counts, _ = canonical_rows(row_keys(X, y), [0])
+    step = one_step(MLP_TANH, X[sel], y[sel], counts, 2)
     with pytest.raises(NumericalOverflowError, match="'W1'"):
-        loss_and_grad(MLP_TANH, theta, one_step(MLP_TANH, X[sel], y[sel], counts, 2))
+        loss_and_grad(MLP_TANH, theta, step, layer_views(MLP_TANH, theta))
 
 
 @settings(max_examples=300, deadline=None)
@@ -325,7 +323,7 @@ def test_kernel_bit_identical_to_reference(spec, rows, seed, scales, batches):
     # formulation on each batch alone: the same loss and gradient bytes, or
     # the same overflow error naming the same block. Each block and the rows
     # get their own scale, so a loss can stay finite while gradients overflow
-    # in several blocks. Each step is also evaluated on views built once, as
+    # in several blocks. Each step is evaluated on views built once, as
     # client_opt builds them for its buffer.
     theta = scaled_params(spec, seed, scales)
     layers = layer_views(spec, theta)
@@ -333,7 +331,6 @@ def test_kernel_bit_identical_to_reference(spec, rows, seed, scales, batches):
     assert len(steps) == len(batches)
     for step, (X, y, counts, n) in zip(steps, batches):
         want = _outcome(lambda: reference_loss_and_grad(spec, theta, X, y, counts, float(n)))
-        assert _outcome(lambda: loss_and_grad(spec, theta, step)) == want
         assert _outcome(lambda: loss_and_grad(spec, theta, step, layers)) == want
 
 
@@ -355,7 +352,7 @@ def test_finiteness_check_never_passes_non_finite(spec, rows, seed, exponents):
     theta = scaled_params(spec, seed, scales)
     (batch,), (step,) = gathered_batches(spec, rows, seed, scales[-1], 1)
     try:
-        loss, grad = loss_and_grad(spec, theta, step)
+        loss, grad = loss_and_grad(spec, theta, step, layer_views(spec, theta))
     except NumericalOverflowError as exc:
         with pytest.raises(NumericalOverflowError) as ref:
             reference_loss_and_grad(spec, theta, *batch[:3], float(batch[3]))
@@ -379,10 +376,15 @@ def test_finite_gradient_whose_sum_overflows_returns():
     assert _outcome(lambda: (loss, grad)) == _outcome(lambda: want)
 
 
-def test_layer_offsets_match_layout():
+def test_layer_views_are_the_layout_blocks():
+    # one (W, b) pair per dense layer, in layout order: each a view of the
+    # vector, in its block's shape, holding that block's values
     for spec in (LINEAR, MLP, MLP_TANH):
-        blocks = list(spec.slices.values())
-        pairs = zip(blocks[::2], blocks[1::2])
-        want = [(w.start, w.stop, b.stop, shape) for (w, shape), (b, _) in pairs]
-        assert list(spec.layer_offsets) == want and blocks[-1][0].stop == param_count(spec)
-    assert PROBE3.layer_offsets == ()
+        theta = np.arange(param_count(spec), dtype=np.float64)
+        names = list(spec.slices)
+        views = [view for pair in layer_views(spec, theta) for view in pair]
+        assert len(views) == len(names)
+        for name, view in zip(names, views):
+            assert view.base is theta and view.shape == spec.slices[name][1]
+            assert np.array_equal(view, block(spec, theta, name))
+    assert layer_views(PROBE3, np.zeros(3)) == []
