@@ -24,6 +24,12 @@ Then it runs each run of the ``sweep_c7`` benchmark sweep in this process on
 one shared dataset (``run_training`` only, best of ``--repeat``) and prints
 wall time over reported gradient evaluations for each run, and their mean.
 
+Last, ``memory``: glibc's heap in use (``mallinfo2``, read through ``ctypes``:
+bytes in use in the arenas plus mmapped chunks) after each round of the first
+``sweep_c7`` run, while that round's plan is still alive; the line gives the
+first, median, last and largest sample, and ``--json`` every sample. Without
+glibc's ``mallinfo2`` it prints ``unavailable``.
+
     python3 scripts/bench_eval.py [--src DIR] [--seed N] [--repeat K] [--json]
     python3 scripts/bench_eval.py [--src DIR] --against DIR [--pairs N] [--repeat K] [--json]
 
@@ -44,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import io
 import json
 import os
@@ -206,6 +213,41 @@ def sweep_us(flsim, seed, repeat):
     return out
 
 
+class _Mallinfo2(ctypes.Structure):  # glibc's struct mallinfo2 (malloc.h), all size_t
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost",
+    )]
+
+
+def heap_reader():
+    """A function giving the bytes glibc's malloc has in use (arena chunks plus
+    mmapped chunks), or None where the C library has no ``mallinfo2``."""
+    try:
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+    except (OSError, AttributeError):
+        return None
+    mallinfo2.restype = _Mallinfo2
+
+    def in_use():
+        info = mallinfo2()
+        return info.uordblks + info.hblkhd
+
+    return in_use
+
+
+def memory_samples(flsim, seed):
+    """Heap bytes in use after each round of the first sweep_c7 run, or None."""
+    in_use = heap_reader()
+    if in_use is None:
+        return None
+    exp = sweep_c7_runs(flsim, seed)[0]
+    train, test = flsim.harness.make_dataset(exp)
+    samples = []
+    flsim.engine.run_training(exp.run, train, test, on_round=lambda *_: samples.append(in_use()))
+    return samples
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=os.path.join(ROOT, "src"))
@@ -257,6 +299,14 @@ def main(argv=None) -> int:
     print(f"sweep_c7 seed {args.seed} mean: {mean:.1f} us/eval")
     result["sweep_us_per_eval"] = {k: us for k, (us, _) in runs.items()}
     result["sweep_mean_us_per_eval"] = mean
+    result["heap_bytes"] = heap = memory_samples(flsim, args.seed)
+    if heap is None:
+        print(f"sweep_c7 seed {args.seed} memory: unavailable (no glibc mallinfo2)")
+    else:
+        kb = [b / 1024 for b in (heap[0], statistics.median(heap), heap[-1], max(heap))]
+        print(f"sweep_c7 seed {args.seed} memory: heap in use after each of {len(heap)} rounds "
+              "of the first run: first {:.1f}, median {:.1f}, last {:.1f}, max {:.1f} KB"
+              .format(*kb))
     if args.json:
         print(json.dumps(result, separators=(",", ":")))
     return 0

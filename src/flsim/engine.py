@@ -249,14 +249,15 @@ def plan_round(plan: PartitionPlan, train: LabeledDataset, cfg: RunConfig, round
 
 def run_round(server: ServerState, states: list, rplan: tuple, cfg: RunConfig):
     """One communication round on ``rplan``, this round's ``plan_round``;
-    returns (server', states', RoundMetrics)."""
+    returns (server', states', RoundMetrics). The one place a round sets NumPy's error
+    state: it ignores overflow and invalid values around every client, kernel and fold."""
     t0 = time.perf_counter()
     hp = cfg.hyperparams()
     sampled, shards, schedule = rplan
 
     results = []
     new_states = list(states)
-    # overflow in a client's steps or the fold warns of nothing: the kernel raises on the
+    # overflow in a client's steps or the folds warns of nothing: the kernel raises on the
     # non-finite parameters it leaves, or the norm below is not finite
     with np.errstate(over="ignore", invalid="ignore"):
         for cid, shard, steps in zip(sampled, shards, schedule):  # ascending id
@@ -273,13 +274,14 @@ def run_round(server: ServerState, states: list, rplan: tuple, cfg: RunConfig):
         update_norm = float(
             np.linalg.norm(new_server.global_params.values - server.global_params.values)
         )
+        mean_loss = float(np.add.reduce([r.mean_loss for r in results]) / len(results))
     if not np.isfinite(update_norm):
         raise DivergenceError(cfg.method, server.round)
 
     metrics = RoundMetrics(
         round=server.round,
         sampled_clients=sampled,
-        mean_train_loss=float(np.add.reduce([r.mean_loss for r in results]) / len(results)),
+        mean_train_loss=mean_loss,
         update_norm=update_norm,
         grad_evals=int(sum(r.grad_evals for r in results)),
         wall_time_seconds=time.perf_counter() - t0,

@@ -435,12 +435,12 @@ def run_sweep(spec: SweepSpec, out_dir):
     Every run's config is checked to read back before any training. A seed's
     runs share one dataset, and those with one ``engine.plan_key`` train in
     lockstep on one plan a round (``engine.train_lockstep``). Each run
-    directory is written as ``run_experiment`` writes it.
+    directory is written as ``run_experiment`` writes it, and the first makes
+    ``out_dir``: a ConfigError before any run trains leaves no directory behind.
     """
     for cell in spec.cells:
         for exp in cell:
             _check_readback(exp)
-    os.makedirs(out_dir, exist_ok=True)
     seeds = len(spec.cells[0])
     print(f"sweep: {len(spec.cells)} cells x {seeds} seeds = {len(spec.cells) * seeds} runs")
     cell_rows = [[None] * seeds for _ in spec.cells]

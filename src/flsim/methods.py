@@ -212,7 +212,12 @@ def client_opt(cid, server, steps, num_samples, state, hp, cfg):
             # gradient plus any shift; two evaluations even at rho=0.
             # ||raw|| as np.linalg.norm takes it for a vector, without its dispatch
             raw = g if shift is None else g + shift
-            eps = hp.rho * raw / (math.sqrt(raw.dot(raw)) + hp.xi)
+            sq, top = raw.dot(raw), 1.0
+            # finite entries whose squares overflow: scaled by the largest, eps keeps length rho
+            if sq == math.inf and (top := np.abs(raw).max()) < math.inf:
+                raw = raw / top
+                sq = raw.dot(raw)
+            eps = hp.rho * raw / (math.sqrt(sq) + hp.xi / top)
             g = loss_and_grad(cfg.model, np.add(theta, eps, out=pert), step, pert_layers)[1]
         np.subtract(theta, cfg.client_lr * m.direction(c, g, theta), out=theta)
         losses.append(loss)

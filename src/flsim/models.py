@@ -150,7 +150,7 @@ class Step(NamedTuple):
     n: float  # the batch's row count
     at: np.ndarray | None  # flat (row, label) indices of a (rows, classes) array
     onehot: np.ndarray | None  # the labels, one-hot
-    w: np.ndarray | None  # the column counts / n; the probe has no label constants
+    w: np.ndarray | None  # counts / n in every column; the probe has no label constants
 
 
 def batch_steps(spec: ModelSpec, X, y, counts, starts, sizes) -> list:
@@ -169,7 +169,7 @@ def batch_steps(spec: ModelSpec, X, y, counts, starts, sizes) -> list:
     onehot = np.zeros((len(y), classes))
     onehot.ravel()[flat] = 1.0
     at = flat - np.repeat(np.asarray(starts[:-1]) * classes, lens)  # from its batch's first row
-    w = (counts / np.repeat(np.asarray(sizes, dtype=np.float64), lens))[:, None]
+    w = (counts / np.repeat(sizes, lens)).repeat(classes).reshape(-1, classes)  # no broadcast
     return [
         Step(X[a:b], counts[a:b], float(n), at[a:b], onehot[a:b], w[a:b]) for (a, b), n in cuts
     ]
@@ -199,32 +199,32 @@ def loss_and_grad(spec: ModelSpec, theta: np.ndarray, step: Step, layers: list):
     ``step``: one batch from ``batch_steps``, its rows checked by the caller to
     fit ``spec``. ``layers``: ``layer_views(spec, theta)``, which a caller that
     evaluates one buffer many times builds once. The quadratic probe uses
-    0.5*||theta - target||^2 and ignores the rows.
+    0.5*||theta - target||^2 and ignores the rows. Overflow raises ``NumericalOverflowError``
+    naming the block, under the NumPy error state ``engine.run_round`` holds; the kernel sets none.
     """
     X, counts, n, at, onehot, w = step
-    # overflow surfaces as a typed error, not a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kind == "quadratic_probe":
-            grad = theta - np.asarray(spec.probe_target, dtype=np.float64)
-            loss = 0.5 * float(grad @ grad)
-        else:
-            logp, inputs = _forward_logits(spec, layers, X)
-            # log-softmax in place: logits - max, then - log(sum(exp))
-            logp -= np.maximum.reduce(logp, axis=1, keepdims=True)
-            logp -= np.log(np.add.reduce(np.exp(logp), axis=1, keepdims=True))
-            loss = float(counts @ -logp.ravel()[at] / n)
-            G = np.exp(logp)
-            G -= onehot
-            G *= w  # per-unique-row weights; sum to 1
-            blocks = []  # in layout order, built last layer first
-            for i in reversed(range(len(layers))):
-                A = inputs[i]
-                blocks[:0] = (A.T @ G).ravel(), np.add.reduce(G, axis=0)
-                if i:  # back through the activation whose output is A
-                    dact = A > 0.0 if spec.activation == "relu" else 1.0 - A**2
-                    G = (G @ layers[i][0].T) * dact
-            grad = np.concatenate(blocks)
-        total = grad.dot(grad)
+    if spec.kind == "quadratic_probe":
+        grad = theta - np.asarray(spec.probe_target, dtype=np.float64)
+        loss = 0.5 * float(grad @ grad)
+    else:
+        logp, inputs = _forward_logits(spec, layers, X)
+        # log-softmax in place: logits - max, then - log(sum(exp))
+        logp -= np.maximum.reduce(logp, axis=1, keepdims=True)
+        logp -= np.log(np.add.reduce(np.exp(logp), axis=1, keepdims=True))
+        # 0.0 - keeps a zero loss +0.0, as the sum of the negated terms gives it
+        loss = 0.0 - float(counts @ logp.ravel()[at]) / n
+        G = np.exp(logp, out=logp)
+        G -= onehot
+        G *= w  # per-unique-row weights, full rows; sum to 1
+        blocks = []  # in layout order, built last layer first
+        for i in reversed(range(len(layers))):
+            A = inputs[i]
+            blocks[:0] = (A.T @ G).ravel(), np.add.reduce(G, axis=0)
+            if i:  # back through the activation whose output is A
+                dact = A > 0.0 if spec.activation == "relu" else 1.0 - A**2
+                G = (G @ layers[i][0].T) * dact
+        grad = np.concatenate(blocks)
+    total = grad.dot(grad)
     if not math.isfinite(loss):
         raise NumericalOverflowError("loss")
     if not math.isfinite(total):  # a finite sum of squares proves every entry finite

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from conftest import MLP_SPEC, mlp_config, probe_config, small_task, trajectory
 from flsim import engine, methods
 from flsim.data import LabeledDataset, PartitionPlan
 from flsim.engine import (
+    RunConfig,
     build_partition,
     derive_stream,
     init_client_states,
@@ -196,6 +198,20 @@ class TestRunRound:
         _, g = batch_loss_and_grad(cfg.model, theta0, rows, labels)
         expected = theta0 - cfg.client_lr * g
         assert np.array_equal(new_server.global_params.values, expected)
+
+    def test_mean_loss_fold_that_overflows_warns_of_nothing(self):
+        # two one-row clients whose finite losses of 1.5e308 sum past the float
+        # maximum: the round's mean loss is inf, and no NumPy warning escapes
+        # the round (pyproject makes one an error)
+        data = LabeledDataset(np.array([[1.0], [-1.0]]), np.array([0, 1]), 2)
+        plan = PartitionPlan([np.array([0]), np.array([1])])
+        model = ModelSpec("linear", input_dim=1, num_classes=2)
+        cfg = RunConfig("fedavg", model, n_clients=2, sample_size=2, local_epochs=1, client_lr=0.0)
+        theta = np.array([-7e307, 8e307, 0.0, 0.0])
+        server, states = init_server_state(cfg, theta), init_client_states(cfg, theta)
+        new_server, _, metrics = run_round(server, states, plan_round(plan, data, cfg, 0), cfg)
+        assert metrics.mean_train_loss == math.inf and metrics.update_norm == 0.0
+        assert np.array_equal(new_server.global_params.values, theta)
 
     def test_divergence_raises_typed_error(self):
         train, _ = small_task()
@@ -417,7 +433,8 @@ def test_round_schedule_matches_per_batch_loop(
             y = train.labels[want_rows]
             assert np.array_equal(step.onehot, np.eye(3)[y])
             assert np.array_equal(step.at, np.arange(len(y)) * 3 + y)
-            assert step.w.tobytes() == (want_counts / want_n)[:, None].tobytes()
+            # full rows: each canonical row's weight in each of the 3 classes
+            assert step.w.tobytes() == np.repeat((want_counts / want_n)[:, None], 3, 1).tobytes()
             at += len(step.X)
     assert at == len(rows)
     # each drawn stream is left where local_epochs permutations leave it

@@ -172,27 +172,58 @@ MAGNITUDES = st.one_of(st.just("0"), st.integers(-300, 308).map(lambda e: f"1e{e
 
 
 @st.composite
-def small_run_documents(draw):
-    """A run document of a few small rounds, its rate, hyperparameters and
-    data spread anywhere from zero to past overflow."""
-    method = draw(st.sampled_from(METHOD_NAMES))
+def shared_keys(draw):
+    """The keys of a small document that every run of a sweep shares: a few
+    small rounds on a small model, the rate and data spread anywhere from zero
+    to past overflow."""
     small = st.integers(1, 4)
-    doc = {"method": method, "rounds": draw(small), "seed": draw(st.integers(0, 2**16))}
-    doc["n_clients"] = draw(small)
+    doc = {"rounds": draw(small), "n_clients": draw(small)}
     doc["sample_size"] = draw(st.integers(1, doc["n_clients"]))
     doc.update({k: draw(small) for k in ("local_epochs", "eval_every")})
     doc["batch_size"] = draw(st.integers(1, 8))
     doc["client_lr"] = draw(MAGNITUDES)
-    doc.update({k: draw(MAGNITUDES) for k in sorted(METHODS[method].hparams)})
-    doc["partition"] = draw(st.sampled_from(["iid", "dirichlet"]))
-    doc["alpha"] = draw(MAGNITUDES)
     doc["model.kind"] = draw(st.sampled_from(["linear", "mlp"]))
     doc["model.activation"] = draw(st.sampled_from(["relu", "tanh"]))
     doc.update({k: draw(small) for k in ("model.input_dim", "model.hidden_dim")})
     doc["model.num_classes"] = draw(st.integers(2, 4))
     doc["data.per_class"] = draw(st.integers(2, 8))
     doc["data.spread"] = draw(MAGNITUDES)
+    return doc
+
+
+def as_document(doc):
     return "".join(f"{k} = {v}\n" for k, v in doc.items())
+
+
+@st.composite
+def small_run_documents(draw):
+    """A run document of ``shared_keys``, with hyperparameters and alpha
+    anywhere from zero to past overflow."""
+    method = draw(st.sampled_from(METHOD_NAMES))
+    doc = {"method": method, "seed": draw(st.integers(0, 2**16)), **draw(shared_keys())}
+    doc.update({k: draw(MAGNITUDES) for k in sorted(METHODS[method].hparams)})
+    doc["partition"] = draw(st.sampled_from(["iid", "dirichlet"]))
+    doc["alpha"] = draw(MAGNITUDES)
+    return as_document(doc)
+
+
+@st.composite
+def small_sweep_documents(draw):
+    """A sweep document of ``shared_keys`` over one to three methods, each
+    hyperparameter a grid of one or two magnitudes from zero to past overflow,
+    one or two partitions and one or two seeds."""
+    def some(items, most):
+        return draw(st.lists(st.sampled_from(items), min_size=1, max_size=most, unique=True))
+
+    methods = some(list(METHOD_NAMES), 3)
+    doc = {"methods": ",".join(methods), "seeds": ",".join(map(str, some(range(10), 2)))}
+    parts = ["iid", "dirichlet:0", "dirichlet:0.3", "dirichlet:1e300"]
+    doc["partitions"] = ",".join(some(parts, 2))
+    for method in methods:
+        for key in sorted(METHODS[method].hparams):
+            values = draw(st.lists(MAGNITUDES, min_size=1, max_size=2, unique=True))
+            doc[f"grid.{method}.{key}"] = ",".join(values)
+    return as_document({**doc, **draw(shared_keys())})
 
 
 def mixed_base(method):
@@ -690,6 +721,29 @@ class TestSweep:
         assert sorted(streams) == sorted((seed, r) for seed, _, _ in groups for r in range(3))
         monkeypatch.undo()
         assert_sweep_equals_lone_runs(spec, tmp_path / "s", tmp_path / "lone")
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=small_sweep_documents())
+    @example(  # parses, then has more clients than training rows
+        text="methods = fedavg\nrounds = 1\nseeds = 1\npartitions = iid\nn_clients = 4\n"
+        "sample_size = 1\nmodel.num_classes = 2\ndata.per_class = 2\n"
+    )
+    def test_small_sweep_completes_diverges_or_is_config_error(self, text):
+        # every runs.csv row is completed or diverged, or the sweep is a
+        # ConfigError that writes nothing; no NumPy warning escapes a round
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning escapes as an exception
+            out = os.path.join(tmp, "s")
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    _, run_rows = run_sweep(parse_config(text), out)
+            except ConfigError:
+                assert not os.path.exists(out)
+                return
+            with open(os.path.join(out, "runs.csv")) as fh:
+                statuses = [line.rstrip("\n").rsplit(",", 1)[1] for line in fh][1:]
+        assert statuses == [row.status for row in run_rows]
+        assert set(statuses) <= {"completed", "diverged"}
 
     def test_diverged_cell_marked_not_omitted(self, tmp_path):
         text = SWEEP_TEXT + DIVERGE_EXTRA

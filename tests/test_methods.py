@@ -24,7 +24,7 @@ from flsim.methods import (
     server_opt,
 )
 from flsim.models import ModelSpec, batch_steps, param_count
-from oracle import reference_client_opt
+from oracle import block, one_step, reference_client_opt, round_errstate
 
 
 def run_probe(method, hparams, steps=1, theta0=1.0, lr=0.1, target=(0.0,)):
@@ -255,6 +255,23 @@ def test_sam_perturbation_norm_bounded():
     for scale in (1e-14, 1e-3, 1.0, 1e6):
         result, _, _, _, _ = run_probe("fedsmoo", {"rho": 0.25}, theta0=scale, target=(0.0,) * 3)
         assert np.linalg.norm(result.aux) <= 0.25 + 1e-12
+
+
+def test_sam_perturbation_keeps_its_length_when_its_squares_overflow():
+    # a finite gradient whose sum of squares overflows (W1's entries near
+    # 1e308): fedsmoo's perturbation, its aux, is still rho long, not zero
+    spec = ModelSpec("mlp", input_dim=2, num_classes=2, hidden_dim=2)
+    theta = np.zeros(param_count(spec))
+    block(spec, theta, "W1")[:] = 0.1
+    block(spec, theta, "W2")[:] = [[-1.0, 1.0], [-1.0, 1.0]]
+    cfg = RunConfig("fedsmoo", spec, n_clients=1, sample_size=1, client_lr=0.0,
+                    client_hparams={"rho": 0.05})
+    server = init_server_state(cfg, theta)
+    (state,) = init_client_states(cfg, theta)
+    step = one_step(spec, np.full((1, 2), 5e307), np.array([0]), np.ones(1), 1)
+    with round_errstate():
+        result, _ = client_opt(0, server, [step], 1, state, cfg.hyperparams(), cfg)
+    assert np.linalg.norm(result.aux) == pytest.approx(0.05, rel=1e-12)
 
 
 @pytest.mark.parametrize("method", sorted(METHODS))

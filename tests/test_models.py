@@ -26,6 +26,7 @@ from oracle import (
     finite_diff_grad,
     one_step,
     reference_loss_and_grad,
+    round_errstate,
 )
 
 LINEAR = ModelSpec("linear", input_dim=4, num_classes=3)
@@ -243,9 +244,11 @@ def rows_and_subset(draw, input_dim, num_classes):
 
 
 def _outcome(fn):
-    """(loss bytes, gradient bytes) of ``fn()``, or its overflow error's text."""
+    """(loss bytes, gradient bytes) of ``fn()`` in a round's error state, or its
+    overflow error's text."""
     try:
-        loss, grad = fn()
+        with round_errstate():
+            loss, grad = fn()
     except NumericalOverflowError as exc:
         return str(exc)
     return np.float64(loss).tobytes(), np.asarray(grad).tobytes()
@@ -302,7 +305,7 @@ def test_overflow_names_block_on_both_paths():
         batch_loss_and_grad(MLP_TANH, theta, X, y)
     sel, counts, _ = canonical_rows(row_keys(X, y), [0])
     step = one_step(MLP_TANH, X[sel], y[sel], counts, 2)
-    with pytest.raises(NumericalOverflowError, match="'W1'"):
+    with pytest.raises(NumericalOverflowError, match="'W1'"), round_errstate():
         loss_and_grad(MLP_TANH, theta, step, layer_views(MLP_TANH, theta))
 
 
@@ -317,6 +320,9 @@ def test_overflow_names_block_on_both_paths():
 @example(  # a finite loss, and the hidden layer's gradient overflows in W1 and b1
     spec=ModelSpec("mlp", 1, 3, 1, "tanh"), rows=1, seed=35, scales=[1e-300, 1, 1e308, 1, 1],
     batches=1,
+)
+@example(  # the label's logit dominates: a zero loss, whose sign bit must be +0.0
+    spec=ModelSpec("linear", 1, 2), rows=1, seed=1, scales=[1e3, 1, 1, 1, 1], batches=1
 )
 def test_kernel_bit_identical_to_reference(spec, rows, seed, scales, batches):
     # the kernel on steps from the engine's builder against its earlier
@@ -352,7 +358,8 @@ def test_finiteness_check_never_passes_non_finite(spec, rows, seed, exponents):
     theta = scaled_params(spec, seed, scales)
     (batch,), (step,) = gathered_batches(spec, rows, seed, scales[-1], 1)
     try:
-        loss, grad = loss_and_grad(spec, theta, step, layer_views(spec, theta))
+        with round_errstate():
+            loss, grad = loss_and_grad(spec, theta, step, layer_views(spec, theta))
     except NumericalOverflowError as exc:
         with pytest.raises(NumericalOverflowError) as ref:
             reference_loss_and_grad(spec, theta, *batch[:3], float(batch[3]))
