@@ -13,12 +13,11 @@ Prints:
 - ``plan``: µs per round plan, the sampling, client streams and step
   schedule (``engine.plan_round``, timeit, best of ``--repeat``): of round 0
   of the first ``sweep_c7`` run, and the mean over rounds 0-9 of the
-  ``mlp_fedsmoo_skew`` and ``cross_device`` runs, each with the share of
-  sampled clients whose shard fits one batch (those draw no stream); and the
-  plans one ``sweep_c7`` sweep builds (its ``engine.round_schedule`` calls):
-  the per-sweep scheduling overhead;
-- ``stream``: µs per client stream when a round seeds 2, 10 and 50 sampled
-  clients' streams (``engine.client_streams``, timeit, best of ``--repeat``).
+  ``mlp_fedsmoo_skew`` and ``cross_device`` runs, each with the mean number of
+  client streams a plan draws (one per sampled client whose shard is more
+  than one batch) and the share of sampled clients whose shard fits one
+  batch; and the plans one ``sweep_c7`` sweep builds (its
+  ``engine.round_schedule`` calls): the per-sweep scheduling overhead.
 
 Then it runs each run of the ``sweep_c7`` benchmark sweep in this process on
 one shared dataset (``run_training`` only, best of ``--repeat``) and prints
@@ -35,27 +34,31 @@ glibc's ``mallinfo2`` it prints ``unavailable``.
 
 ``--src`` names the ``src`` directory to import flsim from (default: this
 checkout's), so the same script measures both sides of a change; it calls
-only the engine's public stream, plan, round and training entry points. A
-tree whose ``run_round`` builds its own plan, or whose ``client_opt`` builds no
-layer views, is timed with that tree's own copy of this script.
+only the engine's public plan, round and training entry points. A tree whose
+``run_round`` builds its own plan, or whose ``client_opt`` builds no layer
+views, is timed with that tree's own copy of this script.
 
-``--against DIR`` prints only the ``kernel`` line, in ``--pairs`` pairs (default
-10): each pair times ``--src`` and ``DIR`` in two fresh processes, each with the
-``kernel_us`` of the ``scripts`` directory beside it, the side that goes first
-alternating, so the machine's drift between runs moves both sides of a pair
-alike. It prints each pair's ratio (``--src`` over ``DIR``; below 1
-is faster) and the median ratio.
+``--against DIR`` prints only the ``kernel`` and ``plan`` lines, of ``--src``
+over ``DIR``. It copies both ``flsim`` packages into a temporary directory
+under two package names (flsim's imports are relative) and imports both into
+this one process. Then, for ``--pairs`` rounds (default 10), it times each
+line of both sides, one side after the other, the side that goes first
+alternating, so the machine's drift moves both sides of a pair alike. It
+prints each pair's ratio (below 1 is faster) and, per line, the median ratio
+and the number of pairs in which ``--src`` was faster. This script times both
+sides, so ``DIR`` must have ``models.layer_views``.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import ctypes
+import importlib
 import io
 import json
 import os
+import shutil
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -66,14 +69,20 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BATCH = 32
 PLAN_ROUNDS = 10  # rounds a lone run's plan line averages over
+PLAN_WORKLOADS = ("sweep_c7", "mlp_fedsmoo_skew", "cross_device")
 SPECS = {
     "linear": dict(kind="linear", input_dim=32, num_classes=10),
     "mlp": dict(kind="mlp", input_dim=32, num_classes=10, hidden_dim=16),
 }
 
 
-def kernel_us(flsim, name, repeat, number=2000):
-    """µs per kernel call for one spec at batch 32, on canonical random rows."""
+def best_us(fn, repeat, number) -> float:
+    """µs per call of ``fn``: timeit, best of ``repeat`` runs of ``number`` calls."""
+    return 1e6 * min(timeit.repeat(fn, number=number, repeat=repeat)) / number
+
+
+def kernel_call(flsim, name):
+    """A kernel call for one spec at batch 32, on canonical random rows."""
     m = flsim.models
     spec = m.ModelSpec(**SPECS[name])
     theta = m.init_params(spec, flsim.engine.derive_stream(0, -1, -1))
@@ -83,53 +92,12 @@ def kernel_us(flsim, name, repeat, number=2000):
     counts = np.ones(BATCH)  # distinct float rows: each its own run
     (step,) = m.batch_steps(spec, X, y, counts, [0, BATCH], [BATCH])
     layers = m.layer_views(spec, theta)
-
-    def kernel():
-        m.loss_and_grad(spec, theta, step, layers)
-
-    return 1e6 * min(timeit.repeat(kernel, number=number, repeat=repeat)) / number
+    return lambda: m.loss_and_grad(spec, theta, step, layers)
 
 
-def kernel_line(src, repeat) -> dict:
-    """Spec name -> ``kernel_us`` for the flsim in ``src``, timed in a new
-    interpreter by the copy of this script beside ``src``."""
-    code = (
-        "import json, sys; sys.path[:0] = sys.argv[1:3]; import bench_eval, flsim.engine; "
-        "print(json.dumps({n: bench_eval.kernel_us(flsim, n, int(sys.argv[3])) "
-        "for n in bench_eval.SPECS}))"
-    )
-    src = os.path.abspath(src)
-    cmd = [sys.executable, "-c", code, os.path.join(src, os.pardir, "scripts"), src, str(repeat)]
-    return json.loads(subprocess.run(cmd, check=True, stdout=subprocess.PIPE, text=True).stdout)
-
-
-def kernel_pairs(src, against, pairs, repeat) -> dict:
-    """Spec name -> per-pair ratios of ``src``'s kernel line over ``against``'s."""
-    ratios = {name: [] for name in SPECS}
-    for i in range(pairs):
-        lines = [None, None]
-        for side in (0, 1) if i % 2 == 0 else (1, 0):  # which goes first alternates
-            lines[side] = kernel_line((src, against)[side], repeat)
-        ours, theirs = lines
-        for name in SPECS:
-            ratios[name].append(ours[name] / theirs[name])
-            print(f"pair {i + 1} {name}: {ours[name]:.1f} us against {theirs[name]:.1f} us, "
-                  f"ratio {ratios[name][-1]:.3f}")
-    for name, r in ratios.items():
-        print(f"{name} batch {BATCH}: median ratio {statistics.median(r):.3f} over {pairs} pairs, "
-              f"--src faster in {sum(x < 1 for x in r)}")
-    return ratios
-
-
-def stream_us(flsim, clients, repeat, number=200):
-    """µs per client stream when one round seeds ``clients`` sampled clients."""
-    eng = flsim.engine
-    ids = list(range(0, 2000, 2000 // clients))  # ascending, as run_round samples them
-
-    def streams():
-        return eng.client_streams(1, 0, ids)
-
-    return 1e6 * min(timeit.repeat(streams, number=number, repeat=repeat)) / number / clients
+def kernel_us(flsim, name, repeat, number=2000):
+    """µs per kernel call for one spec at batch 32."""
+    return best_us(kernel_call(flsim, name), repeat, number)
 
 
 def workload_text(name, seed) -> str:
@@ -162,13 +130,21 @@ def round_us(flsim, seed, repeat, number=50):
 
     evals = one_round()[2].grad_evals  # the same round each call; the first also ranks rows
 
-    best = min(timeit.repeat(one_round, number=number, repeat=repeat)) / number
-    return 1e6 * best / evals, evals
+    return best_us(one_round, repeat, number) / evals, evals
 
 
-def plan_us(flsim, exp, repeat, rounds, number=50):
-    """(µs per round plan, share of sampled clients whose shard fits one
-    batch), over rounds 0 to ``rounds - 1`` of the run ``exp``."""
+def plan_run(flsim, name, seed):
+    """(run, rounds) a plan line builds: round 0 of the first ``sweep_c7`` run,
+    or rounds 0 to ``PLAN_ROUNDS - 1`` of a lone-run workload's run."""
+    if name == "sweep_c7":
+        return sweep_c7_runs(flsim, seed)[0], 1
+    return flsim.harness.parse_config(workload_text(name, seed)), PLAN_ROUNDS
+
+
+def plan_call(flsim, exp, rounds):
+    """(a call building the run ``exp``'s plans of rounds 0 to ``rounds - 1``,
+    the mean number of client streams a plan draws, the share of sampled
+    clients whose shard fits one batch)."""
     eng, cfg = flsim.engine, exp.run
     train, _ = flsim.harness.make_dataset(exp)
     plan = eng.build_partition(cfg, train)
@@ -177,9 +153,15 @@ def plan_us(flsim, exp, repeat, rounds, number=50):
         return [eng.plan_round(plan, train, cfg, r) for r in range(rounds)]
 
     shards = [shard for _, round_shards, _ in build() for shard in round_shards]  # also ranks rows
-    share = sum(len(shard) <= cfg.batch_size for shard in shards) / len(shards)
-    calls = max(1, number // rounds)
-    return 1e6 * min(timeit.repeat(build, number=calls, repeat=repeat)) / (calls * rounds), share
+    drawing = sum(len(shard) > cfg.batch_size for shard in shards)  # each draws one stream
+    return build, drawing / rounds, 1 - drawing / len(shards)
+
+
+def plan_us(flsim, exp, repeat, rounds, number=50):
+    """(µs per round plan, streams a plan draws, one-batch share) over
+    rounds 0 to ``rounds - 1`` of the run ``exp``."""
+    build, streams, share = plan_call(flsim, exp, rounds)
+    return best_us(build, repeat, max(1, number // rounds)) / rounds, streams, share
 
 
 def plans_per_sweep(flsim, seed) -> int:
@@ -248,21 +230,60 @@ def memory_samples(flsim, seed):
     return samples
 
 
+def import_as(src, name, into):
+    """The flsim package in ``src``, copied to ``into`` and imported as ``name``."""
+    shutil.copytree(os.path.join(src, "flsim"), os.path.join(into, name))
+    return importlib.import_module(name)
+
+
+def against(src, other, seed, pairs, repeat) -> dict:
+    """Line -> per-pair ratios of ``src``'s µs over ``other``'s, both imported
+    into this process and timed alternately."""
+    with tempfile.TemporaryDirectory() as tmp:  # flsim imports every module it has
+        sys.path.insert(0, tmp)
+        try:
+            sides = [import_as(src, "flsim_src", tmp), import_as(other, "flsim_against", tmp)]
+        finally:
+            sys.path.remove(tmp)
+    timers = {}  # line -> (a call of each side, calls a timing, calls a reported unit)
+    for name in SPECS:
+        timers[f"{name} kernel"] = ([kernel_call(f, name) for f in sides], 2000, 1)
+    for name in PLAN_WORKLOADS:
+        runs = [plan_run(f, name, seed) for f in sides]
+        rounds = runs[0][1]
+        calls = [plan_call(f, exp, rounds)[0] for f, (exp, _) in zip(sides, runs)]
+        timers[f"{name} plan"] = (calls, max(1, 50 // rounds), rounds)
+    ratios = {line: [] for line in timers}
+    for i in range(pairs):
+        for line, (calls, number, per) in timers.items():
+            us = [None, None]
+            for side in (0, 1) if i % 2 == 0 else (1, 0):  # which goes first alternates
+                us[side] = best_us(calls[side], repeat, number) / per
+            ratios[line].append(us[0] / us[1])
+            print(f"pair {i + 1} {line}: {us[0]:.1f} us against {us[1]:.1f} us, "
+                  f"ratio {ratios[line][-1]:.3f}")
+    for line, r in ratios.items():
+        print(f"{line}: median ratio {statistics.median(r):.3f} over {pairs} pairs, "
+              f"--src faster in {sum(x < 1 for x in r)}")
+    return ratios
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=os.path.join(ROOT, "src"))
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--json", action="store_true", help="also print one JSON line")
-    ap.add_argument("--against", help="time only the kernel line, against this src directory")
+    ap.add_argument("--against", help="time only the kernel and plan lines, against this src")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     if args.repeat < 1 or args.pairs < 1:
         ap.error("--repeat and --pairs must be at least 1")
     if args.against is not None:
-        ratios = kernel_pairs(args.src, args.against, args.pairs, args.repeat)
+        ratios = against(os.path.abspath(args.src), os.path.abspath(args.against), args.seed,
+                         args.pairs, args.repeat)
         if args.json:
-            print(json.dumps({"kernel_ratio": ratios}, separators=(",", ":")))
+            print(json.dumps({"ratio": ratios}, separators=(",", ":")))
         return 0
 
     sys.path.insert(0, os.path.abspath(args.src))
@@ -275,20 +296,17 @@ def main(argv=None) -> int:
     for name in SPECS:
         result["kernel_us"][name] = kernel = kernel_us(flsim, name, args.repeat)
         print(f"{name} batch {BATCH}: kernel {kernel:.1f} us")
-    result["stream_us"] = {}
-    for clients in (2, 10, 50):
-        result["stream_us"][str(clients)] = us = stream_us(flsim, clients, args.repeat)
-        print(f"{clients} sampled clients: {us:.1f} us/stream")
-    result["plan_us"] = us = plan_us(flsim, sweep_c7_runs(flsim, args.seed)[0], args.repeat, 1)[0]
-    result["plans_per_sweep"] = plans = plans_per_sweep(flsim, args.seed)
-    print(f"sweep_c7 seed {args.seed} round plan: {us:.1f} us, {plans} plans per sweep")
     result["plan"] = {}
-    for name in ("mlp_fedsmoo_skew", "cross_device"):
-        exp = flsim.harness.parse_config(workload_text(name, args.seed))
-        us, share = plan_us(flsim, exp, args.repeat, PLAN_ROUNDS)
-        result["plan"][name] = {"us": us, "one_batch_share": share}
-        print(f"{name} seed {args.seed} round plan: {us:.1f} us over rounds 0-{PLAN_ROUNDS - 1}, "
+    for name in PLAN_WORKLOADS:
+        exp, rounds = plan_run(flsim, name, args.seed)
+        us, streams, share = plan_us(flsim, exp, args.repeat, rounds)
+        result["plan"][name] = {"us": us, "streams_per_plan": streams, "one_batch_share": share}
+        span = "round 0" if rounds == 1 else f"rounds 0-{rounds - 1}"
+        print(f"{name} seed {args.seed} round plan: {us:.1f} us over {span}, "
+              f"{streams:.2f} client streams a plan, "
               f"{100 * share:.1f}% of sampled clients fit one batch")
+    result["plans_per_sweep"] = plans = plans_per_sweep(flsim, args.seed)
+    print(f"sweep_c7 seed {args.seed}: {plans} round plans per sweep")
     us, evals = round_us(flsim, args.seed, args.repeat)
     result["round_us_per_eval"] = us
     print(f"sweep_c7 seed {args.seed} round 0: {us:.1f} us/eval over {evals} evals")

@@ -1,6 +1,7 @@
 """Synthetic datasets, train/test splitting, and client partitioning."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -116,11 +117,20 @@ def split_train_test(data: LabeledDataset, test_fraction: float, rng: np.random.
     return data.subset(train_idx), data.subset(test_idx)
 
 
+def _client_count(n_clients, total: int) -> int:
+    """``n_clients`` as an int, if ``operator.index`` takes it and it is in [1, total]."""
+    try:
+        if 1 <= (n := operator.index(n_clients)) <= total:
+            return n
+    except TypeError:
+        pass
+    raise ConfigError(f"need an integer 1 <= n_clients <= {total} samples")
+
+
 def partition_iid(data: LabeledDataset, n_clients: int, rng: np.random.Generator) -> PartitionPlan:
     """Global shuffle, contiguous equal chunks; remainder spread from client 0."""
     total = len(data)
-    if not 1 <= n_clients <= total:
-        raise ConfigError(f"need 1 <= n_clients <= {total} samples")
+    n_clients = _client_count(n_clients, total)
     plan = PartitionPlan(np.array_split(rng.permutation(total), n_clients))
     plan.validate(total)
     return plan
@@ -146,11 +156,10 @@ def partition_dirichlet(
     class's samples are divided among its assigned clients. A shard lists its
     rows class by class, each class in its shuffled order.
     """
-    if alpha < 0:
-        raise ConfigError("alpha must be non-negative")
+    if not 0 <= alpha < np.inf:  # nan fails too
+        raise ConfigError("alpha must be finite and non-negative")
     total = len(data)
-    if not 1 <= n_clients <= total:
-        raise ConfigError(f"need 1 <= n_clients <= {total} samples")
+    n_clients = _client_count(n_clients, total)
     if alpha == 0 and n_clients < data.num_classes:
         raise ConfigError("alpha=0 requires n_clients >= num_classes")
     rows, owners = [], []  # per class: shuffled indices, and the client of each

@@ -27,80 +27,23 @@ DATA_ROUND = -3
 SPLIT_ROUND = -4
 
 _MASK = (1 << 64) - 1
-_SPLITMIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31)
+_GOLD = 0x9E3779B97F4A7C15
 
 
 def _stream_key(seed: int, *words: int) -> int:
     """splitmix64 over seed, then each word: the round, then the client."""
-    gold, mul1, mul2, sh1, sh2, sh3 = _SPLITMIX
     x = seed & _MASK
     for v in words:
-        x = ((x ^ ((v & _MASK) * gold & _MASK)) + gold) & _MASK
-        x = ((x ^ (x >> sh1)) * mul1) & _MASK
-        x = ((x ^ (x >> sh2)) * mul2) & _MASK
-        x = x ^ (x >> sh3)
+        x = ((x ^ ((v & _MASK) * _GOLD & _MASK)) + _GOLD) & _MASK
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        x = x ^ (x >> 31)
     return x
 
 
 def derive_stream(seed: int, round_idx: int, client_id: int) -> np.random.Generator:
     """Independent stream per (seed, round, client); keyed, order-free."""
     return np.random.Generator(np.random.PCG64(_stream_key(seed, round_idx, client_id)))
-
-
-def _hashes(init: int, mult: int, n: int):
-    """(xor, multiplier) columns of n SeedSequence hashes; each advances the constant."""
-    k = np.array([init * mult**i & 0xFFFFFFFF for i in range(n + 1)], np.uint32)[:, None]
-    return k[:-1], k[1:]
-
-
-# NumPy's SeedSequence with a pool of 4 uint32 words (numpy/random/bit_generator.pyx).
-# After 4 pool hashes, word s hashes into each other word d in ascending d; stage
-# s holds the pool rotated to start at word s, so takes those hashes in that order.
-_POOL_X, _POOL_M = _hashes(0x43B0D7E5, 0x931E8875, 16)
-_STAGES = [(_POOL_X[i], _POOL_M[i]) for i in (  # d: words s+1, s+2, s+3 (mod 4)
-    [4 + 3 * s + d % 4 - (d % 4 > s) for d in range(s + 1, s + 4)] for s in range(4))]
-_OUT = [c.reshape(2, 4, 1) for c in _hashes(0x8B51F9DD, 0x58F38DED, 8)]  # word j: pool word j % 4
-# 0-d arrays, which a ufunc takes faster than NumPy scalars; uint64 arrays wrap, unmasked
-_GOLD, _MUL1, _MUL2, _SH1, _SH2, _SH3, _HIGH = (np.array(c, np.uint64) for c in (*_SPLITMIX, 32))
-_MIX_L, _MIX_R, _SHIFT = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
-
-
-def _hashmix(v, x, m):
-    v = (v ^ x) * m
-    return v ^ (v >> _SHIFT)
-
-
-def seed_words(keys: np.ndarray) -> np.ndarray:
-    """Row i: ``np.random.SeedSequence(keys[i]).generate_state(4, np.uint64)``; uint64 keys."""
-    pool = np.zeros((4, len(keys)), np.uint32)  # a key is 2 words; a missing word hashes as 0
-    pool[0], pool[1] = keys, keys >> _HIGH  # the cast to uint32 keeps the low word
-    pool = _hashmix(pool, _POOL_X[:4], _POOL_M[:4])
-    for x, m in _STAGES:
-        mixed = _MIX_L * pool[1:] - _MIX_R * _hashmix(pool[0], x, m)
-        pool = np.concatenate((mixed ^ (mixed >> _SHIFT), pool[:1]))
-    return np.ascontiguousarray(_hashmix(pool, *_OUT).reshape(8, -1).T).view(np.uint64)
-
-
-class _SeedWords:  # a NumPy ISeedSequence, registered in client_streams
-    def __init__(self, words):  # a row of seed_words: the 4 uint64 words PCG64 asks for
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def client_streams(seed: int, round_idx: int, client_ids) -> list:
-    """``[derive_stream(seed, round_idx, c) for c in client_ids]``, hashed in one batch."""
-    if len(client_ids) == 0:
-        return []
-    ids = np.asarray(client_ids, dtype=np.int64).view(np.uint64)
-    x = (np.uint64(_stream_key(seed, round_idx)) ^ ids * _GOLD) + _GOLD  # _stream_key's last step
-    x = (x ^ (x >> _SH1)) * _MUL1
-    x = (x ^ (x >> _SH2)) * _MUL2
-    keys = x ^ (x >> _SH3)
-    # registered on use, so that importing flsim does not import numpy.random
-    np.random.bit_generator.ISeedSequence.register(_SeedWords)  # a no-op after the first call
-    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in seed_words(keys)]
 
 
 @dataclass
@@ -243,7 +186,7 @@ def plan_round(plan: PartitionPlan, train: LabeledDataset, cfg: RunConfig, round
     if empty := [cid for cid, shard in zip(sampled, shards) if len(shard) == 0]:
         raise ConfigError(f"client {empty[0]} has an empty shard")  # before any client trains
     drawing = [cid for cid, shard in zip(sampled, shards) if len(shard) > cfg.batch_size]
-    streams = client_streams(cfg.seed, round_idx, drawing)
+    streams = [derive_stream(cfg.seed, round_idx, cid) for cid in drawing]
     return sampled, shards, round_schedule(shards, streams, train, cfg)[1]
 
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -134,6 +137,17 @@ def test_partition_needs_a_client(make, n_clients):
             partition_dirichlet(data, n_clients, float(make.split(":")[1]), rng())
 
 
+@pytest.mark.parametrize("n_clients", [1.5, np.float64(2.0)], ids=["1.5", "float64-2"])
+@pytest.mark.parametrize("make", ["iid", "dirichlet:0", "dirichlet:0.5"])
+def test_partition_needs_an_integer_client_count(make, n_clients):
+    data = blobs(num_classes=2, per_class=5)
+    with pytest.raises(ConfigError, match="integer"):
+        if make == "iid":
+            partition_iid(data, n_clients, rng())
+        else:
+            partition_dirichlet(data, n_clients, float(make.split(":")[1]), rng())
+
+
 class TestSplit:
     def test_fraction_per_class(self):
         data = blobs(num_classes=5, per_class=100)
@@ -219,6 +233,13 @@ class TestDirichlet:
         with pytest.raises(ConfigError):
             partition_dirichlet(blobs(), 10, -1.0, rng())
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_alpha(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any cast to int
+            with pytest.raises(ConfigError, match="finite"):
+                partition_dirichlet(blobs(), 10, alpha, rng())
+
     def test_large_alpha_concentrates(self):
         data = blobs(num_classes=10, per_class=200, seed=5)
         global_p = np.full(10, 0.1)
@@ -285,3 +306,40 @@ def test_partition_properties(dirichlet, alpha, num_classes, per_class, n_client
     seen = np.sort(np.concatenate(plan.assignments))
     assert np.array_equal(seen, np.arange(len(data)))
     assert all(len(a) >= 1 for a in plan.assignments)
+
+
+@st.composite
+def class_sizes_and_clients(draw):
+    """Rows per class, and a client count from -2 to rows + 2, or 1.5."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=2, max_size=5))
+    return sizes, draw(st.integers(-2, sum(sizes) + 2) | st.just(1.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    inputs=class_sizes_and_clients(),
+    dirichlet=st.booleans(),
+    alpha=st.sampled_from([math.nan, math.inf, -1.0, 0.0, 5e-324, 1e-300, 0.3, 1e6, 1.7e308]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(inputs=([4, 4, 4], 3), dirichlet=True, alpha=math.nan, seed=0)
+@example(inputs=([4, 4, 4], 3), dirichlet=True, alpha=math.inf, seed=0)
+@example(inputs=([4, 4, 4], 1.5), dirichlet=False, alpha=0.0, seed=0)
+@example(inputs=([4, 4, 4], 1.5), dirichlet=True, alpha=0.3, seed=0)
+def test_partition_is_a_plan_or_config_error(inputs, dirichlet, alpha, seed):
+    """Any inputs give a plan of n_clients shards that validates, or ConfigError;
+    no NumPy warning escapes."""
+    sizes, n_clients = inputs
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    data = LabeledDataset(rng(seed).standard_normal((len(labels), 2)), labels, len(sizes))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            if dirichlet:
+                plan = partition_dirichlet(data, n_clients, alpha, rng(seed))
+            else:
+                plan = partition_iid(data, n_clients, rng(seed))
+        except ConfigError:
+            return
+    assert len(plan.assignments) == n_clients
+    plan.validate(len(data))

@@ -68,40 +68,38 @@ class TestDeriveStream:
             assert tuple(derive_stream(5, 0, c).integers(0, 2**63, 4)) != srv
 
 
-class TestClientStreams:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.integers(-(2**63), 2**63 - 1),
-        round_idx=st.integers(-4, 2**40),
-        ids=st.lists(st.integers(-1, 2**40), max_size=60).map(lambda ids: ids + ids[::3]),
-    )
-    @example(seed=-(2**63), round_idx=-4, ids=[-1, -1, 0])
-    @example(seed=2**63 - 1, round_idx=-1, ids=[])
-    def test_batch_draws_as_derive_stream(self, seed, round_idx, ids):
-        streams = engine.client_streams(seed, round_idx, ids)
-        assert len(streams) == len(ids)
-        # each stream is its own generator: drawing last to first changes nothing
-        for cid, rng in reversed(list(zip(ids, streams))):
-            ref = derive_stream(seed, round_idx, cid)
-            assert np.array_equal(rng.integers(0, 2**63, 4), ref.integers(0, 2**63, 4))
-            assert np.array_equal(rng.permutation(17), ref.permutation(17))
-            assert rng.random() == ref.random()
+@pytest.mark.parametrize(
+    "partition,alpha,batch_size,drawing",
+    [("iid", 0.0, 16, "none"), ("iid", 0.0, 15, "all"), ("dirichlet", 0.3, 16, "some")],
+    ids=["none-draw", "all-draw", "some-draw"],
+)
+def test_plan_round_streams_are_derive_stream(monkeypatch, partition, alpha, batch_size, drawing):
+    # each client of more than one batch steps on derive_stream(seed, round, client),
+    # in sampled order; a client of one batch draws no stream
+    train, _ = small_task()  # 160 rows: 16 a client under iid
+    cfg = mlp_config(partition=partition, alpha=alpha, batch_size=batch_size)
+    plan = build_partition(cfg, train)
+    seen = []
+    real_schedule = engine.round_schedule
 
-    @pytest.mark.parametrize("h", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
-    def test_seed_words_as_seed_sequence(self, h):
-        want = np.random.SeedSequence(h).generate_state(4, np.uint64)
-        words = engine.seed_words(np.array([h, 7, h], dtype=np.uint64))
-        assert words.dtype == np.uint64 and words.shape == (3, 4)
-        assert np.array_equal(words[0], want) and np.array_equal(words[2], want)
+    def schedule(shards, streams, train, cfg):
+        seen.append([stream.bit_generator.state for stream in streams])  # before any draw
+        return real_schedule(shards, streams, train, cfg)
 
-    def test_no_ids_hash_nothing(self, monkeypatch):
-        # a round whose sampled clients all fit one batch draws no stream
-        monkeypatch.setattr(engine, "seed_words", lambda keys: pytest.fail("hashed no keys"))
-        assert engine.client_streams(1, 0, []) == []
+    monkeypatch.setattr(engine, "round_schedule", schedule)
+    kinds = set()
+    for r in range(4):
+        sampled, shards, _ = plan_round(plan, train, cfg, r)
+        ids = [cid for cid, shard in zip(sampled, shards) if len(shard) > batch_size]
+        kinds.add("none" if not ids else "all" if len(ids) == len(sampled) else "some")
+        assert len(seen[r]) == len(ids)
+        assert seen[r] == [derive_stream(cfg.seed, r, cid).bit_generator.state for cid in ids]
+    assert drawing in kinds
 
-    def test_import_leaves_numpy_random_unloaded(self):
-        # why client_streams registers _SeedWords on use: importing flsim stays cheap
-        assert "numpy.random" not in modules_loaded_by("import flsim")
+
+def test_import_leaves_numpy_random_unloaded():
+    # derive_stream reaches numpy.random on first use: importing flsim stays cheap
+    assert "numpy.random" not in modules_loaded_by("import flsim")
 
 
 def modules_loaded_by(statement):

@@ -4,12 +4,16 @@ Each case hashes (sha256) the final global parameters, the final value of
 every server-state vector the method keeps, and the per-round
 ``grad_evals`` and ``sampled_clients``. Any change to a trajectory, to a
 server update or to the cost accounting changes a hash. The fixture also
-records the NumPy and BLAS it was written with, so a mismatch on another
-machine can be told apart from a change to the code.
+records the NumPy and BLAS it was written with, the OpenBLAS core and
+NumPy's highest enabled x86 SIMD group (both pick the kernels that decide
+the bits), so a mismatch on another machine can be told apart from a
+change to the code.
 
 Regenerate (only for an intended behaviour change) with:
     PYTHONPATH=src python tests/test_golden.py --write
 """
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -51,6 +55,28 @@ CASES = [
 ]
 
 
+def openblas_core() -> str:
+    """The core of the OpenBLAS bundled with NumPy (``numpy.libs``), or ``unknown``."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        path = sorted(glob.glob(os.path.join(libs, "*openblas*")))[0]
+        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_  # the loaded library
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def simd_group() -> str:
+    """NumPy's highest enabled ``X86_V*`` CPU feature group, or ``unknown``."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # NumPy 1.x, or a build without the table
+        return "unknown"
+    groups = [name for name, on in __cpu_features__.items() if name.startswith("X86_V") and on]
+    return max(groups, default="unknown")
+
+
 def environment() -> dict:
     blas = "unknown"
     try:
@@ -58,7 +84,8 @@ def environment() -> dict:
         blas = f"{info.get('name')} {info.get('version')}"
     except Exception:  # older NumPy has no mode="dicts"
         pass
-    return {"numpy": np.__version__, "blas": blas}
+    return {"numpy": np.__version__, "blas": blas, "openblas_core": openblas_core(),
+            "simd": simd_group()}
 
 
 def case_hash(case: str) -> str:
@@ -106,13 +133,28 @@ def test_fixture_covers_every_case():
     assert sorted(load_fixture()["hashes"]) == sorted(CASES)
 
 
+def test_fixture_records_every_environment_field():
+    assert sorted(load_fixture()["environment"]) == sorted(environment())
+
+
+def test_openblas_core_unknown_without_library(monkeypatch):
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    assert openblas_core() == "unknown"
+
+
+def test_simd_group_unknown_without_feature_table(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy._core._multiarray_umath", None)  # import fails
+    assert simd_group() == "unknown"
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_golden_hash(case):
     golden = load_fixture()
     got = case_hash(case)
-    assert got == golden["hashes"][case], (
-        f"{case}: trajectory hash changed. Fixture written with "
-        f"{golden['environment']}, running on {environment()}."
+    # the message, each environment field in the fixture and here, is built only on failure
+    assert got == golden["hashes"][case], f"{case}: trajectory hash changed. " + "; ".join(
+        f"{key}: fixture {golden['environment'].get(key, 'unrecorded')}, here {value}"
+        for key, value in environment().items()
     )
 
 

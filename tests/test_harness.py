@@ -699,26 +699,35 @@ class TestSweep:
 
     def test_one_round_plan_per_group_per_round(self, tmp_path, monkeypatch):
         # a seed's runs with one partition form a lockstep group, and the group
-        # samples, seeds streams and schedules once a round for all its runs
+        # samples, seeds client streams and schedules once a round for all its runs
         spec = parse_config(SWEEP_TEXT.replace("dirichlet:0\n", "dirichlet:0.3\n"))
-        schedules, streams = [], []
-        real_schedule, real_streams = engine.round_schedule, engine.client_streams
+        schedules, seeded, pending = [], [], []
+        real_schedule, real_stream = engine.round_schedule, engine.derive_stream
+
+        def derive_stream(seed, round_idx, client_id):
+            if client_id != engine.SERVER_CHANNEL:
+                pending.append((seed, round_idx, client_id))
+            return real_stream(seed, round_idx, client_id)
 
         def schedule(shards, rngs, train, cfg):
-            schedules.append((cfg.seed, cfg.partition, cfg.alpha))
+            # plan_round seeds the plan's client streams just before it schedules them
+            group = (cfg.seed, cfg.partition, cfg.alpha)
+            schedules.append(group)
+            assert len(pending) == len(rngs) == sum(len(s) > cfg.batch_size for s in shards)
+            assert all(seed == cfg.seed and r == pending[0][1] for seed, r, _ in pending)
+            seeded.extend((group, key) for key in pending)
+            pending.clear()
             return real_schedule(shards, rngs, train, cfg)
 
-        def client_streams(seed, round_idx, ids):
-            streams.append((seed, round_idx))
-            return real_streams(seed, round_idx, ids)
-
         monkeypatch.setattr(engine, "round_schedule", schedule)
-        monkeypatch.setattr(engine, "client_streams", client_streams)
+        monkeypatch.setattr(engine, "derive_stream", derive_stream)
         run_sweep(spec, tmp_path / "s")
         parts = [("iid", 0.0), ("dirichlet", 0.3)]
         groups = [(seed, part, alpha) for seed in (1, 2) for part, alpha in parts]
         assert sorted(schedules) == sorted(groups * 3)  # 3 rounds
-        assert sorted(streams) == sorted((seed, r) for seed, _, _ in groups for r in range(3))
+        assert pending == []  # every client stream belongs to a plan
+        # each (seed, round, client) is seeded once a group, for all 3 of its cells
+        assert len(set(seeded)) == len(seeded) > 0
         monkeypatch.undo()
         assert_sweep_equals_lone_runs(spec, tmp_path / "s", tmp_path / "lone")
 
