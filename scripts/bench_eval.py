@@ -17,7 +17,10 @@ Prints:
   client streams a plan draws (one per sampled client whose shard is more
   than one batch) and the share of sampled clients whose shard fits one
   batch; and the plans one ``sweep_c7`` sweep builds (its
-  ``engine.round_schedule`` calls): the per-sweep scheduling overhead.
+  ``engine.round_schedule`` calls): the per-sweep scheduling overhead;
+- ``ranks``: µs per ``flsim.models.row_keys`` on the ``sweep_c7`` train set
+  (timeit, best of ``--repeat``). A dataset caches its ranks, so no other line
+  times them.
 
 Then it runs each run of the ``sweep_c7`` benchmark sweep in this process on
 one shared dataset (``run_training`` only, best of ``--repeat``) and prints
@@ -38,14 +41,14 @@ only the engine's public plan, round and training entry points. A tree whose
 ``run_round`` builds its own plan, or whose ``client_opt`` builds no layer
 views, is timed with that tree's own copy of this script.
 
-``--against DIR`` prints only the ``kernel`` and ``plan`` lines, of ``--src``
-over ``DIR``. It copies both ``flsim`` packages into a temporary directory
-under two package names (flsim's imports are relative) and imports both into
-this one process. Then, for ``--pairs`` rounds (default 10), it times each
-line of both sides, one side after the other, the side that goes first
-alternating, so the machine's drift moves both sides of a pair alike. It
-prints each pair's ratio (below 1 is faster) and, per line, the median ratio
-and the number of pairs in which ``--src`` was faster. This script times both
+``--against DIR`` prints only the ``kernel``, ``plan`` and ``ranks`` lines, of
+``--src`` over ``DIR``. It copies both ``flsim`` packages into a temporary
+directory under two package names (flsim's imports are relative) and imports
+both into this one process. Then, for ``--pairs`` rounds (default 10), it
+times each line of both sides, one side after the other, the side that goes
+first alternating, so the machine's drift moves both sides of a pair alike.
+It prints each pair's ratio (below 1 is faster) and, per line, the median
+ratio and the number of pairs in which ``--src`` was faster. This script times both
 sides, so ``DIR`` must have ``models.layer_views``.
 """
 from __future__ import annotations
@@ -70,6 +73,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BATCH = 32
 PLAN_ROUNDS = 10  # rounds a lone run's plan line averages over
 PLAN_WORKLOADS = ("sweep_c7", "mlp_fedsmoo_skew", "cross_device")
+RANKS_NUMBER = 20  # row_keys calls a ranks timing
 SPECS = {
     "linear": dict(kind="linear", input_dim=32, num_classes=10),
     "mlp": dict(kind="mlp", input_dim=32, num_classes=10, hidden_dim=16),
@@ -164,6 +168,12 @@ def plan_us(flsim, exp, repeat, rounds, number=50):
     return best_us(build, repeat, max(1, number // rounds)) / rounds, streams, share
 
 
+def ranks_call(flsim, seed):
+    """(a call ranking the rows of the sweep_c7 train set, its row count)."""
+    train, _ = flsim.harness.make_dataset(sweep_c7_runs(flsim, seed)[0])
+    return lambda: flsim.models.row_keys(train.features, train.labels), len(train)
+
+
 def plans_per_sweep(flsim, seed) -> int:
     """Round plans one sweep_c7 sweep builds: its ``round_schedule`` calls."""
     eng, calls = flsim.engine, []
@@ -253,6 +263,7 @@ def against(src, other, seed, pairs, repeat) -> dict:
         rounds = runs[0][1]
         calls = [plan_call(f, exp, rounds)[0] for f, (exp, _) in zip(sides, runs)]
         timers[f"{name} plan"] = (calls, max(1, 50 // rounds), rounds)
+    timers["sweep_c7 ranks"] = ([ranks_call(f, seed)[0] for f in sides], RANKS_NUMBER, 1)
     ratios = {line: [] for line in timers}
     for i in range(pairs):
         for line, (calls, number, per) in timers.items():
@@ -274,7 +285,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--json", action="store_true", help="also print one JSON line")
-    ap.add_argument("--against", help="time only the kernel and plan lines, against this src")
+    ap.add_argument("--against", help="time only the kernel, plan and ranks lines against this src")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     if args.repeat < 1 or args.pairs < 1:
@@ -305,6 +316,9 @@ def main(argv=None) -> int:
         print(f"{name} seed {args.seed} round plan: {us:.1f} us over {span}, "
               f"{streams:.2f} client streams a plan, "
               f"{100 * share:.1f}% of sampled clients fit one batch")
+    call, rows = ranks_call(flsim, args.seed)
+    result["ranks_us"] = us = best_us(call, args.repeat, RANKS_NUMBER)
+    print(f"sweep_c7 seed {args.seed} ranks: {us:.1f} us per row_keys over {rows} train rows")
     result["plans_per_sweep"] = plans = plans_per_sweep(flsim, args.seed)
     print(f"sweep_c7 seed {args.seed}: {plans} round plans per sweep")
     us, evals = round_us(flsim, args.seed, args.repeat)

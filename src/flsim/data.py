@@ -171,6 +171,8 @@ def partition_dirichlet(
             owner = np.repeat(mine, [len(c) for c in np.array_split(idx, len(mine))])
         else:
             p = rng.dirichlet(np.full(n_clients, alpha))
+            if not p.sum() > 0:  # alpha near the float maximum: the gamma draws' sum overflows
+                raise ConfigError(f"alpha={alpha:g} is too large: its Dirichlet draw overflows")
             cuts = np.floor(np.cumsum(p) * len(idx)).astype(np.int64)
             # client c owns positions [cuts[c-1], cuts[c]); the last also owns the rounding tail
             owner = np.minimum(np.searchsorted(cuts, np.arange(len(idx)), "right"), n_clients - 1)

@@ -384,7 +384,7 @@ def run_experiment(exp: ExperimentConfig, out_dir):
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return "nan" if math.isnan(x) else f"{x:.6g}"
+        return f"{x:.6g}"  # nan, -nan and np.float64 nan all print nan
     return str(x)
 
 

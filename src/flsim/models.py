@@ -89,21 +89,18 @@ def param_count(spec: ModelSpec) -> int:
 def row_keys(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Dense int64 rank of each row in lexicographic (features..., label) order.
 
-    Equal rows share a rank (``-0.0`` equals ``0.0``). Each pass sorts by
-    (rank so far, next column) and re-ranks; once every rank is distinct the
-    remaining columns cannot change the order, so the loop stops there.
+    Equal rows share a rank (``-0.0`` equals ``0.0``). Each pass ranks the next
+    column and re-ranks the (rank so far, column rank) pairs, both by ``np.unique``;
+    once every rank is distinct the remaining columns cannot change the order,
+    so the loop stops there.
     """
     columns = list(np.asarray(features, dtype=np.float64).T)
     columns.append(np.asarray(labels, dtype=np.int64))
     keys = np.zeros(len(columns[-1]), dtype=np.int64)
     for col in columns:
-        order = np.lexsort((col, keys))
-        k, c = keys[order], col[order]
-        is_new = np.empty(len(order), dtype=bool)
-        is_new[:1] = True
-        is_new[1:] = (k[1:] != k[:-1]) | (c[1:] != c[:-1])
-        keys[order] = np.cumsum(is_new) - 1
-        if is_new.all():
+        values, rank = np.unique(col, return_inverse=True)
+        distinct, keys = np.unique(keys * len(values) + rank, return_inverse=True)
+        if len(distinct) == len(keys):
             break
     return keys
 
@@ -126,20 +123,14 @@ def canonical_rows(keys: np.ndarray, cuts):
 
     ``keys``: batch after batch, a row's batch index times the dataset's size
     plus its rank, so batch j's keys lie in ``[cuts[j], cuts[j + 1])``. Each run
-    of equal keys is its first row in batch order, weighted by the run's size;
-    batch j's runs are ``sel[starts[j]:starts[j + 1]]``. Makes loss/grad exactly
+    of equal keys is its first row in batch order (``np.unique``'s first
+    occurrence), weighted by the run's size; batch j's runs are
+    ``sel[starts[j]:starts[j + 1]]``. Makes loss/grad exactly
     invariant to row permutation and to duplicating every row (count scaling
     by a power of two is exact).
     """
-    n = len(keys)
-    order = np.argsort(keys, kind="stable")
-    srt = keys[order]
-    edge = np.empty(n + 1, dtype=bool)  # where a run of equal keys starts or ends
-    edge[0] = edge[n] = True
-    edge[1:n] = srt[1:] != srt[:-1]
-    bounds = edge.nonzero()[0]
-    first = bounds[:-1]
-    return order[first], (bounds[1:] - first).astype(np.float64), np.searchsorted(srt[first], cuts)
+    uniq, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return first, counts.astype(np.float64), np.searchsorted(uniq, cuts)
 
 
 class Step(NamedTuple):

@@ -240,6 +240,12 @@ class TestDirichlet:
             with pytest.raises(ConfigError, match="finite"):
                 partition_dirichlet(blobs(), 10, alpha, rng())
 
+    def test_draw_with_no_positive_sum_is_config_error(self):
+        # Dirichlet(1.7e308) draws all zeros (the gamma draws' sum overflows),
+        # which would hand every row to the last client
+        with pytest.raises(ConfigError, match="alpha"):
+            partition_dirichlet(blobs(num_classes=3, per_class=4), 3, 1.7e308, rng())
+
     def test_large_alpha_concentrates(self):
         data = blobs(num_classes=10, per_class=200, seed=5)
         global_p = np.full(10, 0.1)
@@ -286,6 +292,7 @@ class TestDirichlet:
 @example(dirichlet=True, alpha=0.3, num_classes=10, per_class=40, n_clients=20, seed=11)
 @example(dirichlet=True, alpha=1.0, num_classes=10, per_class=40, n_clients=20, seed=11)
 @example(dirichlet=True, alpha=1e6, num_classes=10, per_class=40, n_clients=20, seed=11)
+@example(dirichlet=True, alpha=3.6e307, num_classes=3, per_class=4, n_clients=5, seed=0)
 def test_partition_properties(dirichlet, alpha, num_classes, per_class, n_clients, seed):
     """A true partition with no empty shard, or ConfigError where a precondition fails."""
     data = blobs(num_classes=num_classes, per_class=per_class)
@@ -295,8 +302,13 @@ def test_partition_properties(dirichlet, alpha, num_classes, per_class, n_client
             return partition_dirichlet(data, n_clients, alpha, rng(seed))
         return partition_iid(data, n_clients, rng(seed))
 
-    # partition_iid: n_clients <= samples; dirichlet also: alpha = 0 needs a client per class
-    possible = n_clients <= len(data) and (not dirichlet or alpha > 0 or n_clients >= num_classes)
+    # partition_iid: n_clients <= samples; dirichlet also: alpha = 0 needs a client per
+    # class, and a draw's n_clients gamma variates (each exactly alpha once alpha is
+    # large enough to matter) must have a finite sum
+    possible = n_clients <= len(data) and (
+        not dirichlet
+        or (alpha > 0 or n_clients >= num_classes) and sum([alpha] * n_clients) < math.inf
+    )
     if not possible:
         with pytest.raises(ConfigError):
             make()

@@ -516,6 +516,12 @@ class TestRunExperiment:
         assert row.status == "diverged"
         assert row.best_round == 0  # failure round
 
+    def test_degenerate_dirichlet_draw_is_config_error(self, tmp_path):
+        text = "method = fedavg\nrounds = 2\nseed = 0\npartition = dirichlet\n"
+        text += "alpha = 1.7e308\nn_clients = 10\ndata.per_class = 30\n"
+        with pytest.raises(ConfigError, match="alpha"):
+            run_experiment(parse_config(text), tmp_path / "r")
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "text",

@@ -295,6 +295,79 @@ def test_row_keys_order_and_loss_bit_identical(spec, data, seed, scale):
     assert direct == adapted
 
 
+def reference_row_keys(X, y):
+    """Dense rank of each row among the sorted distinct (features..., label)
+    tuples, in plain Python: -0.0 == 0.0 in a tuple, a set and a dict."""
+    rows = [(*map(float, x), int(label)) for x, label in zip(X, y)]
+    rank = {row: r for r, row in enumerate(sorted(set(rows)))}
+    return [rank[row] for row in rows]
+
+
+@st.composite
+def labeled_rows(draw):
+    """(X, y): up to 24 rows of 1-4 features, small values (ties, signed zeros,
+    equal rows) mixed with any finite float."""
+    n, dim = draw(st.integers(0, 24)), draw(st.integers(1, 4))
+    values = SMALL_VALUES | st.floats(allow_nan=False, allow_infinity=False)
+    X = draw(hnp.arrays(np.float64, (n, dim), elements=values))
+    return X, draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=labeled_rows())
+@example(rows=(np.zeros((0, 3)), np.zeros(0, dtype=np.int64)))  # no rows
+@example(rows=(np.array([[0.5, -1.0, 2.0]]), np.array([1])))  # one row
+@example(rows=(np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, 1.5]] * 3), np.full(6, 2)))  # all equal
+def test_row_keys_is_the_dense_rank_of_sorted_rows(rows):
+    X, y = rows
+    keys = row_keys(X, y)
+    assert keys.dtype == np.int64
+    assert keys.tobytes() == np.array(reference_row_keys(X, y), dtype=np.int64).tobytes()
+
+
+@st.composite
+def batched_ranks(draw):
+    """(size, batches): per batch, the ranks of its rows in [0, size), duplicates
+    within and across batches and empty batches included."""
+    size = draw(st.integers(1, 8))
+    ranks = st.lists(st.integers(0, size - 1), max_size=12)
+    return size, draw(st.lists(ranks, max_size=5))
+
+
+def reference_canonical_rows(batches):
+    """(sel, counts, starts) in plain Python: per batch, its distinct ranks in
+    sorted order, each one's first index in batch order (counted from the first
+    batch's first row) and its count, and where each batch's runs start."""
+    sel, counts, starts, offset = [], [], [0], 0
+    for batch in batches:
+        for rank in sorted(set(batch)):
+            sel.append(offset + batch.index(rank))
+            counts.append(batch.count(rank))
+        starts.append(len(sel))
+        offset += len(batch)
+    return sel, counts, starts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=batched_ranks())
+@example(case=(3, []))  # no batch, no row
+@example(case=(3, [[], []]))  # batches with no rows
+@example(case=(3, [[2, 0, 2, 1, 0], [], [2, 2], [0, 1, 2, 0]]))  # duplicates within and across
+def test_canonical_rows_over_several_batches(case):
+    size, batches = case
+    # as engine.round_schedule builds them: batch j's keys offset by j * size
+    keys = np.array([j * size + r for j, b in enumerate(batches) for r in b], dtype=np.int64)
+    sel, counts, starts = canonical_rows(keys, np.arange(len(batches) + 1) * size)
+    want_sel, want_counts, want_starts = reference_canonical_rows(batches)
+    for got, want, dtype in [
+        (sel, want_sel, np.intp),
+        (counts, want_counts, np.float64),
+        (starts, want_starts, np.intp),
+    ]:
+        assert got.dtype == dtype
+        assert got.tobytes() == np.array(want, dtype=dtype).tobytes()
+
+
 def test_overflow_names_block_on_both_paths():
     # zero rows give zero hidden units and uniform softmax, so the loss is
     # finite (log 4) while dH = G @ W2.T overflows and W1's gradient is nan
