@@ -37,9 +37,7 @@ glibc's ``mallinfo2`` it prints ``unavailable``.
 
 ``--src`` names the ``src`` directory to import flsim from (default: this
 checkout's), so the same script measures both sides of a change; it calls
-only the engine's public plan, round and training entry points. A tree whose
-``run_round`` builds its own plan, or whose ``client_opt`` builds no layer
-views, is timed with that tree's own copy of this script.
+only the engine's public plan, round and training entry points.
 
 ``--against DIR`` prints only the ``kernel``, ``plan`` and ``ranks`` lines, of
 ``--src`` over ``DIR``. It copies both ``flsim`` packages into a temporary
@@ -48,8 +46,10 @@ both into this one process. Then, for ``--pairs`` rounds (default 10), it
 times each line of both sides, one side after the other, the side that goes
 first alternating, so the machine's drift moves both sides of a pair alike.
 It prints each pair's ratio (below 1 is faster) and, per line, the median
-ratio and the number of pairs in which ``--src`` was faster. This script times both
-sides, so ``DIR`` must have ``models.layer_views``.
+ratio, the lower and upper quartiles of the ratios (the pairs' spread: a median
+inside the quartiles of an A/A run shows nothing) and the number of pairs in
+which ``--src`` was faster. This script times both sides, so ``DIR`` must have
+``models.layer_views``.
 """
 from __future__ import annotations
 
@@ -274,8 +274,9 @@ def against(src, other, seed, pairs, repeat) -> dict:
             print(f"pair {i + 1} {line}: {us[0]:.1f} us against {us[1]:.1f} us, "
                   f"ratio {ratios[line][-1]:.3f}")
     for line, r in ratios.items():
-        print(f"{line}: median ratio {statistics.median(r):.3f} over {pairs} pairs, "
-              f"--src faster in {sum(x < 1 for x in r)}")
+        q1, q3 = np.percentile(r, [25, 75])
+        print(f"{line}: median ratio {statistics.median(r):.3f}, quartiles {q1:.3f}-{q3:.3f} "
+              f"over {pairs} pairs, --src faster in {sum(x < 1 for x in r)}")
     return ratios
 
 

@@ -23,7 +23,6 @@ from .engine import (
     RunConfig,
     derive_stream,
     plan_key,
-    run_training,
     train_lockstep,
 )
 from .errors import ConfigError, DivergenceError, ParseError
@@ -366,20 +365,36 @@ def _write_run(exp: ExperimentConfig, out_dir, rounds):
     return metrics_path, row
 
 
+def _run(exps, out_dirs):
+    """Train every run, then ``_write_run`` each to its directory in ``out_dirs``.
+
+    A seed's runs share one dataset (sweep cells differ only in method,
+    hparams and partition), and those with one ``engine.plan_key`` train in
+    lockstep on one plan a round; seeds go one after another, so one dataset
+    is alive at a time. Nothing is written before every run has trained.
+    """
+    rounds = [None] * len(exps)
+    for seed in dict.fromkeys(exp.run.seed for exp in exps):
+        runs = [i for i, exp in enumerate(exps) if exp.run.seed == seed]
+        data, groups = make_dataset(exps[runs[0]]), {}
+        for i in runs:
+            groups.setdefault(plan_key(exps[i].run), []).append(i)
+        for group in groups.values():
+            for i, out in zip(group, train_lockstep([exps[i].run for i in group], *data)):
+                rounds[i] = out.metrics if isinstance(out, DivergenceError) else out
+        del data  # before the next seed's dataset is made
+    return [_write_run(*args) for args in zip(exps, out_dirs, rounds)]
+
+
 def run_experiment(exp: ExperimentConfig, out_dir):
     """Run one experiment; write metrics.jsonl, config.txt, summary.csv.
 
     Returns the metrics path and the row ``summarize`` reads back from the
-    run directory; divergence is recorded in that row, not raised. A config
-    that config.txt cannot hold is a ConfigError before training; ``out_dir``
-    is made after training, so no ConfigError leaves a directory behind.
+    run directory; divergence is recorded in that row, not raised. Nothing is
+    written before the run has trained, so no ConfigError leaves a directory.
     """
     _check_readback(exp)
-    try:
-        rounds = run_training(exp.run, *make_dataset(exp))
-    except DivergenceError as exc:
-        rounds = exc.metrics
-    return _write_run(exp, out_dir, rounds)
+    return _run([exp], [out_dir])[0]
 
 
 def _fmt(x) -> str:
@@ -432,33 +447,18 @@ def _cell_row(rows) -> SummaryRow:
 def run_sweep(spec: SweepSpec, out_dir):
     """Run every (cell, seed) of the sweep and write runs.csv + sweep.csv.
 
-    Every run's config is checked to read back before any training. A seed's
-    runs share one dataset, and those with one ``engine.plan_key`` train in
-    lockstep on one plan a round (``engine.train_lockstep``). Each run
-    directory is written as ``run_experiment`` writes it, and the first makes
-    ``out_dir``: a ConfigError before any run trains leaves no directory behind.
+    Every run's config is checked to read back before any training, and the
+    runs train and write as ``run_experiment``'s do: nothing is written
+    before every run has trained, so no ConfigError leaves a directory.
     """
-    for cell in spec.cells:
-        for exp in cell:
-            _check_readback(exp)
+    exps = [exp for cell in spec.cells for exp in cell]
+    for exp in exps:
+        _check_readback(exp)
     seeds = len(spec.cells[0])
-    print(f"sweep: {len(spec.cells)} cells x {seeds} seeds = {len(spec.cells) * seeds} runs")
-    cell_rows = [[None] * seeds for _ in spec.cells]
-    for s in range(seeds):  # seed-major: one dataset alive at a time
-        # cells differ only in method, hparams and partition: one dataset a
-        # seed, and one lockstep group per partition
-        data = make_dataset(spec.cells[0][s])
-        groups = {}
-        for cell, rows in zip(spec.cells, cell_rows):
-            groups.setdefault(plan_key(cell[s].run), []).append((cell[s], rows))
-        for group in groups.values():
-            outcomes = train_lockstep([exp.run for exp, _ in group], *data)
-            for (exp, rows), out in zip(group, outcomes):
-                rounds = out.metrics if isinstance(out, DivergenceError) else out
-                run_out = os.path.join(out_dir, "runs", _run_dir(exp.run))
-                rows[s] = _write_run(exp, run_out, rounds)[1]
-    run_rows = [row for rows in cell_rows for row in rows]
-    sweep_rows = [_cell_row(rows) for rows in cell_rows]
+    print(f"sweep: {len(spec.cells)} cells x {seeds} seeds = {len(exps)} runs")
+    run_dirs = [os.path.join(out_dir, "runs", _run_dir(exp.run)) for exp in exps]
+    run_rows = [row for _, row in _run(exps, run_dirs)]
+    sweep_rows = [_cell_row(run_rows[i : i + seeds]) for i in range(0, len(exps), seeds)]
     _write_rows(os.path.join(out_dir, "runs.csv"), run_rows)
     _write_rows(os.path.join(out_dir, "sweep.csv"), sweep_rows, with_seed=False)
     return sweep_rows, run_rows

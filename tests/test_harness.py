@@ -8,6 +8,7 @@ import re
 import sys
 import tempfile
 import warnings
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -681,6 +682,22 @@ class TestSweep:
             assert strip_dt(swept / "metrics.jsonl") == strip_dt(lone / "metrics.jsonl")
             assert (swept / "config.txt").read_text() == (lone / "config.txt").read_text()
 
+    def test_one_dataset_alive_at_a_time(self, tmp_path, monkeypatch):
+        # seeds train one after another, and a seed's dataset is freed before
+        # the next seed's is made
+        alive = []
+        real = harness.make_dataset
+
+        def make_dataset(exp):
+            assert [ref() for ref in alive] == [None] * len(alive)
+            data = real(exp)
+            alive.append(weakref.ref(data[0]))
+            return data
+
+        monkeypatch.setattr(harness, "make_dataset", make_dataset)
+        run_sweep(parse_config(SWEEP_TEXT), tmp_path / "s")
+        assert len(alive) == 2
+
     def test_one_plan_per_partition_per_seed(self, tmp_path, monkeypatch):
         # runs of a seed share its dataset, and with it each partition plan
         spec = parse_config(SWEEP_TEXT)
@@ -742,6 +759,14 @@ class TestSweep:
     @example(  # parses, then has more clients than training rows
         text="methods = fedavg\nrounds = 1\nseeds = 1\npartitions = iid\nn_clients = 4\n"
         "sample_size = 1\nmodel.num_classes = 2\ndata.per_class = 2\n"
+    )
+    @example(  # the iid cell trains before the dirichlet group's partition fails
+        text="methods = fedavg\npartitions = iid,dirichlet:1.7e308\nseeds = 1\nrounds = 2\n"
+        "n_clients = 10\nsample_size = 4\ndata.per_class = 30\n"
+    )
+    @example(  # and before the second seed's dataset is made
+        text="methods = fedavg\npartitions = iid,dirichlet:1.7e308\nseeds = 1,2\nrounds = 2\n"
+        "n_clients = 10\nsample_size = 4\ndata.per_class = 30\n"
     )
     def test_small_sweep_completes_diverges_or_is_config_error(self, text):
         # every runs.csv row is completed or diverged, or the sweep is a
