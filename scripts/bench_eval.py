@@ -20,7 +20,10 @@ Prints:
   ``engine.round_schedule`` calls): the per-sweep scheduling overhead;
 - ``ranks``: µs per ``flsim.models.row_keys`` on the ``sweep_c7`` train set
   (timeit, best of ``--repeat``). A dataset caches its ranks, so no other line
-  times them.
+  times them;
+- ``eval``: µs per ``flsim.models.top1_accuracy`` of the ``cross_device`` run's
+  initial parameters on its test set (timeit, best of ``--repeat``): the
+  per-round eval, which that workload pays every round.
 
 Then it runs each run of the ``sweep_c7`` benchmark sweep in this process on
 one shared dataset (``run_training`` only, best of ``--repeat``) and prints
@@ -39,12 +42,14 @@ glibc's ``mallinfo2`` it prints ``unavailable``.
 checkout's), so the same script measures both sides of a change; it calls
 only the engine's public plan, round and training entry points.
 
-``--against DIR`` prints only the ``kernel``, ``plan`` and ``ranks`` lines, of
-``--src`` over ``DIR``. It copies both ``flsim`` packages into a temporary
-directory under two package names (flsim's imports are relative) and imports
-both into this one process. Then, for ``--pairs`` rounds (default 10), it
-times each line of both sides, one side after the other, the side that goes
-first alternating, so the machine's drift moves both sides of a pair alike.
+``--against DIR`` prints only the ``kernel``, ``plan``, ``ranks`` and ``eval``
+lines, of ``--src`` over ``DIR``. It copies both ``flsim`` packages into a
+temporary directory under two package names (flsim's imports are relative)
+and imports both into this one process. Then, for ``--pairs`` rounds (default
+10), it times each line of both sides, one side after the other, the side that
+goes first alternating, so the machine's drift moves both sides of a pair
+alike. Each side's call is built afresh before it is timed, in the pair's
+order, so neither side keeps the arrays it was given first for every pair.
 It prints each pair's ratio (below 1 is faster) and, per line, the median
 ratio, the lower and upper quartiles of the ratios (the pairs' spread: a median
 inside the quartiles of an A/A run shows nothing) and the number of pairs in
@@ -74,6 +79,7 @@ BATCH = 32
 PLAN_ROUNDS = 10  # rounds a lone run's plan line averages over
 PLAN_WORKLOADS = ("sweep_c7", "mlp_fedsmoo_skew", "cross_device")
 RANKS_NUMBER = 20  # row_keys calls a ranks timing
+EVAL_NUMBER = 200  # top1_accuracy calls an eval timing
 SPECS = {
     "linear": dict(kind="linear", input_dim=32, num_classes=10),
     "mlp": dict(kind="mlp", input_dim=32, num_classes=10, hidden_dim=16),
@@ -174,6 +180,17 @@ def ranks_call(flsim, seed):
     return lambda: flsim.models.row_keys(train.features, train.labels), len(train)
 
 
+def eval_call(flsim, seed):
+    """(a call scoring the cross_device run's initial parameters on its test
+    set, the test set's row count)."""
+    exp = flsim.harness.parse_config(workload_text("cross_device", seed))
+    eng, spec = flsim.engine, exp.run.model
+    _, test = flsim.harness.make_dataset(exp)
+    theta = flsim.models.init_params(spec, eng.derive_stream(exp.run.seed, eng.INIT_ROUND,
+                                                            eng.SERVER_CHANNEL))
+    return lambda: flsim.models.top1_accuracy(spec, theta, test.features, test.labels), len(test)
+
+
 def plans_per_sweep(flsim, seed) -> int:
     """Round plans one sweep_c7 sweep builds: its ``round_schedule`` calls."""
     eng, calls = flsim.engine, []
@@ -246,6 +263,19 @@ def import_as(src, name, into):
     return importlib.import_module(name)
 
 
+def against_call(flsim, line, seed):
+    """(a fresh call, calls a timing, calls a reported unit) of one ``--against`` line."""
+    name, kind = line.rsplit(" ", 1)
+    if kind == "kernel":
+        return kernel_call(flsim, name), 2000, 1
+    if kind == "plan":
+        exp, rounds = plan_run(flsim, name, seed)
+        return plan_call(flsim, exp, rounds)[0], max(1, 50 // rounds), rounds
+    if kind == "ranks":
+        return ranks_call(flsim, seed)[0], RANKS_NUMBER, 1
+    return eval_call(flsim, seed)[0], EVAL_NUMBER, 1
+
+
 def against(src, other, seed, pairs, repeat) -> dict:
     """Line -> per-pair ratios of ``src``'s µs over ``other``'s, both imported
     into this process and timed alternately."""
@@ -255,21 +285,16 @@ def against(src, other, seed, pairs, repeat) -> dict:
             sides = [import_as(src, "flsim_src", tmp), import_as(other, "flsim_against", tmp)]
         finally:
             sys.path.remove(tmp)
-    timers = {}  # line -> (a call of each side, calls a timing, calls a reported unit)
-    for name in SPECS:
-        timers[f"{name} kernel"] = ([kernel_call(f, name) for f in sides], 2000, 1)
-    for name in PLAN_WORKLOADS:
-        runs = [plan_run(f, name, seed) for f in sides]
-        rounds = runs[0][1]
-        calls = [plan_call(f, exp, rounds)[0] for f, (exp, _) in zip(sides, runs)]
-        timers[f"{name} plan"] = (calls, max(1, 50 // rounds), rounds)
-    timers["sweep_c7 ranks"] = ([ranks_call(f, seed)[0] for f in sides], RANKS_NUMBER, 1)
-    ratios = {line: [] for line in timers}
+    lines = [f"{name} kernel" for name in SPECS] + [f"{name} plan" for name in PLAN_WORKLOADS]
+    lines += ["sweep_c7 ranks", "cross_device eval"]
+    ratios = {line: [] for line in lines}
     for i in range(pairs):
-        for line, (calls, number, per) in timers.items():
+        for line in lines:
             us = [None, None]
             for side in (0, 1) if i % 2 == 0 else (1, 0):  # which goes first alternates
-                us[side] = best_us(calls[side], repeat, number) / per
+                # built afresh, in the pair's order, so no side keeps the memory it was first given
+                call, number, per = against_call(sides[side], line, seed)
+                us[side] = best_us(call, repeat, number) / per
             ratios[line].append(us[0] / us[1])
             print(f"pair {i + 1} {line}: {us[0]:.1f} us against {us[1]:.1f} us, "
                   f"ratio {ratios[line][-1]:.3f}")
@@ -286,7 +311,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--json", action="store_true", help="also print one JSON line")
-    ap.add_argument("--against", help="time only the kernel, plan and ranks lines against this src")
+    ap.add_argument("--against",
+                    help="time only the kernel, plan, ranks and eval lines against this src")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     if args.repeat < 1 or args.pairs < 1:
@@ -320,6 +346,10 @@ def main(argv=None) -> int:
     call, rows = ranks_call(flsim, args.seed)
     result["ranks_us"] = us = best_us(call, args.repeat, RANKS_NUMBER)
     print(f"sweep_c7 seed {args.seed} ranks: {us:.1f} us per row_keys over {rows} train rows")
+    call, rows = eval_call(flsim, args.seed)
+    result["eval_us"] = us = best_us(call, args.repeat, EVAL_NUMBER)
+    print(f"cross_device seed {args.seed} eval: {us:.1f} us per top1_accuracy "
+          f"over {rows} test rows")
     result["plans_per_sweep"] = plans = plans_per_sweep(flsim, args.seed)
     print(f"sweep_c7 seed {args.seed}: {plans} round plans per sweep")
     us, evals = round_us(flsim, args.seed, args.repeat)

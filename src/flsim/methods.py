@@ -82,6 +82,7 @@ class Method:
 
     ``direction(c, g, tv)`` is the step direction at parameters ``tv`` given
     the step's gradient ``g`` (for SAM methods, taken at the perturbed point).
+    It returns a new array (``g`` is one), which ``client_opt`` scales in place.
     ``client_finish(c, theta_f, steps, eps)``, ``eps`` the last SAM perturbation,
     returns the client's new state (every key of ``client_state``) and the
     ``aux`` vector it sends to the server, or None. ``server_finish(server,
@@ -195,18 +196,19 @@ def client_opt(cid, server, steps, num_samples, state, hp, cfg):
     client-state names to vectors. Steps a copy of the broadcast vector in
     place and writes nothing it is given. Returns (ClientResult, new state).
     """
-    m = METHODS[cfg.method]
+    m, spec, lr = METHODS[cfg.method], cfg.model, cfg.client_lr
+    direction = m.direction
     c = ClientRound(cfg, hp, server, server.global_params.values, state)
     theta = c.theta_r.copy()  # the client's own buffer, stepped in place
-    layers = layer_views(cfg.model, theta)  # views that follow every step
+    layers = layer_views(spec, theta)  # views that follow every step
     if m.sam:  # theta + eps, written into a second buffer each step
         pert = np.empty_like(theta)
-        pert_layers = layer_views(cfg.model, pert)
+        pert_layers = layer_views(spec, pert)
     shift = m.perturb_shift(c) if m.perturb_shift is not None else None
     eps = None
     losses = []
     for step in steps:
-        loss, g = loss_and_grad(cfg.model, theta, step, layers)
+        loss, g = loss_and_grad(spec, theta, step, layers)
         if m.sam:
             # the gradient at theta + rho * raw/||raw||, raw the plain
             # gradient plus any shift; two evaluations even at rho=0.
@@ -218,8 +220,10 @@ def client_opt(cid, server, steps, num_samples, state, hp, cfg):
                 raw = raw / top
                 sq = raw.dot(raw)
             eps = hp.rho * raw / (math.sqrt(sq) + hp.xi / top)
-            g = loss_and_grad(cfg.model, np.add(theta, eps, out=pert), step, pert_layers)[1]
-        np.subtract(theta, cfg.client_lr * m.direction(c, g, theta), out=theta)
+            g = loss_and_grad(spec, np.add(theta, eps, out=pert), step, pert_layers)[1]
+        d = direction(c, g, theta)  # a new array, so scaled in place
+        d *= lr
+        np.subtract(theta, d, out=theta)
         losses.append(loss)
     new_state, aux = m.client_finish(c, theta, len(losses), eps)
     result = ClientResult(

@@ -179,7 +179,9 @@ def _forward_logits(spec: ModelSpec, layers: list, X: np.ndarray):
         if inputs:
             Z = np.maximum(Z, 0.0) if spec.activation == "relu" else np.tanh(Z)
         inputs.append(Z)
-        Z = Z @ W
+        # np.dot: @'s bytes without its dispatch, but for a one-term sum that underflows
+        # (np.dot -0.0, @ +0.0); the bias, never -0.0, then gives +0.0 on both
+        Z = np.dot(Z, W)
         Z += b  # in place: the product is a new array
     return Z, inputs
 
@@ -203,17 +205,18 @@ def loss_and_grad(spec: ModelSpec, theta: np.ndarray, step: Step, layers: list):
         logp -= np.maximum.reduce(logp, axis=1, keepdims=True)
         logp -= np.log(np.add.reduce(np.exp(logp), axis=1, keepdims=True))
         # 0.0 - keeps a zero loss +0.0, as the sum of the negated terms gives it
-        loss = 0.0 - float(counts @ logp.ravel()[at]) / n
+        loss = 0.0 - float(counts.dot(logp.ravel()[at])) / n
         G = np.exp(logp, out=logp)
         G -= onehot
         G *= w  # per-unique-row weights, full rows; sum to 1
         blocks = []  # in layout order, built last layer first
         for i in reversed(range(len(layers))):
             A = inputs[i]
-            blocks[:0] = (A.T @ G).ravel(), np.add.reduce(G, axis=0)
+            dW = np.dot(A.T, G) if len(G) > 1 else A.T @ G  # one row: a one-term sum
+            blocks[:0] = dW.ravel(), np.add.reduce(G, axis=0)
             if i:  # back through the activation whose output is A
                 dact = A > 0.0 if spec.activation == "relu" else 1.0 - A**2
-                G = (G @ layers[i][0].T) * dact
+                G = np.dot(G, layers[i][0].T) * dact  # over the classes: 2 or more terms
         grad = np.concatenate(blocks)
     total = grad.dot(grad)
     if not math.isfinite(loss):

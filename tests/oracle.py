@@ -15,6 +15,10 @@ and its batch constants came with the step; the kernel must match it bit for
 bit. ``reference_client_opt`` is ``flsim.methods.client_opt`` as written
 before it stepped one buffer in place: every step and every SAM perturbed
 point is a new vector, with layer views built for each kernel call.
+``reference_top1`` is ``flsim.models.top1_accuracy`` with its forward pass
+written out, ``X @ W + b`` per layer, then ``np.argmax``. The references
+keep ``@`` for every product the package computes with ``np.dot``, and the
+tests require the same bytes of both.
 """
 import math
 
@@ -135,6 +139,18 @@ def reference_loss_and_grad(spec, theta, X, y, counts, n):
             if not np.isfinite(grad[sl]).all():
                 raise NumericalOverflowError(name)
     return loss, grad
+
+
+def reference_top1(spec, theta, X, y):
+    """``flsim.models.top1_accuracy`` with the forward pass written out."""
+    views = iter([theta[sl].reshape(shape) for sl, shape in spec.slices.values()])
+    logits = X
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (W, b) in enumerate(zip(views, views)):
+            if i:
+                logits = np.maximum(logits, 0.0) if spec.activation == "relu" else np.tanh(logits)
+            logits = logits @ W + b
+    return float(np.mean(np.argmax(logits, axis=1) == y))
 
 
 def reference_client_opt(cid, server, steps, num_samples, state, hp, cfg):

@@ -26,6 +26,7 @@ from oracle import (
     finite_diff_grad,
     one_step,
     reference_loss_and_grad,
+    reference_top1,
     round_errstate,
 )
 
@@ -200,6 +201,30 @@ def test_accuracy_probe_unsupported():
     theta = init_params(PROBE3, derive_stream(0, -1, -1))
     with pytest.raises(UnsupportedOperationError):
         top1_accuracy(PROBE3, theta, *random_batch(LINEAR, 2, 0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    spec=SPECS,
+    rows=st.integers(1, 4096),
+    seed=st.integers(0, 2**16),
+    scales=st.lists(SCALES, min_size=5, max_size=5),
+    tied=st.booleans(),
+)
+# 4,096 rows at the benchmark's widths: products large enough for OpenBLAS to thread
+@example(spec=ModelSpec("linear", 32, 10), rows=4096, seed=0, scales=[1.0] * 5, tied=False)
+@example(spec=ModelSpec("mlp", 32, 10, 16, "relu"), rows=4096, seed=1, scales=[1.0] * 5, tied=False)
+@example(spec=ModelSpec("mlp", 32, 10, 16, "tanh"), rows=4096, seed=2, scales=[1.0] * 5, tied=False)
+@example(spec=ModelSpec("mlp", 32, 10, 16, "relu"), rows=4096, seed=3, scales=[1.0] * 5, tied=True)
+def test_top1_accuracy_matches_reference(spec, rows, seed, scales, tied):
+    # the kernel's forward pass, through np.dot, against the reference's @,
+    # exactly: relu and tanh, 1 to 4,096 rows, scaled blocks and rows whose
+    # logits may overflow, and zero parameters, where every logit ties
+    theta = np.zeros(param_count(spec)) if tied else scaled_params(spec, seed, scales)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rows, spec.input_dim)) * min(scales[-1], 1e300)
+    y = rng.integers(0, spec.num_classes, rows)
+    assert top1_accuracy(spec, theta, X, y) == reference_top1(spec, theta, X, y)
 
 
 def test_oracle_trained_model_separable_blobs():
@@ -411,6 +436,18 @@ def test_kernel_bit_identical_to_reference(spec, rows, seed, scales, batches):
     for step, (X, y, counts, n) in zip(steps, batches):
         want = _outcome(lambda: reference_loss_and_grad(spec, theta, X, y, counts, float(n)))
         assert _outcome(lambda: loss_and_grad(spec, theta, step, layers)) == want
+
+
+@pytest.mark.parametrize("spec", [MLP_TANH, ModelSpec("mlp", 1, 2, 3, "relu")])
+def test_one_row_weight_gradient_keeps_the_reference_zero_signs(spec):
+    # one canonical row makes the weight gradient a one-term sum per entry; with
+    # W2 and the rows at 1e-300 the hidden layer's terms underflow, and np.dot
+    # would give -0.0 where the reference's @ gives +0.0
+    scales = [1.0, 1.0, 1e-300, 1.0, 1e-300]
+    theta = scaled_params(spec, 0, scales)
+    (batch,), (step,) = gathered_batches(spec, 1, 0, scales[-1], 1)
+    want = _outcome(lambda: reference_loss_and_grad(spec, theta, *batch[:3], float(batch[3])))
+    assert _outcome(lambda: loss_and_grad(spec, theta, step, layer_views(spec, theta))) == want
 
 
 @settings(max_examples=200, deadline=None)
