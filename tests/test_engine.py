@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,15 +180,18 @@ class TestRunRound:
             assert len(metrics.sampled_clients) == cfg.sample_size
             assert len(set(metrics.sampled_clients)) == cfg.sample_size
 
-    def test_identical_shards_degeneracy(self):
+    @pytest.mark.parametrize("weighted_avg", [False, True], ids=["uniform", "weighted"])
+    def test_identical_shards_degeneracy(self, weighted_avg):
         # four clients holding byte-identical shards under fedavg: the
-        # aggregate equals the single-client trajectory
+        # aggregate equals the single-client trajectory, weighted or not
+        # (equal weights of 8 rows scale the fold by powers of two only)
         rows = np.random.default_rng(0).standard_normal((8, 8))
         labels = np.tile(np.arange(4), 2)
         feats = np.tile(rows, (4, 1))
         data = LabeledDataset(feats, np.tile(labels, 4), 4)
         plan = PartitionPlan([np.arange(i * 8, (i + 1) * 8) for i in range(4)])
-        cfg = mlp_config("fedavg", n_clients=4, sample_size=4, batch_size=8, local_epochs=1)
+        cfg = mlp_config("fedavg", n_clients=4, sample_size=4, batch_size=8, local_epochs=1,
+                         weighted_avg=weighted_avg)
         theta0 = init_params(cfg.model, derive_stream(cfg.seed, -1, -1))
         server = init_server_state(cfg, theta0)
         states = init_client_states(cfg, theta0)
@@ -196,6 +200,25 @@ class TestRunRound:
         _, g = batch_loss_and_grad(cfg.model, theta0, rows, labels)
         expected = theta0 - cfg.client_lr * g
         assert np.array_equal(new_server.global_params.values, expected)
+
+    def test_weighted_avg_folds_client_results_by_shard_size(self):
+        # an unequal-shard dirichlet round: the new global parameters are the
+        # shard-size-weighted mean of the same clients' results, byte for byte,
+        # and not the uniform mean
+        train, _ = small_task()
+        cfg = mlp_config(partition="dirichlet", alpha=0.3, weighted_avg=True)
+        server, states, plan = setup_run(cfg, train)
+        rplan = plan_round(plan, train, cfg, 0)
+        sampled, shards, schedule = rplan
+        assert len({len(shard) for shard in shards}) > 1
+        new_server, _, _ = run_round(server, states, rplan, cfg)
+        hp = cfg.hyperparams()
+        results = [methods.client_opt(cid, server, steps, len(shard), states[cid], hp, cfg)[0]
+                   for cid, shard, steps in zip(sampled, shards, schedule)]
+        weighted = methods.mean_params(results, weighted=True)
+        assert new_server.global_params.values.tobytes() == weighted.tobytes()
+        uniform, _, _ = run_round(server, states, rplan, replace(cfg, weighted_avg=False))
+        assert not np.array_equal(uniform.global_params.values, weighted)
 
     def test_mean_loss_fold_that_overflows_warns_of_nothing(self):
         # two one-row clients whose finite losses of 1.5e308 sum past the float
