@@ -7,8 +7,9 @@ pure function of its config.
 """
 from __future__ import annotations
 
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,12 +64,12 @@ class RunConfig:
     eval_every: int = 10
     weighted_avg: bool = False
 
-    def hyperparams(self) -> _m.HyperParams:
-        return _m.HyperParams.for_method(self.method, self.client_hparams)
-
     def validate(self):
-        if self.method not in _m.METHOD_NAMES:
-            raise ConfigError(f"unknown method '{self.method}'")
+        _m.hyperparams(self.method, self.client_hparams)  # the method, then its hyperparameters
+        for f in fields(self):  # the checks below compare numbers of the declared type
+            kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type, object)
+            if not isinstance(getattr(self, f.name), kind):
+                raise ConfigError(f"{f.name} must be a number of type {f.type}")
         if not (1 <= self.sample_size <= self.n_clients):
             raise ConfigError("need 1 <= sample_size <= n_clients")
         if self.rounds < 1 or self.local_epochs < 1:
@@ -89,7 +90,6 @@ class RunConfig:
             if self.n_clients < self.model.num_classes:
                 raise ConfigError("alpha=0 requires n_clients >= num_classes")
         self.model.validate()
-        self.hyperparams()
 
 
 @dataclass
@@ -195,7 +195,7 @@ def run_round(server: ServerState, states: list, rplan: tuple, cfg: RunConfig):
     returns (server', states', RoundMetrics). The one place a round sets NumPy's error
     state: it ignores overflow and invalid values around every client, kernel and fold."""
     t0 = time.perf_counter()
-    hp = cfg.hyperparams()
+    hp = _m.hyperparams(cfg.method, cfg.client_hparams)
     sampled, shards, schedule = rplan
 
     results = []

@@ -26,7 +26,7 @@ from .engine import (
     train_lockstep,
 )
 from .errors import ConfigError, DivergenceError, ParseError
-from .methods import METHOD_NAMES, METHODS
+from .methods import HPARAMS, METHOD_NAMES
 from .models import ModelSpec
 
 
@@ -87,8 +87,8 @@ _KEYS = {
     "data.test_fraction": (float, 1.0 / 6.0),
 }
 REQUIRED_RUN_KEYS = tuple(k for k, (_, default) in _KEYS.items() if default is None)
-# method hyperparameters: floats; absent ones take their method's default
-_HPARAM_KEYS = frozenset().union(*(m.hparams for m in METHODS.values()))
+# method hyperparameters: floats; absent ones take their methods.HPARAMS default
+_HPARAM_KEYS = frozenset(HPARAMS)
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 # sweep list key -> the run key its items set, in the order the lists are read;
 # a grid key grid.<method>.<hparam> is the axis for <hparam>, in <method>'s cells

@@ -5,7 +5,7 @@ theta <- theta - lr * d over the minibatches the engine scheduled for it.
 ``server_opt`` folds the client results in ascending client id into the
 next ``ServerState``. Inside a round every vector is a
 plain float64 array; client and server state are dicts of them by name. A
-method is one ``Method`` record in ``METHODS``: the hyperparameters it
+method is one ``Method`` record in ``METHODS``: the ``HPARAMS`` keys it
 accepts, the names of the client and server state it carries across
 rounds, its per-step direction d, and its end-of-round updates.
 """
@@ -19,39 +19,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .models import ParamVector, layer_views, loss_and_grad
-
-
-@dataclass(frozen=True)
-class HyperParams:
-    lam: float = 0.0  # fedprox proximal weight
-    beta: float = 0.0  # feddyn / fedsmoo dual weight
-    mu: float = 0.1  # fedcm momentum mixing
-    rho: float = 0.0  # SAM perturbation radius
-    gamma: float = 0.1  # fedspeed proximal weight
-    xi: float = 1e-12  # SAM zero-gradient guard
-
-    def validate(self):
-        if not np.isfinite((self.lam, self.beta, self.mu, self.rho, self.gamma, self.xi)).all():
-            raise ConfigError("hyperparameters must be finite")
-        if self.lam < 0 or self.beta < 0 or self.rho < 0 or self.gamma < 0:
-            raise ConfigError("lambda/beta/rho/gamma must be non-negative")
-        if not (0.0 <= self.mu <= 1.0):
-            raise ConfigError("mu must be in [0, 1]")
-        if self.xi <= 0:
-            raise ConfigError("xi must be positive")
-
-    @classmethod
-    def for_method(cls, method: str, values: dict) -> "HyperParams":
-        if method not in METHODS:
-            raise ConfigError(f"unknown method '{method}'")
-        allowed = METHODS[method].hparams
-        for key in values:
-            if key not in allowed:
-                raise ConfigError(f"hyperparameter '{key}' is illegal for {method}")
-        kwargs = {("lam" if k == "lambda" else k): float(v) for k, v in values.items()}
-        hp = cls(**kwargs)
-        hp.validate()
-        return hp
 
 
 @dataclass
@@ -70,7 +37,7 @@ class ClientRound:
     """What a method's functions see of one client's local round."""
 
     cfg: object  # RunConfig
-    hp: HyperParams
+    hp: dict  # the method's hyperparameters by key, see ``hyperparams``
     server: object  # the broadcast ServerState
     theta_r: np.ndarray  # broadcast parameters
     state: dict  # client state at round start, name -> ndarray
@@ -116,15 +83,25 @@ def _fedgamma_client(c, theta_f, steps, eps):
 
 
 def _fedsmoo_client(c, theta_f, steps, eps):
-    h = c.state["h"] - c.hp.beta * (theta_f - c.theta_r)
+    h = c.state["h"] - c.hp["beta"] * (theta_f - c.theta_r)
     u = c.state["u"] + (eps - c.server.state["global_perturb"])
     return {"h": h, "u": u}, eps
 
 
 def _fedsmoo_perturb(server, results, theta_new, hp, cfg):
     m_bar = np.add.reduce([r.aux for r in results], axis=0) / len(results)
-    return {"global_perturb": hp.rho * m_bar / (np.linalg.norm(m_bar) + hp.xi)}
+    return {"global_perturb": hp["rho"] * m_bar / (np.linalg.norm(m_bar) + hp["xi"])}
 
+
+# Every method hyperparameter: config key -> (default, lowest, highest value it may take)
+HPARAMS = {
+    "lambda": (0.0, 0.0, math.inf),  # fedprox proximal weight
+    "beta": (0.0, 0.0, math.inf),  # feddyn / fedsmoo dual weight
+    "mu": (0.1, 0.0, 1.0),  # fedcm momentum mixing
+    "rho": (0.0, 0.0, math.inf),  # SAM perturbation radius
+    "gamma": (0.1, 0.0, math.inf),  # fedspeed proximal weight
+    "xi": (1e-12, math.ulp(0.0), math.inf),  # SAM zero-gradient guard, > 0
+}
 
 _SAM_HPARAMS = frozenset({"rho", "xi"})
 
@@ -132,21 +109,21 @@ METHODS = {
     "fedavg": Method(),
     "fedprox": Method(
         hparams=frozenset({"lambda"}),
-        direction=lambda c, g, tv: g + c.hp.lam * (tv - c.theta_r),
+        direction=lambda c, g, tv: g + c.hp["lambda"] * (tv - c.theta_r),
     ),
     "feddyn": Method(
         hparams=frozenset({"beta"}),
         client_state=("h",),
-        direction=lambda c, g, tv: g - c.state["h"] + c.hp.beta * (tv - c.theta_r),
+        direction=lambda c, g, tv: g - c.state["h"] + c.hp["beta"] * (tv - c.theta_r),
         client_finish=lambda c, theta_f, steps, eps: (
-            {"h": c.state["h"] - c.hp.beta * (theta_f - c.theta_r)},
+            {"h": c.state["h"] - c.hp["beta"] * (theta_f - c.theta_r)},
             None,
         ),
     ),
     "fedcm": Method(
         hparams=frozenset({"mu"}),
         server_state=("momentum",),
-        direction=lambda c, g, tv: c.hp.mu * g + (1.0 - c.hp.mu) * c.server.state["momentum"],
+        direction=lambda c, g, tv: c.hp["mu"] * g + (1.0 - c.hp["mu"]) * c.server.state["momentum"],
         server_finish=_fedcm_momentum,
     ),
     "fedsam": Method(hparams=_SAM_HPARAMS, sam=True),
@@ -166,9 +143,9 @@ METHODS = {
         hparams=_SAM_HPARAMS | {"gamma"},
         client_state=("g_hat",),
         sam=True,
-        direction=lambda c, g, tv: g - c.state["g_hat"] + c.hp.gamma * (tv - c.theta_r),
+        direction=lambda c, g, tv: g - c.state["g_hat"] + c.hp["gamma"] * (tv - c.theta_r),
         client_finish=lambda c, theta_f, steps, eps: (
-            {"g_hat": c.state["g_hat"] - c.hp.gamma * (theta_f - c.theta_r)},
+            {"g_hat": c.state["g_hat"] - c.hp["gamma"] * (theta_f - c.theta_r)},
             None,
         ),
     ),
@@ -178,13 +155,33 @@ METHODS = {
         server_state=("global_perturb",),
         sam=True,
         perturb_shift=lambda c: c.server.state["global_perturb"] - c.state["u"],
-        direction=lambda c, g, tv: g - c.state["h"] + c.hp.beta * (tv - c.theta_r),
+        direction=lambda c, g, tv: g - c.state["h"] + c.hp["beta"] * (tv - c.theta_r),
         client_finish=_fedsmoo_client,
         server_finish=_fedsmoo_perturb,
     ),
 }
 
 METHOD_NAMES = tuple(METHODS)
+
+
+def hyperparams(method: str, values: dict) -> dict:
+    """Each of ``method``'s ``hparams`` as ``float(values[key])`` or its ``HPARAMS`` default."""
+    if method not in METHODS:
+        raise ConfigError(f"unknown method '{method}'")
+    hp = {key: row[0] for key, row in HPARAMS.items() if key in METHODS[method].hparams}
+    if illegal := [key for key in values if key not in hp]:
+        raise ConfigError(f"hyperparameter '{illegal[0]}' is illegal for {method}")
+    for key, value in values.items():
+        try:
+            hp[key] = float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"hyperparameter '{key}' must be a number") from None
+    if not all(map(math.isfinite, hp.values())):
+        raise ConfigError("hyperparameters must be finite")
+    for key, (_, low, high) in HPARAMS.items():
+        if key in hp and not low <= hp[key] <= high:
+            raise ConfigError(f"{key} must be in [{low:g}, {high:g}]")
+    return hp
 
 
 def client_opt(cid, server, steps, num_samples, state, hp, cfg):
@@ -219,7 +216,7 @@ def client_opt(cid, server, steps, num_samples, state, hp, cfg):
             if sq == math.inf and (top := np.abs(raw).max()) < math.inf:
                 raw = raw / top
                 sq = raw.dot(raw)
-            eps = hp.rho * raw / (math.sqrt(sq) + hp.xi / top)
+            eps = hp["rho"] * raw / (math.sqrt(sq) + hp["xi"] / top)
             g = loss_and_grad(spec, np.add(theta, eps, out=pert), step, pert_layers)[1]
         d = direction(c, g, theta)  # a new array, so scaled in place
         d *= lr
@@ -239,11 +236,12 @@ def client_opt(cid, server, steps, num_samples, state, hp, cfg):
 
 
 def mean_params(results, weighted: bool = False) -> np.ndarray:
-    """Fold of the results in the order given (uniform mean by default)."""
+    """Fold of the results in the order given (uniform mean by default); weighted,
+    each result's parameters times its row count, summed one after another."""
+    if weighted:  # sum adds in order; NumPy would sum a one-entry column pairwise
+        first, *rest = [float(r.num_samples) * r.final_params for r in results]
+        return sum(rest, first) / float(sum(r.num_samples for r in results))
     stack = np.stack([r.final_params for r in results])
-    if weighted:
-        w = np.array([r.num_samples for r in results], dtype=np.float64)
-        return (w[:, None] * stack).sum(axis=0) / w.sum()
     return np.add.reduce(stack, axis=0) / len(stack)  # np.mean's sum, without its dispatch
 
 

@@ -16,7 +16,9 @@ bit. ``reference_client_opt`` is ``flsim.methods.client_opt`` as written
 before it stepped one buffer in place: every step and every SAM perturbed
 point is a new vector, with layer views built for each kernel call.
 ``reference_top1`` is ``flsim.models.top1_accuracy`` with its forward pass
-written out, ``X @ W + b`` per layer, then ``np.argmax``. The references
+written out, ``X @ W + b`` per layer, then ``np.argmax``.
+``reference_weighted_mean`` is ``flsim.methods.mean_params(..., weighted=True)``
+as a fold in the order given. The references
 keep ``@`` for every product the package computes with ``np.dot``, and the
 tests require the same bytes of both.
 """
@@ -164,12 +166,12 @@ def reference_client_opt(cid, server, steps, num_samples, state, hp, cfg):
         loss, g = loss_and_grad(cfg.model, theta, step, layer_views(cfg.model, theta))
         if m.sam:
             raw = g if shift is None else g + shift
-            norm, xi = math.sqrt(raw.dot(raw)), hp.xi
+            norm, xi = math.sqrt(raw.dot(raw)), hp["xi"]
             top = np.abs(raw).max()
             if norm == math.inf and math.isfinite(top):  # scaled so the squares stay finite
-                raw, xi = raw / top, hp.xi / top
+                raw, xi = raw / top, hp["xi"] / top
                 norm = math.sqrt(raw.dot(raw))
-            eps = hp.rho * raw / (norm + xi)
+            eps = hp["rho"] * raw / (norm + xi)
             pert = theta + eps
             g = loss_and_grad(cfg.model, pert, step, layer_views(cfg.model, pert))[1]
         theta = theta - cfg.client_lr * m.direction(c, g, theta)
@@ -178,3 +180,12 @@ def reference_client_opt(cid, server, steps, num_samples, state, hp, cfg):
     mean_loss = float(np.add.reduce(losses) / len(losses))
     evals = len(losses) * (2 if m.sam else 1)
     return ClientResult(cid, theta, len(losses), mean_loss, evals, num_samples, aux), new_state
+
+
+def reference_weighted_mean(results):
+    """The results' parameters weighted by shard size, summed in the order given:
+    ``acc = w0 * theta0``, then ``acc = acc + wi * thetai``, over the weights' sum."""
+    acc = float(results[0].num_samples) * results[0].final_params
+    for r in results[1:]:
+        acc = acc + float(r.num_samples) * r.final_params
+    return acc / float(sum(r.num_samples for r in results))

@@ -212,7 +212,7 @@ class TestRunRound:
         sampled, shards, schedule = rplan
         assert len({len(shard) for shard in shards}) > 1
         new_server, _, _ = run_round(server, states, rplan, cfg)
-        hp = cfg.hyperparams()
+        hp = methods.hyperparams(cfg.method, cfg.client_hparams)
         results = [methods.client_opt(cid, server, steps, len(shard), states[cid], hp, cfg)[0]
                    for cid, shard, steps in zip(sampled, shards, schedule)]
         weighted = methods.mean_params(results, weighted=True)
@@ -284,6 +284,32 @@ class TestRunConfig:
     def test_seed_range_ends_accepted(self):
         for seed in (-(2**63), 2**63 - 1):
             mlp_config(seed=seed).validate()
+
+    NUMBER_FIELDS = ["n_clients", "sample_size", "rounds", "local_epochs", "batch_size",
+                     "client_lr", "alpha", "seed", "eval_every"]
+
+    @pytest.mark.parametrize("value", ["3", "0.1", None, [1], 1j])
+    @pytest.mark.parametrize("field", NUMBER_FIELDS)
+    def test_wrong_type_is_a_config_error_naming_the_field(self, field, value):
+        # a string or None once failed the range comparisons with a TypeError
+        cfg = mlp_config(**{"partition": "dirichlet", "alpha": 0.5, field: value})
+        with pytest.raises(ConfigError, match=f"^{field} must be a number"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("field", [f for f in NUMBER_FIELDS if f not in ("client_lr", "alpha")])
+    def test_float_in_an_int_field_is_a_config_error(self, field):
+        # validate once passed rounds=3.0, and training then failed on range(3.0)
+        cfg = mlp_config()
+        with pytest.raises(ConfigError, match=f"^{field} must be a number of type int"):
+            replace(cfg, **{field: float(getattr(cfg, field))}).validate()
+
+    @pytest.mark.parametrize("field", NUMBER_FIELDS)
+    def test_number_types_accepted(self, field):
+        # NumPy scalars are numbers too, and an int or a bool is a float value
+        cfg = mlp_config(partition="dirichlet", alpha=0.5)
+        value = getattr(cfg, field)
+        for kind in (np.int64,) if isinstance(value, int) else (np.float64, math.ceil, bool):
+            replace(cfg, **{field: kind(value)}).validate()
 
 
 class TestRunTraining:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,15 +18,16 @@ from flsim.engine import (
 )
 from flsim.errors import ConfigError, NumericalOverflowError
 from flsim.methods import (
+    HPARAMS,
     METHODS,
     ClientResult,
-    HyperParams,
     client_opt,
+    hyperparams,
     mean_params,
     server_opt,
 )
 from flsim.models import ModelSpec, batch_steps, param_count
-from oracle import block, one_step, reference_client_opt, round_errstate
+from oracle import block, one_step, reference_client_opt, reference_weighted_mean, round_errstate
 
 
 def run_probe(method, hparams, steps=1, theta0=1.0, lr=0.1, target=(0.0,)):
@@ -33,7 +36,7 @@ def run_probe(method, hparams, steps=1, theta0=1.0, lr=0.1, target=(0.0,)):
     theta_r = np.full(len(target), float(theta0))
     server = init_server_state(cfg, theta_r)
     (state,) = init_client_states(cfg, theta_r)
-    hp = HyperParams.for_method(method, hparams)
+    hp = hyperparams(method, hparams)
     rng = derive_stream(cfg.seed, 0, 0)
     _, (steps,) = round_schedule([np.arange(1)], [rng], probe_shard(1), cfg)
     result, new_state = client_opt(0, server, steps, 1, state, hp, cfg)
@@ -43,34 +46,85 @@ def run_probe(method, hparams, steps=1, theta0=1.0, lr=0.1, target=(0.0,)):
 class TestHyperParams:
     def test_illegal_key_rejected(self):
         with pytest.raises(ConfigError):
-            HyperParams.for_method("fedavg", {"rho": 0.1})
+            hyperparams("fedavg", {"rho": 0.1})
         with pytest.raises(ConfigError):
-            HyperParams.for_method("fedprox", {"mu": 0.5})
+            hyperparams("fedprox", {"mu": 0.5})
 
     def test_ranges(self):
         with pytest.raises(ConfigError):
-            HyperParams.for_method("fedprox", {"lambda": -1.0})
+            hyperparams("fedprox", {"lambda": -1.0})
         with pytest.raises(ConfigError):
-            HyperParams.for_method("fedcm", {"mu": 1.5})
+            hyperparams("fedcm", {"mu": 1.5})
         with pytest.raises(ConfigError):
-            HyperParams.for_method("fedsam", {"xi": 0.0})
+            hyperparams("fedsam", {"xi": 0.0})
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("key", ["lambda", "beta", "mu", "rho", "gamma", "xi"])
     def test_non_finite_rejected(self, key, value):
         method = next(m for m in sorted(METHODS) if key in METHODS[m].hparams)
         with pytest.raises(ConfigError, match="finite"):
-            HyperParams.for_method(method, {key: value})
+            hyperparams(method, {key: value})
 
     def test_defaults(self):
-        hp = HyperParams.for_method("fedspeed", {"rho": 0.01})
-        assert hp.gamma == 0.1 and hp.xi == 1e-12
+        hp = hyperparams("fedspeed", {"rho": 0.01})
+        assert hp["gamma"] == 0.1 and hp["xi"] == 1e-12
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_grid_values_accepted(self, method):
         for key in METHODS[method].hparams - {"xi"}:
             for v in (0.1, 0.01, 0.001):
-                HyperParams.for_method(method, {key: v})
+                hyperparams(method, {key: v})
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_defaults_are_exactly_the_methods_keys(self, method):
+        defaults = {"lambda": 0.0, "beta": 0.0, "mu": 0.1, "rho": 0.0, "gamma": 0.1, "xi": 1e-12}
+        hp = hyperparams(method, {})
+        assert hp.keys() == METHODS[method].hparams
+        assert hp == {key: defaults[key] for key in hp}
+
+    def test_every_table_row_is_a_methods_key(self):
+        assert set(HPARAMS) == set().union(*(m.hparams for m in METHODS.values()))
+
+    @pytest.mark.parametrize(
+        "method,key,value,accepted",
+        [
+            ("fedcm", "mu", 0.0, True),
+            ("fedcm", "mu", 1.0, True),
+            ("fedcm", "mu", math.nextafter(1.0, 2.0), False),
+            ("fedcm", "mu", -math.ulp(0.0), False),
+            ("fedsam", "xi", 0.0, False),
+            ("fedsam", "xi", -0.0, False),
+            ("fedsam", "xi", math.ulp(0.0), True),
+            ("fedprox", "lambda", -0.0, True),
+            ("fedprox", "lambda", -math.ulp(0.0), False),
+            ("feddyn", "beta", -math.ulp(0.0), False),
+            ("fedsam", "rho", -math.ulp(0.0), False),
+            ("fedspeed", "gamma", -math.ulp(0.0), False),
+            ("fedspeed", "gamma", 1e308, True),
+        ],
+    )
+    def test_bound_edges(self, method, key, value, accepted):
+        if accepted:
+            assert hyperparams(method, {key: value})[key] == value
+        else:
+            with pytest.raises(ConfigError, match=f"^{key} must be in"):
+                hyperparams(method, {key: value})
+
+    @pytest.mark.parametrize("value", ["abc", "", None, [1], {}, 1j, 10**400])
+    @pytest.mark.parametrize("key", sorted(HPARAMS))
+    def test_value_float_cannot_take_is_a_config_error_naming_the_key(self, key, value):
+        # once a ValueError, TypeError or OverflowError from float() that
+        # escaped RunConfig.validate, and so run_training and train_lockstep
+        method = next(m for m in sorted(METHODS) if key in METHODS[m].hparams)
+        cfg = probe_config(method, client_hparams={key: value})
+        with pytest.raises(ConfigError, match=f"^hyperparameter '{key}' must be a number"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("value,want", [("0.1", 0.1), (True, 1.0), (np.float32(0.5), 0.5)])
+    def test_values_float_takes_are_accepted(self, value, want):
+        cfg = probe_config("fedcm", client_hparams={"mu": value})
+        cfg.validate()
+        assert hyperparams("fedcm", cfg.client_hparams) == {"mu": want}
 
 
 class TestFedAvg:
@@ -233,7 +287,7 @@ class TestAggregation:
             results = [self.make_result(i, rng.standard_normal(2)) for i in range(7)]
             for r in results:
                 r.aux = rng.standard_normal(2)
-            hp = cfg.hyperparams()
+            hp = hyperparams(cfg.method, cfg.client_hparams)
             a = server_opt(server, results, hp, cfg)
             b = server_opt(server, list(reversed(results)), hp, cfg)
             assert a.state.keys() == b.state.keys()
@@ -269,8 +323,9 @@ def test_sam_perturbation_keeps_its_length_when_its_squares_overflow():
     server = init_server_state(cfg, theta)
     (state,) = init_client_states(cfg, theta)
     step = one_step(spec, np.full((1, 2), 5e307), np.array([0]), np.ones(1), 1)
+    hp = hyperparams(cfg.method, cfg.client_hparams)
     with round_errstate():
-        result, _ = client_opt(0, server, [step], 1, state, cfg.hyperparams(), cfg)
+        result, _ = client_opt(0, server, [step], 1, state, hp, cfg)
     assert np.linalg.norm(result.aux) == pytest.approx(0.05, rel=1e-12)
 
 
@@ -327,7 +382,7 @@ def client_rounds(draw, method):
     size, state_scale = len(theta_r), min(scales[5], 1e300)  # a normal draw stays finite
     server.state = {k: rng.standard_normal(size) * state_scale for k in server.state}
     state = {k: rng.standard_normal(size) * state_scale for k in METHODS[method].client_state}
-    return 3, server, steps, 7, state, cfg.hyperparams(), cfg
+    return 3, server, steps, 7, state, hyperparams(cfg.method, cfg.client_hparams), cfg
 
 
 def _bytes(v):
@@ -388,7 +443,7 @@ def test_client_opt_bit_identical_to_functional_loop(method, data):
 def test_per_round_means_are_np_mean_bytes(stack, specials):
     # mean_params, fedsmoo's mean perturbation and run_round's mean train loss
     # reduce as np.mean does, for any count of rows, inf and nan included
-    (n, size), hp = stack.shape, HyperParams.for_method("fedsmoo", {"rho": 0.5})
+    (n, size), hp = stack.shape, hyperparams("fedsmoo", {"rho": 0.5})
     for i, j, value in specials:
         stack[i % n, j % size] = value
     results = [ClientResult(i, row, 1, float(row[0]), 1, 1, aux=row) for i, row in enumerate(stack)]
@@ -398,7 +453,7 @@ def test_per_round_means_are_np_mean_bytes(stack, specials):
         want = np.mean(stack, axis=0)
         assert _bytes(mean_params(results)) == _bytes(want)
         perturb = methods._fedsmoo_perturb(server, results, None, hp, cfg)["global_perturb"]
-        assert _bytes(perturb) == _bytes(hp.rho * want / (np.linalg.norm(want) + hp.xi))
+        assert _bytes(perturb) == _bytes(hp["rho"] * want / (np.linalg.norm(want) + hp["xi"]))
         # each client reports its row's first entry as its loss and keeps theta
         mp.setattr(methods, "client_opt", lambda cid, server, *_: (
             ClientResult(cid, server.global_params.values, 1, results[cid].mean_loss, 1, 1), {}
@@ -407,3 +462,23 @@ def test_per_round_means_are_np_mean_bytes(stack, specials):
         metrics = run_round(server, [{}] * n, rplan, cfg)[2]
         want_loss = np.mean([r.mean_loss for r in results])
     assert _bytes(metrics.mean_train_loss) == _bytes(want_loss)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stack=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 40), st.integers(1, 6)),
+        elements=st.floats(-1.0, 1.0),
+        fill=st.nothing(),  # every entry drawn, so the order of the sum shows
+    ),
+    scale=SCALES,
+    sizes=st.lists(st.integers(1, 10**6), min_size=40, max_size=40),
+)
+def test_weighted_mean_is_the_in_order_fold(stack, scale, sizes):
+    # no golden run trains with weighted_avg, so the weighted fold is pinned
+    # here, byte for byte, to the shard-size-weighted sum in ascending order
+    results = [ClientResult(i, row * scale, 1, 0.0, 1, size)
+               for i, (row, size) in enumerate(zip(stack, sizes))]
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e308 rows may overflow alike
+        assert _bytes(mean_params(results, weighted=True)) == _bytes(reference_weighted_mean(results))
