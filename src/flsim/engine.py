@@ -7,16 +7,15 @@ pure function of its config.
 """
 from __future__ import annotations
 
-import numbers
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import methods as _m
 from .data import IID, LabeledDataset, PartitionPlan, partition_dirichlet, partition_iid
-from .errors import ConfigError, DivergenceError, NumericalOverflowError
+from .errors import ConfigError, DivergenceError, NumericalOverflowError, check_field_types
 from .models import ModelSpec, ParamVector, batch_steps, canonical_rows, init_params, top1_accuracy
 
 # reserved stream channels (client_id slot for server-side draws,
@@ -65,11 +64,8 @@ class RunConfig:
     weighted_avg: bool = False
 
     def validate(self):
+        check_field_types(self)  # before the checks below compare the values
         _m.hyperparams(self.method, self.client_hparams)  # the method, then its hyperparameters
-        for f in fields(self):  # the checks below compare numbers of the declared type
-            kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type, object)
-            if not isinstance(getattr(self, f.name), kind):
-                raise ConfigError(f"{f.name} must be a number of type {f.type}")
         if not (1 <= self.sample_size <= self.n_clients):
             raise ConfigError("need 1 <= sample_size <= n_clients")
         if self.rounds < 1 or self.local_epochs < 1:

@@ -1,4 +1,11 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the configs' field-type check."""
+import numbers
+from collections.abc import Mapping
+from dataclasses import fields
+
+# annotation -> the type a field's value must have; NumPy scalars and bools are numbers.
+# The config modules import annotations from __future__, so an annotation is its text
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "tuple": tuple, "dict": Mapping}
 
 
 class FLSimError(Exception):
@@ -46,3 +53,11 @@ class DivergenceError(FLSimError):
         self.method = method
         self.round_idx = round_idx
         self.metrics = metrics if metrics is not None else []
+
+
+def check_field_types(config):
+    """Raise ConfigError naming the first field of dataclass ``config`` not of its declared type."""
+    for f in fields(config):
+        if not isinstance(getattr(config, f.name), _FIELD_TYPES.get(f.type, object)):
+            kind = f"a number of type {f.type}" if f.type in ("int", "float") else f"a {f.type}"
+            raise ConfigError(f"{f.name} must be {kind}")

@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,11 +54,6 @@ METRICS_FIELDS = {
     "grad_evals": ("grad_evals", _is_nonneg_int),
     "upd_norm": ("update_norm", _is_number),
 }
-RUNS_HEADER = (
-    "method,hparams,partition,seed,best_top1,best_round,"
-    "time_per_round,grad_evals_per_round,status"
-)
-
 REQUIRED_SWEEP_KEYS = ("methods", "rounds", "seeds")
 
 # Config key -> (type, value when absent; None if a run requires it).
@@ -136,17 +132,18 @@ class SweepSpec:
         return self.cells[0][0]
 
 
-@dataclass
-class SummaryRow:
+class SummaryRow(NamedTuple):
+    """A runs.csv or summary.csv row, its fields the columns; sweep.csv has no seed."""
+
     method: str
     hparams: str
     partition: str
+    seed: int | None
     best_top1: float
     best_round: int
-    mean_time_per_round: float
-    mean_grad_evals_per_round: float
+    time_per_round: float
+    grad_evals_per_round: float
     status: str
-    seed: int | None = None
 
 
 def _split_pairs(text: str):
@@ -292,17 +289,14 @@ def parse_config(text: str):
     return SweepSpec(sorted(cells, key=_cell_order))
 
 
-def _hparams_label(cfg: RunConfig) -> str:
+def _labels(cfg: RunConfig | None) -> tuple:
+    """A run's method, hparams, partition and seed columns; None: no config.txt."""
+    if cfg is None:
+        return "unknown", "-", "-", None
     hp = cfg.client_hparams
-    if not hp:
-        return "-"
-    return ";".join(f"{k}={hp[k]:g}" for k in sorted(hp))
-
-
-def _partition_label(cfg: RunConfig) -> str:
-    if cfg.partition == IID:
-        return IID
-    return f"dirichlet({cfg.alpha:g})"
+    hparams = ";".join(f"{k}={hp[k]:g}" for k in sorted(hp)) or "-"
+    partition = IID if cfg.partition == IID else f"dirichlet({cfg.alpha:g})"
+    return cfg.method, hparams, partition, cfg.seed
 
 
 def make_dataset(exp: ExperimentConfig):
@@ -398,6 +392,8 @@ def run_experiment(exp: ExperimentConfig, out_dir):
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return "-"
     if isinstance(x, float):
         return f"{x:.6g}"  # nan, -nan and np.float64 nan all print nan
     return str(x)
@@ -405,14 +401,9 @@ def _fmt(x) -> str:
 
 def format_rows(rows, with_seed=True) -> str:
     """The header, then one CSV line per row; sweep.csv's cell means have no seed."""
-    out = (RUNS_HEADER if with_seed else RUNS_HEADER.replace("seed,", "")) + "\n"
-    for row in rows:
-        seed = ["-" if row.seed is None else str(row.seed)] if with_seed else []
-        fields = [row.method, row.hparams, row.partition, *seed, _fmt(row.best_top1)]
-        fields += [str(row.best_round), _fmt(row.mean_time_per_round)]
-        fields += [_fmt(row.mean_grad_evals_per_round), row.status]
-        out += ",".join(fields) + "\n"
-    return out
+    names = [name for name in SummaryRow._fields if with_seed or name != "seed"]
+    lines = [names] + [[_fmt(getattr(row, name)) for name in names] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 def _write_rows(path, rows, with_seed=True):
@@ -427,21 +418,24 @@ def _run_dir(cfg: RunConfig) -> str:
     return f"{tag}_s{cfg.seed}"
 
 
-def _cell_row(rows) -> SummaryRow:
-    """A sweep.csv row: the means over one cell's seeds."""
-    completed = [r for r in rows if r.status == "completed"]
-    return SummaryRow(
-        method=rows[0].method,
-        hparams=rows[0].hparams,
-        partition=rows[0].partition,
-        best_top1=float(np.mean([r.best_top1 for r in completed])) if completed else math.nan,
-        best_round=int(round(np.mean([r.best_round for r in completed])))
-        if completed
-        else -1,
-        mean_time_per_round=float(np.mean([r.mean_time_per_round for r in rows])),
-        mean_grad_evals_per_round=float(np.mean([r.mean_grad_evals_per_round for r in rows])),
-        status="completed" if len(completed) == len(rows) else "diverged",
-    )
+def cell_means(run_rows) -> list:
+    """sweep.csv: a row per (method, hparams, partition) cell of ``run_rows``,
+    cells in the order they first appear, each with the means over its runs."""
+    cells = {}
+    for row in run_rows:
+        cells.setdefault(row[:3], []).append(row)  # (method, hparams, partition)
+    out = []
+    for key, rows in cells.items():
+        done = [r for r in rows if r.status == "completed"]
+        out.append(SummaryRow(
+            *key, seed=None,
+            best_top1=float(np.mean([r.best_top1 for r in done])) if done else math.nan,
+            best_round=int(round(np.mean([r.best_round for r in done]))) if done else -1,
+            time_per_round=float(np.mean([r.time_per_round for r in rows])),
+            grad_evals_per_round=float(np.mean([r.grad_evals_per_round for r in rows])),
+            status="completed" if len(done) == len(rows) else "diverged",
+        ))
+    return out
 
 
 def run_sweep(spec: SweepSpec, out_dir):
@@ -451,14 +445,17 @@ def run_sweep(spec: SweepSpec, out_dir):
     runs train and write as ``run_experiment``'s do: nothing is written
     before every run has trained, so no ConfigError leaves a directory.
     """
+    if not spec.cells or not all(spec.cells):
+        raise ConfigError("a sweep needs at least one cell, and a run in every cell")
     exps = [exp for cell in spec.cells for exp in cell]
     for exp in exps:
         _check_readback(exp)
-    seeds = len(spec.cells[0])
+    lo, hi = min(map(len, spec.cells)), max(map(len, spec.cells))
+    seeds = lo if lo == hi else f"{lo}-{hi}"  # a SweepSpec built in Python may differ
     print(f"sweep: {len(spec.cells)} cells x {seeds} seeds = {len(exps)} runs")
     run_dirs = [os.path.join(out_dir, "runs", _run_dir(exp.run)) for exp in exps]
     run_rows = [row for _, row in _run(exps, run_dirs)]
-    sweep_rows = [_cell_row(run_rows[i : i + seeds]) for i in range(0, len(exps), seeds)]
+    sweep_rows = cell_means(run_rows)
     _write_rows(os.path.join(out_dir, "runs.csv"), run_rows)
     _write_rows(os.path.join(out_dir, "sweep.csv"), sweep_rows, with_seed=False)
     return sweep_rows, run_rows
@@ -530,18 +527,8 @@ def summarize(metrics_files, errors: list | None = None):
                 raise ConfigError(f"{path}: metrics contain no evaluated rounds")
             else:
                 status = "unknown" if cfg is None else "completed"
-            row = SummaryRow(
-                method=cfg.method if cfg else "unknown",
-                hparams=_hparams_label(cfg) if cfg else "-",
-                partition=_partition_label(cfg) if cfg else "-",
-                best_top1=best,
-                best_round=best_round,
-                mean_time_per_round=_mean(records, "dt"),
-                mean_grad_evals_per_round=_mean(records, "grad_evals"),
-                status=status,
-                seed=cfg.seed if cfg else None,
-            )
-            rows.append(row)
+            means = _mean(records, "dt"), _mean(records, "grad_evals")
+            rows.append(SummaryRow(*_labels(cfg), best, best_round, *means, status))
         except (ConfigError, OSError) as exc:
             if errors is None:
                 raise

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericalOverflowError, UnsupportedOperationError
+from .errors import (ConfigError, NumericalOverflowError, UnsupportedOperationError,
+                     check_field_types)
 
 MODEL_KINDS = ("linear", "mlp", "quadratic_probe")
 ACTIVATIONS = ("relu", "tanh")
@@ -39,6 +40,7 @@ class ModelSpec:
     probe_target: tuple = ()
 
     def validate(self):
+        check_field_types(self)
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind '{self.kind}'")
         if self.kind == "quadratic_probe":

@@ -311,6 +311,36 @@ class TestRunConfig:
         for kind in (np.int64,) if isinstance(value, int) else (np.float64, math.ceil, bool):
             replace(cfg, **{field: kind(value)}).validate()
 
+    @pytest.mark.parametrize(
+        "field,model",
+        [
+            ("input_dim", ModelSpec("linear", input_dim="3", num_classes=10)),
+            ("hidden_dim", ModelSpec("mlp", input_dim=3, num_classes=10, hidden_dim=None)),
+            ("probe_target", ModelSpec("quadratic_probe", probe_target=5)),
+            ("num_classes", ModelSpec("linear", input_dim=3, num_classes=2.5)),
+            ("input_dim", ModelSpec("linear", input_dim=3.0, num_classes=10)),
+        ],
+    )
+    def test_wrong_model_field_type_is_a_config_error_naming_the_field(self, field, model):
+        # the first three once failed validate with a TypeError; the floats passed
+        # it, and training then failed on np.zeros with a TypeError
+        for check in (model.validate, mlp_config(model=model).validate):
+            with pytest.raises(ConfigError, match=f"^{field} must be a"):
+                check()
+        with pytest.raises(ConfigError, match=f"^{field} must be a"):
+            run_training(mlp_config(model=model, rounds=1), *small_task())
+
+    def test_model_number_types_accepted(self):
+        spec = ModelSpec("mlp", input_dim=np.int64(3), num_classes=np.int64(10), hidden_dim=True)
+        spec.validate()
+        mlp_config(model=ModelSpec("linear", input_dim=True, num_classes=np.int32(2))).validate()
+
+    @pytest.mark.parametrize("value", [None, [], (), "lambda", 0.1])
+    def test_client_hparams_not_a_dict_is_a_config_error(self, value):
+        # None once raised a TypeError and [] an AttributeError from methods.hyperparams
+        with pytest.raises(ConfigError, match="^client_hparams must be a dict"):
+            mlp_config("fedprox", client_hparams=value).validate()
+
 
 class TestRunTraining:
     @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import warnings
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from flsim.harness import (
     _config_pairs,
     _run_dir,
     ExperimentConfig,
+    SummaryRow,
     SweepSpec,
     export_curves,
     make_dataset,
@@ -225,6 +227,22 @@ def small_sweep_documents(draw):
             values = draw(st.lists(MAGNITUDES, min_size=1, max_size=2, unique=True))
             doc[f"grid.{method}.{key}"] = ",".join(values)
     return as_document({**doc, **draw(shared_keys())})
+
+
+# runs.csv rows of a few cells, so that cells repeat, interleave and differ in
+# run count; a diverged run's best top-1 may be nan
+summary_rows = st.builds(
+    SummaryRow,
+    method=st.sampled_from(["fedavg", "fedprox"]),
+    hparams=st.sampled_from(["-", "lambda=0.1", "lambda=1e+50"]),
+    partition=st.sampled_from(["iid", "dirichlet(0.3)"]),
+    seed=st.integers(0, 9),
+    best_top1=st.one_of(st.floats(0, 1), st.just(math.nan)),
+    best_round=st.integers(-1, 100),
+    time_per_round=st.floats(0, 10),
+    grad_evals_per_round=st.floats(0, 1000),
+    status=st.sampled_from(["completed", "diverged"]),
+)
 
 
 def mixed_base(method):
@@ -791,22 +809,93 @@ class TestSweep:
         assert len(rows) == 6
         assert all(r.status == "diverged" for r in rows)
 
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(summary_rows, max_size=30))
+    def test_cell_means_is_a_row_per_cell_in_first_appearance_order(self, rows):
+        keys = []
+        for r in rows:
+            if (r.method, r.hparams, r.partition) not in keys:
+                keys.append((r.method, r.hparams, r.partition))
+        expected = []
+        for key in keys:
+            cell = [r for r in rows if (r.method, r.hparams, r.partition) == key]
+            done = [r for r in cell if r.status == "completed"]
+            expected.append(SummaryRow(
+                *key,
+                seed=None,
+                best_top1=float(np.mean([r.best_top1 for r in done])) if done else math.nan,
+                best_round=int(round(np.mean([r.best_round for r in done]))) if done else -1,
+                time_per_round=float(np.mean([r.time_per_round for r in cell])),
+                grad_evals_per_round=float(np.mean([r.grad_evals_per_round for r in cell])),
+                status="diverged" if len(done) < len(cell) else "completed",
+            ))
+        got = harness.cell_means(rows)
+        assert repr(got) == repr(expected)  # repr: nan equals nan
+        assert harness.format_rows(got, with_seed=False) == harness.format_rows(
+            expected, with_seed=False
+        )
+
+    @pytest.mark.parametrize(
+        "layout,banner",
+        [
+            ([[0], [2, 3]], "2 cells x 1-2 seeds = 3 runs"),
+            ([[0], [2], [1], [3]], "4 cells x 1 seeds = 4 runs"),
+        ],
+        ids=["unequal", "interleaved"],
+    )
+    def test_one_sweep_row_per_cell_of_a_python_sweep_spec(self, tmp_path, capsys, layout, banner):
+        # a SweepSpec built in Python may hold cells of unequal length, or split
+        # a cell's runs over cells; sweep.csv still has a row per cell, the means
+        # over however many runs it has (it once cut the runs into equal slices)
+        text = "methods = fedavg,fedprox\nseeds = 1,2\nrounds = 2\nn_clients = 10\n"
+        text += "sample_size = 4\ndata.per_class = 30\neval_every = 1\n"
+        full = parse_config(text)  # cells: fedavg seeds 1, 2; fedprox seeds 1, 2
+        exps = [exp for cell in full.cells for exp in cell]
+        spec = SweepSpec([[exps[i] for i in cell] for cell in layout])
+        capsys.readouterr()
+        rows, run_rows = run_sweep(spec, tmp_path / "s")
+        assert [(r.method, r.hparams, r.partition) for r in rows] == [
+            ("fedavg", "-", "iid"), ("fedprox", "-", "iid"),
+        ]
+        assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 3
+        assert capsys.readouterr().out == f"sweep: {banner}\n"
+        for row in rows:
+            cell = [r for r in run_rows if r.method == row.method]
+            assert row.best_top1 == np.mean([r.best_top1 for r in cell])
+            assert row.grad_evals_per_round == np.mean([r.grad_evals_per_round for r in cell])
+        assert_sweep_equals_lone_runs(spec, tmp_path / "s", tmp_path / "lone")
+        if len(layout) == 4:  # each cell's runs in the order the full sweep has them
+            run_sweep(full, tmp_path / "full")
+            assert strip_time_cols(tmp_path / "s" / "sweep.csv") == strip_time_cols(
+                tmp_path / "full" / "sweep.csv"
+            )
+
+    @pytest.mark.parametrize(
+        "layout", [[], [[]], [[0], []]], ids=["no-cells", "empty", "one-empty"]
+    )
+    def test_sweep_spec_without_runs_is_a_config_error(self, tmp_path, layout):
+        # no cells once raised an IndexError, and an empty cell a ValueError
+        exp = parse_config(RUN_TEXT)
+        spec = SweepSpec([[exp for _ in cell] for cell in layout])
+        with pytest.raises(ConfigError, match="a sweep needs at least one cell"):
+            run_sweep(spec, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
+
 
 def assert_sweep_equals_lone_runs(spec, swept, lone):
     """Every file of the sweep in ``swept`` equals each run alone through
     run_experiment, written under ``lone``, apart from wall times."""
-    cell_rows = []
+    run_rows = []
     for cell in spec.cells:
-        cell_rows.append([])
         for exp in cell:
             name = _run_dir(exp.run)
-            cell_rows[-1].append(run_experiment(exp, lone / name)[1])  # own dataset and plan
+            run_rows.append(run_experiment(exp, lone / name)[1])  # own dataset and plan
             run, alone = swept / "runs" / name, lone / name
             assert strip_dt(run / "metrics.jsonl") == strip_dt(alone / "metrics.jsonl")
             assert (run / "config.txt").read_bytes() == (alone / "config.txt").read_bytes()
             assert strip_time_cols(run / "summary.csv") == strip_time_cols(alone / "summary.csv")
-    (lone / "runs.csv").write_text(harness.format_rows([r for rows in cell_rows for r in rows]))
-    sweep_rows = [harness._cell_row(rows) for rows in cell_rows]
+    (lone / "runs.csv").write_text(harness.format_rows(run_rows))
+    sweep_rows = harness.cell_means(run_rows)
     (lone / "sweep.csv").write_text(harness.format_rows(sweep_rows, with_seed=False))
     for name in ("runs.csv", "sweep.csv"):
         assert strip_time_cols(swept / name) == strip_time_cols(lone / name)
