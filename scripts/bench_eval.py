@@ -195,8 +195,7 @@ def plans_per_sweep(flsim, seed) -> int:
 def sweep_us(flsim, seed, repeat):
     """Run id -> (µs per evaluation, evaluations) for each run of sweep_c7."""
     h = flsim.harness
-    runs = [exp for cell in h.parse_config(WORKLOADS["sweep_c7"].config_text(seed)).cells
-            for exp in cell]
+    runs = h.parse_config(WORKLOADS["sweep_c7"].config_text(seed)).runs
     train, test = h.make_dataset(runs[0])
     out = {}
     for exp in runs:

@@ -65,6 +65,8 @@ class RunConfig:
 
     def validate(self):
         check_field_types(self)  # before the checks below compare the values
+        if not isinstance(self.model, ModelSpec):
+            raise ConfigError("model must be a ModelSpec")
         _m.hyperparams(self.method, self.client_hparams)  # the method, then its hyperparameters
         if not (1 <= self.sample_size <= self.n_clients):
             raise ConfigError("need 1 <= sample_size <= n_clients")

@@ -3,9 +3,12 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import fields
 
-# annotation -> the type a field's value must have; NumPy scalars and bools are numbers.
-# The config modules import annotations from __future__, so an annotation is its text
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "tuple": tuple, "dict": Mapping}
+import numpy as np
+
+# annotation (its text: the config modules import annotations from __future__) -> the type
+# a field's value must have; NumPy scalars and bools are numbers, and a NumPy bool is a bool
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "tuple": tuple, "dict": Mapping,
+                "str": str, "bool": (bool, np.bool_)}
 
 
 class FLSimError(Exception):

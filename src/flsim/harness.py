@@ -11,7 +11,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -122,14 +123,30 @@ class ExperimentConfig:
 
 @dataclass
 class SweepSpec:
-    """A sweep's validated runs: per cell, in table order, one config per seed."""
+    """A sweep's runs, checked when built; cells in table order, runs in listed-seed order.
+    A cell is a sweep.csv row's (method, hparams, partition): one config, distinct seeds."""
 
-    cells: list  # list of [ExperimentConfig for each seed]
+    runs: list  # of ExperimentConfig
+
+    def __post_init__(self):
+        if not self.runs or not all(isinstance(exp, ExperimentConfig) for exp in self.runs):
+            raise ConfigError("a sweep needs at least one run, and every run an ExperimentConfig")
+        names, cells = set(), {}
+        for exp in self.runs:
+            _check_readback(exp)
+            name = _run_dir(exp.run)
+            if name in names:  # values that print alike share a run directory
+                raise ParseError(f"duplicate value: two runs would write runs/{name}")
+            names.add(name)
+            first = cells.setdefault(_labels(exp.run)[:3], exp)
+            if replace(exp, run=replace(exp.run, seed=first.run.seed)) != first:
+                pair = f"runs/{_run_dir(first.run)} and runs/{name}"
+                raise ConfigError(f"{pair} share a cell but differ in more than the seed")
 
     @property
     def base(self) -> ExperimentConfig:
         """The first run: the first cell under the first listed seed."""
-        return self.cells[0][0]
+        return self.runs[0]
 
 
 class SummaryRow(NamedTuple):
@@ -225,9 +242,9 @@ def _build_run(pairs):
     return exp
 
 
-def _cell_order(cell):
+def _cell_order(exp):
     """Method table order, hparam values descending (Table-2 style), iid first."""
-    cfg = cell[0].run
+    cfg = exp.run
     hp = cfg.client_hparams
     values = tuple(-hp[k] for k in sorted(hp))
     return (_METHOD_ORDER[cfg.method], values, cfg.partition != IID, cfg.alpha)
@@ -275,18 +292,10 @@ def parse_config(text: str):
         values = _axis(key, val, lines[key], gk)
         grid[gm] = [{**point, **value} for point in grid[gm] for value in values]
 
-    cells, names = [], set()
-    for method in axes["methods"]:
-        for point in grid[method["method"]]:
-            for part in axes["partitions"]:
-                cell = {**pairs, **method, **point, **part}
-                cells.append([_build_run({**cell, **seed}) for seed in axes["seeds"]])
-                for exp in cells[-1]:  # values that print alike share a run directory
-                    name = _run_dir(exp.run)
-                    if name in names:
-                        raise ParseError(f"duplicate value: two runs would write runs/{name}")
-                    names.add(name)
-    return SweepSpec(sorted(cells, key=_cell_order))
+    runs = [_build_run({**pairs, **method, **point, **part, **seed})
+            for method in axes["methods"] for point in grid[method["method"]]
+            for part in axes["partitions"] for seed in axes["seeds"]]
+    return SweepSpec(sorted(runs, key=_cell_order))  # stable: seeds keep their listed order
 
 
 def _labels(cfg: RunConfig | None) -> tuple:
@@ -439,22 +448,18 @@ def cell_means(run_rows) -> list:
 
 
 def run_sweep(spec: SweepSpec, out_dir):
-    """Run every (cell, seed) of the sweep and write runs.csv + sweep.csv.
+    """Run every run of the sweep and write runs.csv + sweep.csv.
 
-    Every run's config is checked to read back before any training, and the
-    runs train and write as ``run_experiment``'s do: nothing is written
-    before every run has trained, so no ConfigError leaves a directory.
+    The runs were checked when ``spec`` was built, and they train and write
+    as ``run_experiment``'s do: nothing is written before every run has
+    trained, so no ConfigError leaves a directory.
     """
-    if not spec.cells or not all(spec.cells):
-        raise ConfigError("a sweep needs at least one cell, and a run in every cell")
-    exps = [exp for cell in spec.cells for exp in cell]
-    for exp in exps:
-        _check_readback(exp)
-    lo, hi = min(map(len, spec.cells)), max(map(len, spec.cells))
+    counts = Counter(_labels(exp.run)[:3] for exp in spec.runs).values()  # runs per cell
+    lo, hi = min(counts), max(counts)
     seeds = lo if lo == hi else f"{lo}-{hi}"  # a SweepSpec built in Python may differ
-    print(f"sweep: {len(spec.cells)} cells x {seeds} seeds = {len(exps)} runs")
-    run_dirs = [os.path.join(out_dir, "runs", _run_dir(exp.run)) for exp in exps]
-    run_rows = [row for _, row in _run(exps, run_dirs)]
+    print(f"sweep: {len(counts)} cells x {seeds} seeds = {len(spec.runs)} runs")
+    run_dirs = [os.path.join(out_dir, "runs", _run_dir(exp.run)) for exp in spec.runs]
+    run_rows = [row for _, row in _run(spec.runs, run_dirs)]
     sweep_rows = cell_means(run_rows)
     _write_rows(os.path.join(out_dir, "runs.csv"), run_rows)
     _write_rows(os.path.join(out_dir, "sweep.csv"), sweep_rows, with_seed=False)

@@ -341,6 +341,31 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="^client_hparams must be a dict"):
             mlp_config("fedprox", client_hparams=value).validate()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("method", []), ("method", None), ("partition", None), ("partition", 0),
+            ("weighted_avg", "no"), ("weighted_avg", 1), ("weighted_avg", None),
+            ("model", "linear"), ("model", None), ("kind", 3), ("activation", None),
+        ],
+    )
+    def test_wrong_str_bool_or_model_is_a_config_error_naming_the_field(self, field, value):
+        # method=[] once failed validate with a TypeError and model="linear" with
+        # an AttributeError; weighted_avg="no", a truthy string, trained weighted
+        cfg = mlp_config(rounds=1)
+        if field in ("kind", "activation"):
+            cfg = replace(cfg, model=replace(cfg.model, **{field: value}))
+        else:
+            cfg = replace(cfg, **{field: value})
+        for check in (cfg.validate, lambda: run_training(cfg, *small_task())):
+            with pytest.raises(ConfigError, match=f"^{field} must be a"):
+                check()
+
+    def test_numpy_str_and_bool_accepted(self):
+        model = replace(MLP_SPEC, kind=np.str_("mlp"), activation=np.str_("tanh"))
+        for flag in (np.True_, np.False_, True):
+            mlp_config(np.str_("fedavg"), model=model, weighted_avg=flag).validate()
+
 
 class TestRunTraining:
     @pytest.mark.parametrize(

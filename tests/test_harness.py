@@ -61,6 +61,21 @@ data.per_class = 30
 eval_every = 2
 """
 
+# a one-round fedavg run, and a 4-cell, 2-seed sweep of such runs, for SweepSpecs built in Python
+PY_SPEC_RUN = """
+method = fedavg
+seed = 1
+rounds = 1
+n_clients = 10
+sample_size = 4
+data.per_class = 30
+eval_every = 1
+"""
+PY_SPEC_SWEEP = parse_config(
+    PY_SPEC_RUN.replace("method = fedavg", "methods = fedavg,fedprox")
+    .replace("seed = 1", "seeds = 1,2\npartitions = iid,dirichlet:0")
+)
+
 
 DIVERGE_EXTRA = "client_lr = 1e160\nmodel.kind = mlp\nmodel.hidden_dim = 8\n"
 # with eval_every = 1: diverges in round 1 (its update norm overflows), after
@@ -306,9 +321,8 @@ class TestParse:
         spec = parse_config(SWEEP_TEXT)
         assert isinstance(spec, SweepSpec)
         runs = [
-            [(e.run.method, e.run.client_hparams, e.run.partition, e.run.alpha, e.run.seed)
-             for e in cell]
-            for cell in spec.cells
+            (e.run.method, e.run.client_hparams, e.run.partition, e.run.alpha, e.run.seed)
+            for e in spec.runs
         ]
         # fedavg (1) + fedprox (2 values, descending), times 2 partitions, iid first
         cells = [
@@ -316,9 +330,9 @@ class TestParse:
             ("fedprox", {"lambda": 0.1}, "iid"), ("fedprox", {"lambda": 0.1}, "dirichlet"),
             ("fedprox", {"lambda": 0.001}, "iid"), ("fedprox", {"lambda": 0.001}, "dirichlet"),
         ]
-        assert runs == [[(m, hp, p, 0.0, s) for s in (1, 2)] for m, hp, p in cells]
-        assert spec.base is spec.cells[0][0]
-        assert all(e.run.rounds == 3 and e.data.per_class == 30 for c in spec.cells for e in c)
+        assert runs == [(m, hp, p, 0.0, s) for m, hp, p in cells for s in (1, 2)]
+        assert spec.base is spec.runs[0]
+        assert all(e.run.rounds == 3 and e.data.per_class == 30 for e in spec.runs)
 
     def test_grid_key_must_match_method(self):
         with pytest.raises(ParseError, match="illegal"):
@@ -417,13 +431,15 @@ class TestParse:
             spec = parse_config(text)
         except ParseError:
             return
-        assert spec.cells and all(len(cell) == len(seeds) for cell in spec.cells)
-        for cell in spec.cells:
-            for exp in cell:
-                exp.run.validate()
-            assert set(cell[0].run.client_hparams) == (grid if cell[0].run.method == gm else set())
-        names = {_run_dir(exp.run) for cell in spec.cells for exp in cell}
-        assert len(names) == len(spec.cells) * len(seeds)
+        # every cell is its runs under the listed seeds, in their order
+        assert [e.run.seed for e in spec.runs] == [int(s) for s in seeds] * (
+            len(spec.runs) // len(seeds)
+        )
+        for exp in spec.runs:
+            exp.run.validate()
+            assert set(exp.run.client_hparams) == (grid if exp.run.method == gm else set())
+        names = {_run_dir(exp.run) for exp in spec.runs}
+        assert len(names) == len(spec.runs)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -639,7 +655,7 @@ class TestOneRowPath:
         spec = parse_config(SWEEP_TEXT)
         _, run_rows = run_sweep(spec, tmp_path / "s")
         runs = tmp_path / "s" / "runs"
-        for exp, row in zip((exp for cell in spec.cells for exp in cell), run_rows):
+        for exp, row in zip(spec.runs, run_rows):
             run = runs / _run_dir(exp.run)
             assert repr(row) == repr(summarize([str(run / "metrics.jsonl")])[0])
             capsys.readouterr()
@@ -687,13 +703,13 @@ class TestSweep:
             .replace("partitions = iid,dirichlet:0", "partitions = dirichlet:0.5")
         )
         spec = parse_config(text)
-        assert [len(cell) for cell in spec.cells] == [2, 2, 2]
+        assert [exp.run.seed for exp in spec.runs] == [1, 2] * 3
         built = []
         real = harness.make_dataset
         monkeypatch.setattr(harness, "make_dataset", lambda exp: built.append(exp) or real(exp))
         run_sweep(spec, tmp_path / "s")
         assert [exp.run.seed for exp in built] == [1, 2]
-        for exp in (exp for cell in spec.cells for exp in cell):
+        for exp in spec.runs:
             swept = tmp_path / "s" / "runs" / _run_dir(exp.run)
             lone = tmp_path / "lone" / _run_dir(exp.run)
             run_experiment(exp, lone)
@@ -730,7 +746,7 @@ class TestSweep:
             (seed, part, 0.0, 10) for seed in (1, 2) for part in ("iid", "dirichlet")
         )
         lone_rows = []
-        for exp in (exp for cell in spec.cells for exp in cell):
+        for exp in spec.runs:
             swept = tmp_path / "s" / "runs" / _run_dir(exp.run)
             lone = tmp_path / "lone" / _run_dir(exp.run)
             lone_rows.append(run_experiment(exp, lone)[1])  # its own dataset and plan
@@ -838,20 +854,20 @@ class TestSweep:
     @pytest.mark.parametrize(
         "layout,banner",
         [
-            ([[0], [2, 3]], "2 cells x 1-2 seeds = 3 runs"),
-            ([[0], [2], [1], [3]], "4 cells x 1 seeds = 4 runs"),
+            ([0, 2, 3], "2 cells x 1-2 seeds = 3 runs"),
+            ([0, 2, 1, 3], "2 cells x 2 seeds = 4 runs"),
         ],
         ids=["unequal", "interleaved"],
     )
     def test_one_sweep_row_per_cell_of_a_python_sweep_spec(self, tmp_path, capsys, layout, banner):
-        # a SweepSpec built in Python may hold cells of unequal length, or split
-        # a cell's runs over cells; sweep.csv still has a row per cell, the means
-        # over however many runs it has (it once cut the runs into equal slices)
+        # a SweepSpec built in Python may hold cells of unequal length, or
+        # interleave the runs of its cells; sweep.csv still has a row per cell,
+        # the means over however many runs it has (it once cut the runs into
+        # equal slices), and the banner counts those cells
         text = "methods = fedavg,fedprox\nseeds = 1,2\nrounds = 2\nn_clients = 10\n"
         text += "sample_size = 4\ndata.per_class = 30\neval_every = 1\n"
         full = parse_config(text)  # cells: fedavg seeds 1, 2; fedprox seeds 1, 2
-        exps = [exp for cell in full.cells for exp in cell]
-        spec = SweepSpec([[exps[i] for i in cell] for cell in layout])
+        spec = SweepSpec([full.runs[i] for i in layout])
         capsys.readouterr()
         rows, run_rows = run_sweep(spec, tmp_path / "s")
         assert [(r.method, r.hparams, r.partition) for r in rows] == [
@@ -873,27 +889,84 @@ class TestSweep:
     @pytest.mark.parametrize(
         "layout", [[], [[]], [[0], []]], ids=["no-cells", "empty", "one-empty"]
     )
-    def test_sweep_spec_without_runs_is_a_config_error(self, tmp_path, layout):
-        # no cells once raised an IndexError, and an empty cell a ValueError
+    def test_sweep_spec_without_runs_is_a_config_error(self, layout):
+        # no cells once raised an IndexError, and an empty cell a ValueError;
+        # the nested lists of cells are not runs, so they fail when built
         exp = parse_config(RUN_TEXT)
-        spec = SweepSpec([[exp for _ in cell] for cell in layout])
-        with pytest.raises(ConfigError, match="a sweep needs at least one cell"):
-            run_sweep(spec, tmp_path / "s")
+        with pytest.raises(ConfigError, match="a sweep needs at least one run"):
+            SweepSpec([[exp for _ in cell] for cell in layout])
+
+    @pytest.mark.parametrize(
+        "seed,error",
+        [
+            (1, r"duplicate value: two runs would write runs/fedavg_dirichlet0_s1$"),
+            (2, r"runs/fedavg_dirichlet0_s1 and runs/fedavg_dirichlet0_s2 share a cell"),
+        ],
+        ids=["one-directory", "mixed-rate"],
+    )
+    def test_two_configs_in_one_cell_fail_when_built(self, tmp_path, capsys, seed, error):
+        # two fedavg runs that differ in client_lr have one (method, hparams,
+        # partition) key: under one seed both once trained into one run
+        # directory, and under two seeds sweep.csv averaged the two rates
+        # into one row; now the spec is an error before any banner or directory
+        e = parse_config(PY_SPEC_RUN)
+        other = replace(e, run=replace(e.run, client_lr=0.5, seed=seed))
+        with pytest.raises(ConfigError, match=error):
+            run_sweep(SweepSpec([e, other]), tmp_path / "s")
+        assert capsys.readouterr().out == ""
         assert not (tmp_path / "s").exists()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 7), min_size=1, max_size=5),
+        changed=st.none() | st.tuples(st.integers(0, 4), st.sampled_from([0.5, 0.05000001])),
+    )
+    @example(picks=[0, 2, 1, 3], changed=None)  # interleaved cells
+    @example(picks=[1, 0], changed=None)  # a cell's seeds out of listed order
+    @example(picks=[0, 1], changed=(1, 0.5))  # one cell, two rates
+    @example(picks=[0, 0], changed=None)  # one run twice
+    def test_python_sweep_spec_is_an_error_or_a_row_per_cell(self, picks, changed):
+        # runs drawn from a parsed 4-cell, 2-seed sweep, repeated, in any order,
+        # one of them maybe at another client_lr: the spec fails when built iff
+        # two runs share a run directory or a cell holds two configs; otherwise
+        # sweep.csv has a row per cell key, and the banner counts those rows
+        runs = [PY_SPEC_SWEEP.runs[i] for i in picks]
+        if changed is not None and changed[0] < len(runs):
+            i, lr = changed
+            runs[i] = replace(runs[i], run=replace(runs[i].run, client_lr=lr))
+        keys = list(dict.fromkeys(harness._labels(exp.run)[:3] for exp in runs))
+        configs = {(harness._labels(e.run)[:3], e.run.client_lr) for e in runs}
+        bad = len({_run_dir(e.run) for e in runs}) < len(runs) or len(configs) > len(keys)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "s")
+            try:
+                spec = SweepSpec(runs)
+            except ConfigError:
+                assert bad
+                assert not os.path.exists(out)
+                return
+            assert not bad
+            banner = io.StringIO()
+            with contextlib.redirect_stdout(banner):
+                rows, _ = run_sweep(spec, out)
+            with open(os.path.join(out, "sweep.csv")) as fh:
+                lines = fh.read().splitlines()[1:]
+        assert [tuple(r[:3]) for r in rows] == keys
+        assert [line.split(",")[:3] for line in lines] == [list(k) for k in keys]
+        assert banner.getvalue().startswith(f"sweep: {len(lines)} cells x ")
 
 
 def assert_sweep_equals_lone_runs(spec, swept, lone):
     """Every file of the sweep in ``swept`` equals each run alone through
     run_experiment, written under ``lone``, apart from wall times."""
     run_rows = []
-    for cell in spec.cells:
-        for exp in cell:
-            name = _run_dir(exp.run)
-            run_rows.append(run_experiment(exp, lone / name)[1])  # own dataset and plan
-            run, alone = swept / "runs" / name, lone / name
-            assert strip_dt(run / "metrics.jsonl") == strip_dt(alone / "metrics.jsonl")
-            assert (run / "config.txt").read_bytes() == (alone / "config.txt").read_bytes()
-            assert strip_time_cols(run / "summary.csv") == strip_time_cols(alone / "summary.csv")
+    for exp in spec.runs:
+        name = _run_dir(exp.run)
+        run_rows.append(run_experiment(exp, lone / name)[1])  # own dataset and plan
+        run, alone = swept / "runs" / name, lone / name
+        assert strip_dt(run / "metrics.jsonl") == strip_dt(alone / "metrics.jsonl")
+        assert (run / "config.txt").read_bytes() == (alone / "config.txt").read_bytes()
+        assert strip_time_cols(run / "summary.csv") == strip_time_cols(alone / "summary.csv")
     (lone / "runs.csv").write_text(harness.format_rows(run_rows))
     sweep_rows = harness.cell_means(run_rows)
     (lone / "sweep.csv").write_text(harness.format_rows(sweep_rows, with_seed=False))
@@ -963,7 +1036,7 @@ class TestLockstep:
     def test_dt_is_own_round_plus_plan_share(self, monkeypatch):
         # each run's dt: its own run_round, plus an equal share of the plan
         spec = parse_config(SWEEP_TEXT)
-        cfgs = [cell[0].run for cell in spec.cells if cell[0].run.partition == "iid"]
+        cfgs = [e.run for e in spec.runs if e.run.partition == "iid" and e.run.seed == 1]
         data = make_dataset(spec.base)
         ticks = iter(range(1000))
         monkeypatch.setattr(engine.time, "perf_counter", lambda: float(next(ticks)))
