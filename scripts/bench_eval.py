@@ -22,8 +22,11 @@ overhead; wall time over reported gradient evaluations for each run of the
 bytes in use in the arenas plus mmapped chunks) after each round of the first
 ``sweep_c7`` run, while that round's plan is still alive, as its first,
 median, last and largest sample (``--json``: every sample), or
-``unavailable`` without glibc's ``mallinfo2``. ``--json`` prints
-``"us": {line: µs}`` and ``"note": {line: note}`` beside those.
+``unavailable`` without glibc's ``mallinfo2``; and ``dataset``: for each
+benchmark workload's first run, the tracemalloc peak of one ``make_dataset``
+call (after one untraced call) and the bytes of the train and test sets it
+keeps (``--json``: ``"dataset_bytes": {workload: {"peak": ..., "kept": ...}}``).
+``--json`` prints ``"us": {line: µs}`` and ``"note": {line: note}`` beside those.
 
 ``--against DIR`` times the lines of ``--src`` over ``DIR``. It copies both
 ``flsim`` packages into a temporary directory under two package names
@@ -55,6 +58,7 @@ import sys
 import tempfile
 import time
 import timeit
+import tracemalloc
 
 import numpy as np
 
@@ -244,6 +248,23 @@ def memory_samples(flsim, seed):
     return samples
 
 
+def dataset_bytes(flsim, seed):
+    """Workload -> {"peak": tracemalloc peak of one make_dataset call, "kept":
+    the bytes of the train and test sets it returns}, for each first run."""
+    out = {}
+    for name in WORKLOADS:
+        exp = first_run(flsim, name, seed)
+        flsim.harness.make_dataset(exp)  # first-call imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            data = flsim.harness.make_dataset(exp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out[name] = {"peak": peak, "kept": sum(d.features.nbytes + d.labels.nbytes for d in data)}
+    return out
+
+
 def import_as(src, name, into):
     """The flsim package in ``src``, copied to ``into`` and imported as ``name``."""
     shutil.copytree(os.path.join(src, "flsim"), os.path.join(into, name))
@@ -323,6 +344,10 @@ def main(argv=None) -> int:
         print(f"sweep_c7 seed {seed} memory: heap in use after each of {len(heap)} rounds "
               "of the first run: first {:.1f}, median {:.1f}, last {:.1f}, max {:.1f} KB"
               .format(*kb))
+    result["dataset_bytes"] = sizes = dataset_bytes(flsim, seed)
+    for name, b in sizes.items():
+        print(f"{name} seed {seed} dataset: make_dataset peaks at {b['peak'] / 1e6:.2f} MB "
+              f"for {b['kept'] / 1e6:.2f} MB kept ({b['peak'] / b['kept']:.2f}x)")
     if args.json:
         print(json.dumps(result, separators=(",", ":")))
     return 0

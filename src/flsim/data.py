@@ -80,41 +80,68 @@ def _class_center(k: int, dim: int) -> np.ndarray:
     return 4.0 * v / np.linalg.norm(v)
 
 
-def gen_blobs(
-    num_classes: int,
-    dim: int,
-    per_class: int,
-    spread: float,
-    rng: np.random.Generator,
-) -> LabeledDataset:
-    """Gaussian blobs: class k centered at a fixed direction of norm 4."""
+def _check_blobs(num_classes: int, per_class: int, spread: float):
     if num_classes < 2 or per_class < 1 or not 0 <= spread <= MAX_SPREAD:
         need = f"num_classes>=2, per_class>=1, 0<=spread<={MAX_SPREAD:g}"
         raise ConfigError(f"gen_blobs: need {need}")
-    centers = np.array([_class_center(k, dim) for k in range(num_classes)])
-    feats = rng.standard_normal((num_classes, per_class, dim))
-    feats *= spread  # in place: no second dataset-sized array
-    feats += centers[:, None, :]
-    labels = np.repeat(np.arange(num_classes), per_class)
-    return LabeledDataset(feats.reshape(len(labels), dim), labels, num_classes)
+
+
+def _draw_class(k: int, spread: float, rng: np.random.Generator, out: np.ndarray):
+    """Class k's rows into ``out``: standard normals times ``spread``, plus its center."""
+    rng.standard_normal(out=out)
+    out *= spread  # in place: no second block-sized array
+    out += _class_center(k, out.shape[1])
+
+
+def _class_split(k: int, n: int, test_fraction: float, rng: np.random.Generator):
+    """Class k's n rows split: sorted (train, test) positions, floor(frac*n) test rows, min 1."""
+    if not (0.0 < test_fraction < 1.0):
+        raise ConfigError("test_fraction must be in (0, 1)")
+    n_test = max(1, int(np.floor(test_fraction * n)))
+    if n - n_test < 1:
+        raise ConfigError(f"class {k} too small to split ({n} samples)")
+    perm = rng.permutation(n)
+    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
+
+
+def gen_blobs(num_classes: int, dim: int, per_class: int, spread: float, rng) -> LabeledDataset:
+    """Gaussian blobs: class k centered at a fixed direction of norm 4."""
+    _check_blobs(num_classes, per_class, spread)
+    feats = np.empty((num_classes * per_class, dim))
+    for k in range(num_classes):
+        _draw_class(k, spread, rng, feats[k * per_class:(k + 1) * per_class])
+    return LabeledDataset(feats, np.repeat(np.arange(num_classes), per_class), num_classes)
 
 
 def split_train_test(data: LabeledDataset, test_fraction: float, rng: np.random.Generator):
     """Stratified split; each class contributes floor(frac*count) test samples, min 1."""
-    if not (0.0 < test_fraction < 1.0):
-        raise ConfigError("test_fraction must be in (0, 1)")
     train_idx, test_idx = [], []
     for k in range(data.num_classes):
         idx = np.flatnonzero(data.labels == k)
-        n_test = max(1, int(np.floor(test_fraction * len(idx))))
-        if len(idx) - n_test < 1:
-            raise ConfigError(f"class {k} too small to split ({len(idx)} samples)")
-        perm = rng.permutation(len(idx))
-        test_idx.append(idx[perm[:n_test]])
-        train_idx.append(idx[perm[n_test:]])
+        train, test = _class_split(k, len(idx), test_fraction, rng)
+        train_idx.append(idx[train])
+        test_idx.append(idx[test])
     train_idx = np.sort(np.concatenate(train_idx))
     test_idx = np.sort(np.concatenate(test_idx))
     return data.subset(train_idx), data.subset(test_idx)
+
+
+def split_blobs(num_classes, dim, per_class, spread, test_fraction, rng, split_rng):
+    """``split_train_test(gen_blobs(..., rng), test_fraction, split_rng)``, the same
+    bytes, built a class at a time: each class is drawn into one block and its rows
+    copied straight to the train and test matrices, so the full matrix never exists."""
+    _check_blobs(num_classes, per_class, spread)
+    # the split reads only the class sizes, so it comes first; every class splits alike
+    splits = [_class_split(k, per_class, test_fraction, split_rng) for k in range(num_classes)]
+    parts = [np.empty((num_classes * len(rows), dim)) for rows in splits[0]]  # train, test
+    block = np.empty((per_class, dim))
+    for k, rows in enumerate(splits):
+        _draw_class(k, spread, rng, block)
+        for part, r in zip(parts, rows):  # mode="clip" (r is in range): take copies unbuffered
+            np.take(block, r, axis=0, out=part[k * len(r):(k + 1) * len(r)], mode="clip")
+    del splits, block  # before the checks' temporaries
+    return tuple(LabeledDataset(p, np.repeat(np.arange(num_classes), len(p) // num_classes),
+                                num_classes) for p in parts)
 
 
 def _client_count(n_clients, total: int) -> int:

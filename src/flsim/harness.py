@@ -12,12 +12,12 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import IID, MAX_DATA_VALUES, MAX_SPREAD, gen_blobs, split_train_test
+from .data import IID, MAX_DATA_VALUES, MAX_SPREAD, split_blobs
 from .engine import (
     DATA_ROUND,
     SERVER_CHANNEL,
@@ -310,16 +310,11 @@ def _labels(cfg: RunConfig | None) -> tuple:
 
 def make_dataset(exp: ExperimentConfig):
     """Synthesize and split the blob dataset for this experiment's seed."""
-    model = exp.run.model
-    full = gen_blobs(
-        model.num_classes,
-        model.input_dim,
-        exp.data.per_class,
-        exp.data.spread,
-        derive_stream(exp.run.seed, DATA_ROUND, SERVER_CHANNEL),
-    )
-    return split_train_test(
-        full, exp.data.test_fraction, derive_stream(exp.run.seed, SPLIT_ROUND, SERVER_CHANNEL)
+    model, data, seed = exp.run.model, exp.data, exp.run.seed
+    return split_blobs(
+        model.num_classes, model.input_dim, data.per_class, data.spread, data.test_fraction,
+        derive_stream(seed, DATA_ROUND, SERVER_CHANNEL),
+        derive_stream(seed, SPLIT_ROUND, SERVER_CHANNEL),
     )
 
 
@@ -371,21 +366,25 @@ def _write_run(exp: ExperimentConfig, out_dir, rounds):
 def _run(exps, out_dirs):
     """Train every run, then ``_write_run`` each to its directory in ``out_dirs``.
 
-    A seed's runs share one dataset (sweep cells differ only in method,
-    hparams and partition), and those with one ``engine.plan_key`` train in
-    lockstep on one plan a round; seeds go one after another, so one dataset
-    is alive at a time. Nothing is written before every run has trained.
+    Runs that agree in what ``make_dataset`` reads (the seed, the model's
+    class count and width, and ``exp.data``) share one dataset, and those with
+    one ``engine.plan_key`` train in lockstep on one plan a round; datasets
+    go one after another, so one is alive at a time. Nothing is written
+    before every run has trained, and the writes keep the order of ``exps``.
     """
-    rounds = [None] * len(exps)
-    for seed in dict.fromkeys(exp.run.seed for exp in exps):
-        runs = [i for i, exp in enumerate(exps) if exp.run.seed == seed]
+    rounds, datasets = [None] * len(exps), {}
+    for i, exp in enumerate(exps):
+        model = exp.run.model
+        key = exp.run.seed, model.num_classes, model.input_dim, astuple(exp.data)
+        datasets.setdefault(key, []).append(i)
+    for runs in datasets.values():
         data, groups = make_dataset(exps[runs[0]]), {}
         for i in runs:
             groups.setdefault(plan_key(exps[i].run), []).append(i)
         for group in groups.values():
             for i, out in zip(group, train_lockstep([exps[i].run for i in group], *data)):
                 rounds[i] = out.metrics if isinstance(out, DivergenceError) else out
-        del data  # before the next seed's dataset is made
+        del data  # before the next dataset is made
     return [_write_run(*args) for args in zip(exps, out_dirs, rounds)]
 
 

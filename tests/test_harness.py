@@ -732,6 +732,39 @@ class TestSweep:
         run_sweep(parse_config(SWEEP_TEXT), tmp_path / "s")
         assert len(alive) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("data.spread", 3.0),
+        ("data.per_class", 50),
+        ("data.test_fraction", 0.25),
+        ("model.input_dim", 16),
+        ("model.num_classes", 5),
+    ])
+    def test_one_dataset_per_set_of_data_inputs(self, tmp_path, monkeypatch, key, value):
+        # a Python-built SweepSpec may hold runs that differ in what make_dataset
+        # reads: each trains on its own data, as alone (the fedprox run at spread
+        # 3.0 has round-0 loss 2.8356, not the 2.0906 of the fedavg run's data),
+        # and those that agree share one dataset and train first, one dataset
+        # alive at a time; the writes keep run order
+        text = PY_SPEC_RUN.replace("per_class = 30", "per_class = 40")
+        base = parse_config(text.replace("sample_size = 4", "sample_size = 10\npartition = iid"))
+        other = with_value(with_value(base, "method", "fedprox"), key, value)
+        spec = SweepSpec([base, other, with_value(base, "method", "fedsam")])
+        built, alive = [], []
+        real = harness.make_dataset
+
+        def make_dataset(exp):
+            assert [ref() for ref in alive] == [None] * len(alive)
+            built.append(exp)
+            data = real(exp)
+            alive.append(weakref.ref(data[0]))
+            return data
+
+        monkeypatch.setattr(harness, "make_dataset", make_dataset)
+        run_sweep(spec, tmp_path / "s")
+        assert built == spec.runs[:2]
+        monkeypatch.setattr(harness, "make_dataset", real)
+        assert_sweep_equals_lone_runs(spec, tmp_path / "s", tmp_path / "lone")
+
     def test_one_plan_per_partition_per_seed(self, tmp_path, monkeypatch):
         # runs of a seed share its dataset, and with it each partition plan
         spec = parse_config(SWEEP_TEXT)
